@@ -201,16 +201,6 @@ def decompose(
     )
 
 
-def image_arcs(d: Decomposition) -> list[Arc]:
-    """The exit-direction arcs, one per component."""
-    return [c.image for c in d.components]
-
-
-def escape_measure(d: Decomposition) -> float:
-    """Total measure of the resolved escape arcs."""
-    return sum(c.arc.measure for c in d.components)
-
-
 def is_injective(
     d: Decomposition, tol: float = 1e-9
 ) -> tuple[bool, tuple[float, float] | None]:

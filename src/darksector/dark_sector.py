@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from .arcs import Arc, arc_contains_arc, arc_intersection_measure
-from .circle_map import Decomposition, image_arcs
+from .circle_map import Decomposition
 from .exact_angle import TWO_PI, wrap_angle
 from .scene import EnclosingCircle, Point
 from .tracer import TraceStatus, exit_ray, trace
@@ -26,11 +26,11 @@ MAX_SECTOR_MEASURE = math.pi - 1e-6
 
 @dataclass(frozen=True, eq=False)
 class DarkArc:
-    """An unlit arc selected for sector construction, with its provenance."""
+    """An unlit arc selected for sector construction, with the unlit arc it
+    was cut from."""
 
     arc: Arc
     source_arc: Arc
-    decomposition: Decomposition | None = None
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,7 @@ class DarkSector:
         return (self.dir_hi - self.dir_lo) % TWO_PI
 
 
-def select_dark_arc(
-    unlit: "list[Arc]", decomposition: Decomposition | None = None
-) -> DarkArc | None:
+def select_dark_arc(unlit: "list[Arc]") -> DarkArc | None:
     """The widest unlit arc, shrunk about its midpoint when it spans >= pi."""
     if not unlit:
         return None
@@ -60,7 +58,7 @@ def select_dark_arc(
         mid = arc.midpoint
         half = 0.5 * MAX_SECTOR_MEASURE
         arc = Arc(mid - half, mid + half)
-    return DarkArc(arc=arc, source_arc=widest, decomposition=decomposition)
+    return DarkArc(arc=arc, source_arc=widest)
 
 
 def build_sector(a: DarkArc, circle: EnclosingCircle) -> DarkSector:
@@ -200,7 +198,7 @@ def verify_darkness(
             bad_points.append(p)
 
     overlapping = sum(
-        1 for img in image_arcs(d) if arc_intersection_measure(dark, img) > 1e-12
+        1 for c in d.components if arc_intersection_measure(dark, c.image) > 1e-12
     )
 
     offending: list[float] = []

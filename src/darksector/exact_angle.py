@@ -158,34 +158,26 @@ def generate_group(
     mirror_angles: "set[RationalTurn] | frozenset[RationalTurn] | list[RationalTurn]",
     cap: int = DEFAULT_GROUP_CAP,
 ) -> ReflectionGroup:
-    """Close the mirror reflections under composition.
+    """The dihedral group of order 2N generated by the mirror reflections.
 
-    Termination is guaranteed because every offset is a rational with
-    denominator dividing a fixed lcm; the cap guards pathological inputs.
+    For line angles a_i*pi, N is the lcm of the denominators of
+    (a_i - a_1) mod 1: the elements are the rotations by 2*pi*j/N and the
+    reflection sigma_1 applied after each of them.  Raises GroupOrderError
+    before building anything when 2N exceeds ``cap``.
     """
     angles = sorted(set(mirror_angles), key=lambda r: r.fraction)
     if not angles:
         raise ValueError("at least one mirror angle is required")
+    first = angles[0].fraction
+    n = math.lcm(*(((a.fraction - first) % 1).denominator for a in angles))
+    if 2 * n > cap:
+        raise GroupOrderError(
+            f"reflection group of order {2 * n} exceeds cap of {cap} elements"
+        )
     generators = tuple(mirror_reflection_element(r) for r in angles)
-    elements: set[GroupElement] = {identity()}
-    frontier = [identity()]
-    while frontier:
-        g = frontier.pop()
-        for h in generators:
-            k = compose(h, g)
-            if k not in elements:
-                elements.add(k)
-                if len(elements) > cap:
-                    raise GroupOrderError(
-                        f"reflection group exceeds cap of {cap} elements"
-                    )
-                frontier.append(k)
+    rotations = [GroupElement(1, make_rational_turn(2 * j, n)) for j in range(n)]
+    elements = rotations + [compose(generators[0], g) for g in rotations]
     return ReflectionGroup(frozenset(elements), generators)
-
-
-def generic_orbit_size(group: ReflectionGroup) -> int:
-    """Orbit length of a direction with trivial stabilizer: the group order."""
-    return len(group.elements)
 
 
 def sorted_elements(group: ReflectionGroup) -> list[GroupElement]:

@@ -1,5 +1,5 @@
-"""Mirror configurations: the scene model, validation, the enclosing circle
-and JSON scene-file I/O.
+"""Mirror configurations: the scene model with its cached tracer geometry,
+validation, the enclosing circle and JSON scene-file I/O.
 
 Positions are double-precision floats; segment direction angles are exact
 rational multiples of pi (see :mod:`darksector.exact_angle`).
@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .exact_angle import RationalTurn, make_rational_turn
 
@@ -46,11 +47,54 @@ def endpoints(m: Mirror) -> tuple[Point, Point]:
 
 
 @dataclass(frozen=True)
+class MirrorGeometry:
+    """Per-mirror constants of the ray tracer's intersection test."""
+
+    ax: float
+    ay: float
+    ex: float  # b - a, not normalized
+    ey: float
+    length: float
+    nx: float  # unit left normal of the segment direction
+    ny: float
+    two_angle: float  # 2 * angle * pi, numerically
+    two_angle_k: int  # 2 * angle * pi exactly, in units of pi / Scene.angle_unit
+
+
+@dataclass(frozen=True)
 class Scene:
     """An ordered collection of disjoint mirrors plus the light source."""
 
     mirrors: tuple[Mirror, ...]
     source: Point
+
+    @cached_property
+    def angle_unit(self) -> int:
+        """L, the lcm of the mirror-angle denominators: the offset of every
+        exact isometry a ray accumulates in this scene is a multiple of pi/L."""
+        return math.lcm(*(m.angle.den for m in self.mirrors))
+
+    @cached_property
+    def geometry(self) -> tuple[MirrorGeometry, ...]:
+        """The tracer's per-mirror constants, computed once per scene."""
+        geos = []
+        for m in self.mirrors:
+            (ax, ay), (bx, by) = endpoints(m)
+            t = m.angle.radians()
+            geos.append(
+                MirrorGeometry(
+                    ax=ax,
+                    ay=ay,
+                    ex=bx - ax,
+                    ey=by - ay,
+                    length=m.length,
+                    nx=-math.sin(t),
+                    ny=math.cos(t),
+                    two_angle=math.pi * (2 * m.angle.num) / m.angle.den,
+                    two_angle_k=2 * m.angle.num * (self.angle_unit // m.angle.den),
+                )
+            )
+        return tuple(geos)
 
 
 @dataclass(frozen=True)

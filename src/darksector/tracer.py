@@ -1,9 +1,10 @@
 """Billiard ray tracing through a mirror scene.
 
 Each bounce updates the direction twice: numerically (for geometry) and
-exactly (as the accumulated composition of mirror reflection elements), so
-the exit direction of an escaped ray can be cross-checked against the exact
-group action on the launch direction.
+exactly, as the integer offset k of the isometry theta -> s*theta + k*pi/L
+(L the scene's angle unit; a reflection in a mirror at angle a*pi maps k to
+2aL - k and flips s), so the exit direction of an escaped ray can be
+cross-checked against the exact group action on the launch direction.
 """
 
 from __future__ import annotations
@@ -11,17 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
-from .exact_angle import (
-    GroupElement,
-    apply,
-    compose,
-    identity,
-    mirror_reflection_element,
-    wrap_angle,
-)
-from .scene import EnclosingCircle, Mirror, Point, Scene, endpoints
+from .exact_angle import GroupElement, apply, make_rational_turn, wrap_angle
+from .scene import EnclosingCircle, Point, Scene
 
 # Minimum advance along the ray before a hit counts, and the radius around
 # segment endpoints (or grazing angle) below which a hit is singular.
@@ -57,42 +50,6 @@ class SingularStop:
     reason: str  # "endpoint" or "grazing"
 
 
-@dataclass(frozen=True)
-class _MirrorGeom:
-    ax: float
-    ay: float
-    ex: float  # b - a, not normalized
-    ey: float
-    length: float
-    nx: float  # unit left normal of the segment direction
-    ny: float
-    two_angle: float  # 2 * angle * pi, numerically
-    element: GroupElement  # exact reflection in the mirror's line
-
-
-@lru_cache(maxsize=128)
-def _scene_geometry(scene: Scene) -> tuple[_MirrorGeom, ...]:
-    geos = []
-    for m in scene.mirrors:
-        (ax, ay), (bx, by) = endpoints(m)
-        t = m.angle.radians()
-        ux, uy = math.cos(t), math.sin(t)
-        geos.append(
-            _MirrorGeom(
-                ax=ax,
-                ay=ay,
-                ex=bx - ax,
-                ey=by - ay,
-                length=m.length,
-                nx=-uy,
-                ny=ux,
-                two_angle=math.pi * (2 * m.angle.num) / m.angle.den,
-                element=mirror_reflection_element(m.angle),
-            )
-        )
-    return tuple(geos)
-
-
 def first_hit(
     origin: Point,
     theta: float,
@@ -106,7 +63,7 @@ def first_hit(
     nearly parallel to the hit mirror.  ``exclude_index`` skips the mirror
     the ray just left.
     """
-    geos = _scene_geometry(scene)
+    geos = scene.geometry
     ox, oy = origin
     dx, dy = math.cos(theta), math.sin(theta)
     best_t = math.inf
@@ -140,16 +97,6 @@ def first_hit(
     return Hit(idx, side, point, t)
 
 
-def reflect(theta: float, m: Mirror) -> float:
-    """Specular reflection of a direction in the mirror's line."""
-    return wrap_angle(math.pi * (2 * m.angle.num) / m.angle.den - theta)
-
-
-def reflect_exact(g: GroupElement, m: Mirror) -> GroupElement:
-    """Prepend the mirror's exact reflection to an accumulated isometry."""
-    return compose(mirror_reflection_element(m.angle), g)
-
-
 @dataclass(frozen=True)
 class TraceResult:
     status: TraceStatus
@@ -167,53 +114,45 @@ def trace(scene: Scene, theta0: float, cap: int = DEFAULT_BOUNCE_CAP) -> TraceRe
     singular, or would exceed ``cap`` reflections."""
     if cap < 1:
         raise ValueError("bounce cap must be >= 1")
-    geos = _scene_geometry(scene)
+    geos = scene.geometry
     theta = wrap_angle(theta0)
-    g = identity()
+    k = 0  # exact exit direction offset, in units of pi / scene.angle_unit
     pos = scene.source
     path = [pos]
     itinerary: list[tuple[int, int]] = []
     last: int | None = None
+    stop_point = None
     while True:
         res = first_hit(pos, theta, scene, exclude_index=last)
         if res is None:
-            return TraceResult(
-                status=TraceStatus.ESCAPED,
-                itinerary=tuple(itinerary),
-                path=tuple(path),
-                exit_point=pos,
-                exit_dir_numeric=theta,
-                exit_dir_exact=g,
-                bounce_count=len(itinerary),
-            )
+            status = TraceStatus.ESCAPED
+            break
         if isinstance(res, SingularStop):
-            return TraceResult(
-                status=TraceStatus.SINGULAR,
-                itinerary=tuple(itinerary),
-                path=tuple(path),
-                exit_point=pos,
-                exit_dir_numeric=theta,
-                exit_dir_exact=g,
-                bounce_count=len(itinerary),
-                stop_point=res.point,
-            )
+            status, stop_point = TraceStatus.SINGULAR, res.point
+            break
         if len(itinerary) == cap:
-            return TraceResult(
-                status=TraceStatus.BOUNCE_CAP_EXCEEDED,
-                itinerary=tuple(itinerary),
-                path=tuple(path),
-                exit_point=pos,
-                exit_dir_numeric=theta,
-                exit_dir_exact=g,
-                bounce_count=len(itinerary),
-            )
+            status = TraceStatus.BOUNCE_CAP_EXCEEDED
+            break
         geo = geos[res.mirror_index - 1]
         itinerary.append((res.mirror_index, res.side))
         path.append(res.point)
         theta = wrap_angle(geo.two_angle - theta)
-        g = compose(geo.element, g)
+        k = geo.two_angle_k - k
         pos = res.point
         last = res.mirror_index
+    n = len(itinerary)
+    return TraceResult(
+        status=status,
+        itinerary=tuple(itinerary),
+        path=tuple(path),
+        exit_point=pos,
+        exit_dir_numeric=theta,
+        exit_dir_exact=GroupElement(
+            -1 if n % 2 else 1, make_rational_turn(k, scene.angle_unit)
+        ),
+        bounce_count=n,
+        stop_point=stop_point,
+    )
 
 
 def exit_ray(tr: TraceResult, circle: EnclosingCircle) -> tuple[Point, float]:

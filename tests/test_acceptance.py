@@ -118,7 +118,7 @@ def test_criterion_4_single_mirror_dark_sector_pipeline():
         assert min(lo_err, TWO_PI - lo_err) <= 1e-8
         assert min(hi_err, TWO_PI - hi_err) <= 1e-8
 
-        dark = select_dark_arc(unlit, d)
+        dark = select_dark_arc(unlit)
         sector = build_sector(dark, circle)
         assert sector.apex[0] == pytest.approx(0.0, abs=1e-8)
         assert sector.apex[1] == pytest.approx(0.5 - 2 * math.sqrt(2.0), abs=1e-8)

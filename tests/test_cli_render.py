@@ -230,3 +230,19 @@ class TestParamBounds:
     def test_cap_bound(self, toy_path):
         with pytest.raises(SystemExit):
             main(["map", "--scene", toy_path, "--cap", "0"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "--theta", "nan"],
+            ["trace", "--theta", "inf"],
+            ["map", "--margin", "1"],
+            ["map", "--margin", "0.5"],
+            ["map", "--margin", "-2"],
+            ["sectors", "--darkness-samples", "-5"],
+        ],
+    )
+    def test_rejected_value_exits_two(self, toy_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--scene", toy_path])
+        assert exc.value.code == 2

@@ -29,7 +29,7 @@ def single_mirror_pipeline(single_mirror_scene, single_mirror_circle):
 class TestSelectDarkArc:
     def test_picks_single_arc(self, single_mirror_pipeline):
         d, unlit = single_mirror_pipeline
-        dark = select_dark_arc(unlit, d)
+        dark = select_dark_arc(unlit)
         assert dark is not None
         assert angles_close(dark.arc.start, 5 * math.pi / 4, 1e-8)
         assert angles_close(dark.arc.end, 7 * math.pi / 4, 1e-8)
@@ -184,7 +184,7 @@ class TestDirectionArc:
 class TestVerifyDarkness:
     def test_single_mirror_passes(self, single_mirror_pipeline, single_mirror_circle):
         d, unlit = single_mirror_pipeline
-        dark = select_dark_arc(unlit, d)
+        dark = select_dark_arc(unlit)
         s = build_sector(dark, single_mirror_circle)
         report = verify_darkness(s, d, single_mirror_circle, 300, seed=5)
         assert report.passed
@@ -204,7 +204,7 @@ class TestVerifyDarkness:
 
     def test_zero_samples_is_vacuous(self, single_mirror_pipeline, single_mirror_circle):
         d, unlit = single_mirror_pipeline
-        dark = select_dark_arc(unlit, d)
+        dark = select_dark_arc(unlit)
         s = build_sector(dark, single_mirror_circle)
         report = verify_darkness(s, d, single_mirror_circle, 0, seed=5)
         assert report.sample_count == 0
@@ -213,7 +213,7 @@ class TestVerifyDarkness:
 
     def test_deterministic_given_seed(self, single_mirror_pipeline, single_mirror_circle):
         d, unlit = single_mirror_pipeline
-        dark = select_dark_arc(unlit, d)
+        dark = select_dark_arc(unlit)
         s = build_sector(dark, single_mirror_circle)
         a = verify_darkness(s, d, single_mirror_circle, 100, seed=9)
         b = verify_darkness(s, d, single_mirror_circle, 100, seed=9)

@@ -13,7 +13,6 @@ from darksector.exact_angle import (
     apply,
     compose,
     generate_group,
-    generic_orbit_size,
     identity,
     inverse,
     make_rational_turn,
@@ -154,12 +153,10 @@ class TestGenerateGroup:
                 GroupElement(-1, turn(1, 1)),
             }
         )
-        assert generic_orbit_size(g) == 4
 
     def test_single_mirror_order_two(self):
         g = generate_group({turn(0, 1)})
         assert len(g.elements) == 2
-        assert generic_orbit_size(g) == 2
 
     def test_third_turn_order_six(self):
         angles = {turn(0, 1), turn(1, 3)}
@@ -167,7 +164,6 @@ class TestGenerateGroup:
         expected = numeric_orbit_size([Fraction(0), Fraction(1, 3)])
         assert expected == 6
         assert len(g.elements) == 6
-        assert generic_orbit_size(g) == 6
 
     @given(
         st.sets(
@@ -203,7 +199,7 @@ class TestGenerateGroup:
             assert len(g.elements) % 2 == 0 and len(g.elements) >= 2
 
     def test_cap_enforced(self):
-        with pytest.raises(GroupOrderError):
+        with pytest.raises(GroupOrderError, match="5000"):
             generate_group({turn(0, 1), turn(1, 2500)}, cap=100)
 
     def test_requires_an_angle(self):

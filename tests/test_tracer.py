@@ -14,8 +14,6 @@ from darksector.tracer import (
     exact_numeric_gap,
     exit_ray,
     first_hit,
-    reflect,
-    reflect_exact,
     trace,
 )
 
@@ -56,27 +54,6 @@ class TestFirstHit:
         assert isinstance(h, Hit)
         assert h.mirror_index == 2
         assert h.t == pytest.approx(0.5)
-
-
-class TestReflect:
-    def test_off_horizontal(self, single_mirror_scene):
-        m = single_mirror_scene.mirrors[0]
-        assert reflect(3 * math.pi / 2, m) == pytest.approx(math.pi / 2)
-
-    def test_off_vertical(self):
-        m = Mirror((0.0, 0.0), 1.0, make_rational_turn(1, 2))
-        assert reflect(math.pi / 3, m) == pytest.approx(2 * math.pi / 3)
-
-    def test_double_reflection_restores(self, single_mirror_scene):
-        m = single_mirror_scene.mirrors[0]
-        theta = 1.2345
-        assert reflect(reflect(theta, m), m) == pytest.approx(theta)
-
-    def test_exact_matches_numeric(self):
-        m = Mirror((0.0, 0.0), 1.0, make_rational_turn(1, 3))
-        g = reflect_exact(identity(), m)
-        for theta in (0.1, 2.0, 5.5):
-            assert apply(g, theta) == pytest.approx(reflect(theta, m))
 
 
 class TestTrace:
