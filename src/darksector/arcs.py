@@ -35,11 +35,6 @@ class Arc:
         return 0.0 < off < self.measure
 
 
-def angle_gap(a: float, b: float) -> float:
-    """Counterclockwise gap from a to b, in [0, 2*pi)."""
-    return (b - a) % TWO_PI
-
-
 def angle_distance(a: float, b: float) -> float:
     """Distance on the circle, in [0, pi]."""
     d = (b - a) % TWO_PI

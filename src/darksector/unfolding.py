@@ -17,9 +17,7 @@ from .exact_angle import (
     DEFAULT_GROUP_CAP,
     GroupElement,
     ReflectionGroup,
-    compose,
     generate_group,
-    mirror_reflection_element,
     sorted_elements,
 )
 from .scene import Scene
@@ -92,16 +90,25 @@ class SurfaceCensus:
 
 def build_surface(scene: Scene, group_cap: int = DEFAULT_GROUP_CAP) -> UnfoldedSurface:
     """Unfold a scene: sheets are the group elements in canonical order and
-    each mirror slit glues sheet g to sheet (sigma_k o g)."""
+    each mirror slit glues sheet g to sheet (sigma_k o g).
+
+    In canonical order sheet i < N is the rotation by 2*pi*i/N and sheet
+    N + j the reflection with offset c_N + 2j/N, so sigma_k (offset 2*a_k)
+    glues sheet i to N + (m_k - i) mod N and sheet N + j to (m_k - j) mod N,
+    where m_k = ((2*a_k - c_N) mod 2) * N/2.
+    """
     if not scene.mirrors:
         raise ValueError("unfolding requires at least one mirror")
     group = generate_group({m.angle for m in scene.mirrors}, cap=group_cap)
     sheets = tuple(sorted_elements(group))
-    index = {g: i for i, g in enumerate(sheets)}
+    n = len(sheets) // 2
+    c_n = sheets[n].c.fraction
     gluings = []
-    for m in scene.mirrors:
-        sigma = mirror_reflection_element(m.angle)
-        gluings.append(tuple(index[compose(sigma, g)] for g in sheets))
+    for mirror in scene.mirrors:
+        m_k = int((2 * mirror.angle.fraction - c_n) % 2 * n / 2)
+        gluings.append(
+            tuple(n + (m_k - i) % n for i in range(n)) + tuple((m_k - j) % n for j in range(n))
+        )
     return UnfoldedSurface(sheets=sheets, gluings=tuple(gluings), group=group)
 
 

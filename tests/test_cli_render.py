@@ -1,5 +1,11 @@
 import json
 import math
+import os
+import re
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -246,3 +252,64 @@ class TestParamBounds:
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--scene", toy_path])
         assert exc.value.code == 2
+
+
+class TestOptionTable:
+    # the options each command's handler reads; every other pair exits 2
+    TABLE = {
+        "validate": {"--scene", "--out"},
+        "trace": {"--scene", "--theta", "--out", "--svg", "--cap", "--margin"},
+        "map": {"--scene", "--out", "--samples", "--eps-b", "--cap", "--margin"},
+        "sectors": {"--scene", "--out", "--samples", "--eps-b", "--cap", "--margin",
+                    "--svg", "--seed", "--darkness-samples"},
+        "unfold": {"--scene", "--out", "--group-cap"},
+        "render": {"--scene", "--report", "--svg", "--margin"},
+    }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["map", "--svg", "x.svg"],
+            ["render", "--out", "x.svg"],
+            ["unfold", "--cap", "3"],
+            ["validate", "--seed", "5"],
+            ["trace", "--theta", "1", "--samples", "64"],
+        ],
+    )
+    def test_option_the_command_does_not_read_exits_two(self, toy_path, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--scene", toy_path])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+    def test_render_without_svg_writes_to_stdout(self, toy_path, capsys):
+        assert main(["render", "--scene", toy_path]) == 0
+        scene = make_toy_scene()
+        assert capsys.readouterr().out == render_svg(scene, enclosing_circle(scene))
+
+    @pytest.mark.parametrize("command", sorted(TABLE))
+    def test_help_lists_exactly_the_command_options(self, command):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run(
+            [sys.executable, "-m", "darksector", command, "--help"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        listed = set(re.findall(r"--[a-z][a-z-]*", proc.stdout)) - {"--help"}
+        assert listed == self.TABLE[command]
+
+
+class TestWrittenFiles:
+    @pytest.mark.parametrize(
+        "umask,mode", [(0o022, 0o644), (0o027, 0o640)], ids=["umask022", "umask027"]
+    )
+    def test_out_file_mode_follows_the_umask(self, toy_path, tmp_path, umask, mode):
+        out = tmp_path / "report.json"
+        previous = os.umask(umask)
+        try:
+            assert main(["validate", "--scene", toy_path, "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(out.stat().st_mode) == mode

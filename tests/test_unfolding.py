@@ -4,7 +4,12 @@ import random
 import pytest
 
 from conftest import make_parallel_scene, make_single_mirror_scene, make_toy_scene
-from darksector.exact_angle import GroupElement, compose, make_rational_turn
+from darksector.exact_angle import (
+    GroupElement,
+    compose,
+    make_rational_turn,
+    mirror_reflection_element,
+)
 from darksector.scene import Mirror, Scene
 from darksector.scenegen import random_scene
 from darksector.unfolding import (
@@ -79,14 +84,15 @@ class TestBuildSurface:
             assert reached == set(range(s.sheet_count))
 
     def test_gluing_matches_left_multiplication(self):
-        scene = make_toy_scene()
-        s = build_surface(scene)
-        from darksector.exact_angle import mirror_reflection_element
-
-        for k, m in enumerate(scene.mirrors):
-            sigma = mirror_reflection_element(m.angle)
-            for i, g in enumerate(s.sheets):
-                assert s.sheets[s.gluings[k][i]] == compose(sigma, g)
+        # the closed-form gluings against composing each sheet with sigma_k
+        rng = random.Random(20111)
+        scenes = [make_toy_scene()] + [random_scene(rng, max_den=30) for _ in range(250)]
+        for scene in scenes:
+            s = build_surface(scene)
+            for k, m in enumerate(scene.mirrors):
+                sigma = mirror_reflection_element(m.angle)
+                for i, g in enumerate(s.sheets):
+                    assert s.sheets[s.gluings[k][i]] == compose(sigma, g)
 
     def test_requires_mirrors(self):
         with pytest.raises(ValueError):
