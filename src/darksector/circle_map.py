@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .arcs import (
     Arc,
+    _pieces,
     angle_distance,
     arc_difference,
     arc_intersection_measure,
@@ -208,29 +209,47 @@ def is_injective(
 
     On a positive-measure overlap of two image arcs the overlap midpoint is
     pulled back through both isometries, yielding launch directions
-    theta1 != theta2 with equal exit directions.
+    theta1 != theta2 with equal exit directions.  Only the pairs whose image
+    arcs overlap are tested, in ascending index order; every other pair has
+    intersection measure 0.
     """
     comps = d.components
-    for i in range(len(comps)):
-        for j in range(i + 1, len(comps)):
-            if arc_intersection_measure(comps[i].image, comps[j].image) <= tol:
-                continue
-            overlap = _widest_overlap(comps[i].image, comps[j].image)
-            if overlap is None:
-                continue
-            lo, hi = overlap
-            for frac in (0.5, 0.25, 0.75):
-                phi = wrap_angle(lo + frac * (hi - lo))
-                t1 = apply(inverse(comps[i].isometry), phi)
-                t2 = apply(inverse(comps[j].isometry), phi)
-                if angle_distance(t1, t2) > 1e-9:
-                    return False, (t1, t2)
+    for i, j in _overlapping_pairs([c.image for c in comps]):
+        if arc_intersection_measure(comps[i].image, comps[j].image) <= tol:
+            continue
+        overlap = _widest_overlap(comps[i].image, comps[j].image)
+        if overlap is None:
+            continue
+        lo, hi = overlap
+        for frac in (0.5, 0.25, 0.75):
+            phi = wrap_angle(lo + frac * (hi - lo))
+            t1 = apply(inverse(comps[i].isometry), phi)
+            t2 = apply(inverse(comps[j].isometry), phi)
+            if angle_distance(t1, t2) > 1e-9:
+                return False, (t1, t2)
     return True, None
 
 
-def _widest_overlap(a: Arc, b: Arc) -> tuple[float, float] | None:
-    from .arcs import _pieces  # linear pieces of each arc
+def _overlapping_pairs(arcs: list[Arc]) -> list[tuple[int, int]]:
+    """The index pairs i < j, ascending, of arcs that share a linear piece
+    of positive length.
 
+    Sort-and-sweep over the pieces: a piece overlaps an earlier-starting one
+    exactly when it starts before that one ends.
+    """
+    pieces = sorted((lo, hi, i) for i, a in enumerate(arcs) for lo, hi in _pieces(a))
+    pairs: set[tuple[int, int]] = set()
+    active: list[tuple[float, int]] = []  # (end, index) of the pieces still open
+    for lo, hi, i in pieces:
+        active = [(end, j) for end, j in active if end > lo]
+        for _, j in active:
+            if j != i:
+                pairs.add((j, i) if j < i else (i, j))
+        active.append((hi, i))
+    return sorted(pairs)
+
+
+def _widest_overlap(a: Arc, b: Arc) -> tuple[float, float] | None:
     best = None
     for alo, ahi in _pieces(a):
         for blo, bhi in _pieces(b):

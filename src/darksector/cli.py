@@ -25,6 +25,7 @@ from .circle_map import (
 from .dark_sector import (
     DarkSector,
     build_sector,
+    exit_probes,
     sector_report,
     select_dark_arc,
     verify_darkness,
@@ -190,6 +191,7 @@ def _cmd_sectors(args: argparse.Namespace) -> int:
     d, circle = _decompose_for(args, scene)
     injective, witness = is_injective(d)
     unlit = unlit_arcs(d)
+    probes = exit_probes(d) if unlit else []
 
     sectors = []
     reports = []
@@ -198,7 +200,7 @@ def _cmd_sectors(args: argparse.Namespace) -> int:
         dark = select_dark_arc([arc])
         sector = build_sector(dark, circle)
         verification = verify_darkness(
-            sector, d, circle, args.darkness_samples, seed=args.seed + i
+            sector, d, circle, args.darkness_samples, probes, seed=args.seed + i
         )
         sectors.append(sector)
         reports.append(sector_report(sector, dark, verification))
@@ -254,7 +256,7 @@ def _cmd_unfold(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    if args.report:
+    if args.report is not None:
         try:
             with open(args.report, "rb") as f:
                 doc = json.loads(f.read().decode("utf-8"))
@@ -333,7 +335,8 @@ _OPTIONS = {
     "--seed": dict(type=int, default=0, help="seed for randomized verification sampling"),
     "--darkness-samples": dict(type=_at_least(0), default=DEFAULT_DARKNESS_SAMPLES,
                                help="sample points per sector verification"),
-    "--group-cap": dict(type=int, default=DEFAULT_GROUP_CAP,
+    # 2 is the order of the smallest reflection group, that of one mirror
+    "--group-cap": dict(type=_at_least(2), default=DEFAULT_GROUP_CAP,
                         help="abort if the reflection group exceeds this order"),
     "--report": dict(help="saved report JSON to render instead of a scene"),
 }
@@ -347,7 +350,8 @@ _RENDER_OPTIONS = {
 
 _MAP_OPTIONS = ("--scene", "--out", "--samples", "--eps-b", "--cap", "--margin")
 
-# (command, handler, help, the options its handler reads)
+# (command, handler, help, the options its handler reads); a tuple of
+# options is a required group of which exactly one is given
 _COMMANDS = (
     ("validate", _cmd_validate, "check scene invariants", ("--scene", "--out")),
     ("trace", _cmd_trace, "trace one ray",
@@ -358,7 +362,7 @@ _COMMANDS = (
     ("unfold", _cmd_unfold, "unfolded-surface census",
      ("--scene", "--out", "--group-cap")),
     ("render", _cmd_render, "render a scene or a saved report to SVG",
-     ("--scene", "--report", "--svg", "--margin")),
+     (("--scene", "--report"), "--svg", "--margin")),
 )
 
 
@@ -377,15 +381,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         for option in options:
-            p.add_argument(option, **specs[option])
+            if isinstance(option, tuple):
+                group = p.add_mutually_exclusive_group(required=True)
+                for member in option:
+                    group.add_argument(member, **specs[member])
+            else:
+                p.add_argument(option, **specs[option])
     return parser
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "render" and not (args.scene or args.report):
-        parser.error("render needs --scene or --report")
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except _Exit as e:

@@ -17,7 +17,7 @@ from .arcs import Arc, arc_contains_arc, arc_intersection_measure
 from .circle_map import Decomposition
 from .exact_angle import TWO_PI, wrap_angle
 from .scene import EnclosingCircle, Point
-from .tracer import TraceStatus, exit_ray, trace
+from .tracer import TraceResult, TraceStatus, exit_ray, trace
 
 # Wide unlit arcs are shrunk symmetrically to just under a half turn, since
 # the tangent construction needs an opening angle below pi.
@@ -170,11 +170,36 @@ class DarknessReport:
         }
 
 
+def exit_probes(d: Decomposition) -> list[tuple[float, TraceResult]]:
+    """The escaped probe traces of darkness check (iii), with their launch
+    directions: for each component in order, the rays launched just inside
+    its start, at its midpoint and just inside its end.
+
+    They depend on the decomposition alone, so one list serves every sector
+    checked against it.
+    """
+    probes = []
+    for comp in d.components:
+        m = comp.arc.measure
+        h = m * 1e-3
+        for theta_s in (
+            comp.arc.start + h,
+            comp.arc.midpoint,
+            comp.arc.start + (m - h),
+        ):
+            theta = wrap_angle(theta_s)
+            tr = trace(d.scene, theta, d.params.cap)
+            if tr.status is TraceStatus.ESCAPED:
+                probes.append((theta, tr))
+    return probes
+
+
 def verify_darkness(
     s: DarkSector,
     d: Decomposition,
     circle: EnclosingCircle,
     n: int,
+    probes: list[tuple[float, TraceResult]],
     seed: int = 0,
 ) -> DarknessReport:
     """Re-check darkness of a sector against the decomposition it came from.
@@ -182,8 +207,10 @@ def verify_darkness(
     (i) for n sampled sector points (log-uniform radii over [1, 1e6]*R) the
     directions of rays reaching them stay inside the dark arc; (ii) the dark
     arc is disjoint from every image arc; (iii) exit rays traced at component
-    extremes and midpoints never enter the sector.  A failure flags an
-    upstream resolution problem, not a broken construction.
+    extremes and midpoints never enter the sector.  Check (iii) reads
+    ``probes``, the ``exit_probes(d)`` traced once per decomposition and
+    shared by every sector verified against it.  A failure flags an upstream
+    resolution problem, not a broken construction.
     """
     dark = Arc(s.dir_lo, s.dir_hi)
     measure = dark.measure
@@ -202,20 +229,10 @@ def verify_darkness(
     )
 
     offending: list[float] = []
-    for comp in d.components:
-        m = comp.arc.measure
-        h = m * 1e-3
-        for theta_s in (
-            comp.arc.start + h,
-            comp.arc.midpoint,
-            comp.arc.start + (m - h),
-        ):
-            tr = trace(d.scene, wrap_angle(theta_s), d.params.cap)
-            if tr.status is not TraceStatus.ESCAPED:
-                continue
-            point, direction = exit_ray(tr, circle)
-            if ray_enters_sector(point, direction, s):
-                offending.append(wrap_angle(theta_s))
+    for theta, tr in probes:
+        point, direction = exit_ray(tr, circle)
+        if ray_enters_sector(point, direction, s):
+            offending.append(theta)
 
     return DarknessReport(
         sample_count=n,

@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .exact_angle import RationalTurn, make_rational_turn
 
@@ -18,6 +19,10 @@ Point = tuple[float, float]
 
 # Minimum segment/segment and source/segment clearance, in scene units.
 MIN_SEPARATION = 1e-9
+
+# The radius around segment endpoints (or grazing angle) below which a ray's
+# hit on a mirror is singular.
+EPS_SINGULAR = 1e-9
 
 DEFAULT_CIRCLE_MARGIN = 1.25
 
@@ -46,14 +51,16 @@ def endpoints(m: Mirror) -> tuple[Point, Point]:
     return (ax, ay), (ax + m.length * math.cos(t), ay + m.length * math.sin(t))
 
 
-@dataclass(frozen=True)
-class MirrorGeometry:
-    """Per-mirror constants of the ray tracer's intersection test."""
+class MirrorGeometry(NamedTuple):
+    """Per-mirror constants of the ray tracer's intersection test, in the
+    order its per-bounce loop unpacks them."""
 
+    index: int  # 1-based position in Scene.mirrors
     ax: float
     ay: float
     ex: float  # b - a, not normalized
     ey: float
+    slack: float  # EPS_SINGULAR / length: the endpoint margin in units of u
     length: float
     nx: float  # unit left normal of the segment direction
     ny: float
@@ -78,15 +85,18 @@ class Scene:
     def geometry(self) -> tuple[MirrorGeometry, ...]:
         """The tracer's per-mirror constants, computed once per scene."""
         geos = []
-        for m in self.mirrors:
+        for i, m in enumerate(self.mirrors, start=1):
             (ax, ay), (bx, by) = endpoints(m)
             t = m.angle.radians()
             geos.append(
                 MirrorGeometry(
+                    index=i,
                     ax=ax,
                     ay=ay,
                     ex=bx - ax,
                     ey=by - ay,
+                    # a zero-length mirror is never hit (its e is (0, 0))
+                    slack=EPS_SINGULAR / m.length if m.length else math.inf,
                     length=m.length,
                     nx=-math.sin(t),
                     ny=math.cos(t),

@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .exact_angle import GroupElement, apply, make_rational_turn, wrap_angle
-from .scene import EnclosingCircle, Point, Scene
+from .scene import EPS_SINGULAR, EnclosingCircle, MirrorGeometry, Point, Scene
 
-# Minimum advance along the ray before a hit counts, and the radius around
-# segment endpoints (or grazing angle) below which a hit is singular.
+# Minimum advance along the ray before a hit counts.  EPS_SINGULAR, the
+# radius around segment endpoints (or grazing angle) below which a hit is
+# singular, lives with the per-mirror geometry that precomputes it.
 EPS_ADVANCE = 1e-9
-EPS_SINGULAR = 1e-9
 
 DEFAULT_BOUNCE_CAP = 10_000
 
@@ -50,6 +50,49 @@ class SingularStop:
     reason: str  # "endpoint" or "grazing"
 
 
+def _nearest_hit(
+    ox: float,
+    oy: float,
+    dx: float,
+    dy: float,
+    geos: "tuple[MirrorGeometry, ...]",
+    exclude: int | None,
+) -> "tuple[float, float, MirrorGeometry, float] | None":
+    """The nearest intersection of the ray (ox, oy) + t (dx, dy), t > 0,
+    with a mirror other than ``exclude``: ``(t, u, row, denom)`` with u the
+    hit's position along the segment (0 at the anchor, 1 at the far end),
+    or None when the ray meets no mirror."""
+    best_t = math.inf
+    best = None
+    for row in geos:
+        index, ax, ay, ex, ey, slack, _, _, _, _, _ = row
+        if index == exclude:
+            continue
+        denom = dx * ey - dy * ex
+        if denom == 0.0:
+            continue
+        wx = ax - ox
+        wy = ay - oy
+        t = (wx * ey - wy * ex) / denom
+        if t <= EPS_ADVANCE or t >= best_t:
+            continue
+        u = (wx * dy - wy * dx) / denom
+        if u < -slack or u > 1.0 + slack:
+            continue
+        best_t = t
+        best = (t, u, row, denom)
+    return best
+
+
+def _singular_reason(u: float, length: float, denom: float) -> str | None:
+    """Why a hit at segment position u is unusable, or None for a regular hit."""
+    if abs(denom) / length < EPS_SINGULAR:
+        return "grazing"
+    if u * length < EPS_SINGULAR or (1.0 - u) * length < EPS_SINGULAR:
+        return "endpoint"
+    return None
+
+
 def first_hit(
     origin: Point,
     theta: float,
@@ -63,38 +106,18 @@ def first_hit(
     nearly parallel to the hit mirror.  ``exclude_index`` skips the mirror
     the ray just left.
     """
-    geos = scene.geometry
     ox, oy = origin
     dx, dy = math.cos(theta), math.sin(theta)
-    best_t = math.inf
-    best = None
-    for idx, g in enumerate(geos, start=1):
-        if idx == exclude_index:
-            continue
-        denom = dx * g.ey - dy * g.ex
-        if denom == 0.0:
-            continue
-        wx = g.ax - ox
-        wy = g.ay - oy
-        t = (wx * g.ey - wy * g.ex) / denom
-        if t <= EPS_ADVANCE or t >= best_t:
-            continue
-        u = (wx * dy - wy * dx) / denom
-        slack = EPS_SINGULAR / g.length
-        if u < -slack or u > 1.0 + slack:
-            continue
-        best_t = t
-        best = (t, u, idx, g, denom)
-    if best is None:
+    hit = _nearest_hit(ox, oy, dx, dy, scene.geometry, exclude_index)
+    if hit is None:
         return None
-    t, u, idx, g, denom = best
+    t, u, row, denom = hit
     point = (ox + t * dx, oy + t * dy)
-    if abs(denom) / g.length < EPS_SINGULAR:
-        return SingularStop(idx, point, t, "grazing")
-    if u * g.length < EPS_SINGULAR or (1.0 - u) * g.length < EPS_SINGULAR:
-        return SingularStop(idx, point, t, "endpoint")
-    side = 1 if (dx * g.nx + dy * g.ny) < 0.0 else -1
-    return Hit(idx, side, point, t)
+    reason = _singular_reason(u, row.length, denom)
+    if reason is not None:
+        return SingularStop(row.index, point, t, reason)
+    side = 1 if (dx * row.nx + dy * row.ny) < 0.0 else -1
+    return Hit(row.index, side, point, t)
 
 
 @dataclass(frozen=True)
@@ -115,31 +138,35 @@ def trace(scene: Scene, theta0: float, cap: int = DEFAULT_BOUNCE_CAP) -> TraceRe
     if cap < 1:
         raise ValueError("bounce cap must be >= 1")
     geos = scene.geometry
+    cos, sin = math.cos, math.sin
     theta = wrap_angle(theta0)
     k = 0  # exact exit direction offset, in units of pi / scene.angle_unit
-    pos = scene.source
+    ox, oy = pos = scene.source
     path = [pos]
     itinerary: list[tuple[int, int]] = []
     last: int | None = None
     stop_point = None
     while True:
-        res = first_hit(pos, theta, scene, exclude_index=last)
-        if res is None:
+        dx, dy = cos(theta), sin(theta)
+        hit = _nearest_hit(ox, oy, dx, dy, geos, last)
+        if hit is None:
             status = TraceStatus.ESCAPED
             break
-        if isinstance(res, SingularStop):
-            status, stop_point = TraceStatus.SINGULAR, res.point
+        t, u, row, denom = hit
+        index, _, _, _, _, _, length, nx, ny, two_angle, two_angle_k = row
+        point = (ox + t * dx, oy + t * dy)
+        if _singular_reason(u, length, denom) is not None:
+            status, stop_point = TraceStatus.SINGULAR, point
             break
         if len(itinerary) == cap:
             status = TraceStatus.BOUNCE_CAP_EXCEEDED
             break
-        geo = geos[res.mirror_index - 1]
-        itinerary.append((res.mirror_index, res.side))
-        path.append(res.point)
-        theta = wrap_angle(geo.two_angle - theta)
-        k = geo.two_angle_k - k
-        pos = res.point
-        last = res.mirror_index
+        itinerary.append((index, 1 if (dx * nx + dy * ny) < 0.0 else -1))
+        path.append(point)
+        theta = wrap_angle(two_angle - theta)
+        k = two_angle_k - k
+        ox, oy = pos = point
+        last = index
     n = len(itinerary)
     return TraceResult(
         status=status,

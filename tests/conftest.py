@@ -1,9 +1,11 @@
 import math
+import random
 
 import pytest
 
 from darksector.exact_angle import make_rational_turn
 from darksector.scene import EnclosingCircle, Mirror, Scene
+from darksector.scenegen import random_scene
 
 
 def make_single_mirror_scene() -> Scene:
@@ -34,6 +36,14 @@ def make_parallel_scene() -> Scene:
         ),
         source=(0.0, 0.5),
     )
+
+
+def make_six_mirror_trap_scene() -> Scene:
+    """The second draw of ``random_scene(Random(7), n_mirrors=6)``: two
+    parallel mirror pairs with trapped bands between them."""
+    rng = random.Random(7)
+    random_scene(rng, n_mirrors=6)
+    return random_scene(rng, n_mirrors=6)
 
 
 @pytest.fixture

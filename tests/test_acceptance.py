@@ -13,7 +13,12 @@ from conftest import make_single_mirror_scene, make_toy_scene
 from darksector.arcs import Arc, arc_intersection_measure
 from darksector.circle_map import decompose, is_injective, unlit_arcs
 from darksector.cli import main
-from darksector.dark_sector import build_sector, select_dark_arc, verify_darkness
+from darksector.dark_sector import (
+    build_sector,
+    exit_probes,
+    select_dark_arc,
+    verify_darkness,
+)
 from darksector.exact_angle import generate_group
 from darksector.scene import EnclosingCircle, Mirror, Scene, enclosing_circle, save_scene
 from darksector.scenegen import random_direction, random_scene
@@ -123,7 +128,7 @@ def test_criterion_4_single_mirror_dark_sector_pipeline():
         assert sector.apex[0] == pytest.approx(0.0, abs=1e-8)
         assert sector.apex[1] == pytest.approx(0.5 - 2 * math.sqrt(2.0), abs=1e-8)
 
-        report = verify_darkness(sector, d, circle, 10**3, seed=0)
+        report = verify_darkness(sector, d, circle, 10**3, exit_probes(d), seed=0)
         assert report.direction_inclusion_ok
         assert report.image_disjoint_ok
         assert report.exit_rays_ok

@@ -4,15 +4,26 @@ import random
 import pytest
 
 from conftest import angles_close, make_toy_scene
-from darksector.arcs import Arc, arc_intersection_measure
+from darksector.arcs import Arc, angle_distance, arc_intersection_measure
 from darksector.circle_map import (
+    Decomposition,
+    DecompositionParams,
+    MapComponent,
     _image_of,
+    _widest_overlap,
     decompose,
     decomposition_report,
     is_injective,
     unlit_arcs,
 )
-from darksector.exact_angle import GroupElement, apply, identity, make_rational_turn
+from darksector.exact_angle import (
+    GroupElement,
+    apply,
+    identity,
+    inverse,
+    make_rational_turn,
+    wrap_angle,
+)
 from darksector.scene import EnclosingCircle, Scene, enclosing_circle
 from darksector.scenegen import random_scene
 from darksector.tracer import TraceStatus, trace
@@ -141,6 +152,66 @@ class TestInjectivity:
         injective, witness = is_injective(d)
         assert not injective
         assert witness is not None
+
+
+def brute_force_is_injective(d, tol=1e-9):
+    """Reference for ``is_injective``: the same test on every component pair."""
+    comps = d.components
+    for i in range(len(comps)):
+        for j in range(i + 1, len(comps)):
+            if arc_intersection_measure(comps[i].image, comps[j].image) <= tol:
+                continue
+            overlap = _widest_overlap(comps[i].image, comps[j].image)
+            if overlap is None:
+                continue
+            lo, hi = overlap
+            for frac in (0.5, 0.25, 0.75):
+                phi = wrap_angle(lo + frac * (hi - lo))
+                t1 = apply(inverse(comps[i].isometry), phi)
+                t2 = apply(inverse(comps[j].isometry), phi)
+                if angle_distance(t1, t2) > 1e-9:
+                    return False, (t1, t2)
+    return True, None
+
+
+class TestInjectivitySweep:
+    def test_matches_pair_loop_on_random_scenes(self):
+        rng = random.Random(404)
+        for _ in range(120):
+            scene = random_scene(rng)
+            d = decompose(scene, enclosing_circle(scene), seeds=64, eps_b=1e-6, cap=30)
+            assert is_injective(d) == brute_force_is_injective(d)
+
+    def test_matches_pair_loop_on_overlapping_wrapping_images(self):
+        # images drawn at random overlap each other many times, and many
+        # wrap through 0; isometries shared by overlapping components make
+        # some overlapping pairs no witness, so the first witness found
+        # depends on the order in which the pairs are tested
+        rng = random.Random(77)
+        isometries = [
+            GroupElement(s, make_rational_turn(num, 6)) for s in (1, -1) for num in (0, 1, 5)
+        ]
+        injective_seen = 0
+        for trial in range(200):
+            comps = []
+            for _ in range(rng.randint(2, 40)):
+                start = rng.uniform(0.0, TWO_PI)
+                image = Arc(start, start + rng.uniform(1e-3, 2.5))
+                iso = rng.choice(isometries[: 1 + trial % len(isometries)])
+                comps.append(MapComponent(arc=image, itinerary=(), isometry=iso, image=image))
+            d = Decomposition(
+                scene=Scene(mirrors=(), source=(0.0, 0.0)),
+                circle=EnclosingCircle((0.0, 0.0), 1.0),
+                params=DecompositionParams(seeds=64, eps_b=1e-6, cap=10),
+                components=tuple(comps),
+                singular_directions=(),
+                trapped_arcs=(),
+                escape_measure=0.0,
+            )
+            got = is_injective(d)
+            assert got == brute_force_is_injective(d)
+            injective_seen += got[0]
+        assert 0 < injective_seen < 200
 
 
 class TestUnlitArcs:

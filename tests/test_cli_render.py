@@ -9,7 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_single_mirror_scene, make_toy_scene
+from conftest import (
+    make_parallel_scene,
+    make_single_mirror_scene,
+    make_six_mirror_trap_scene,
+    make_toy_scene,
+)
+import darksector.dark_sector as dark_sector
 from darksector.cli import main
 from darksector.scene import Mirror, Scene, enclosing_circle, save_scene
 from darksector.exact_angle import make_rational_turn
@@ -189,6 +195,36 @@ class TestSectorsCommand:
         assert outs[0] == outs[1]
         assert svgs[0] == svgs[1]
 
+    @pytest.mark.parametrize(
+        "make_scene,options,code,unlit",
+        [
+            (make_six_mirror_trap_scene, ["--samples", "128", "--cap", "30"], 0, 11),
+            (make_parallel_scene, ["--samples", "64", "--cap", "60"], 4, 0),
+        ],
+        ids=["six_mirror_trap", "channel"],
+    )
+    def test_probe_rays_are_traced_once(
+        self, tmp_path, monkeypatch, make_scene, options, code, unlit
+    ):
+        # check (iii) of every sector reads one set of probe traces: three
+        # per component, or none when there is no unlit arc to verify
+        calls = []
+        original = dark_sector.trace
+
+        def counting_trace(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(dark_sector, "trace", counting_trace)
+        out = tmp_path / "sectors.json"
+        path = write_scene(tmp_path, make_scene())
+        argv = ["sectors", "--scene", path, *options, "--eps-b", "1e-4", "--out", str(out)]
+        assert main(argv) == code
+        doc = json.loads(out.read_text())
+        assert len(doc["unlit_arcs"]) == unlit
+        components = len(doc["decomposition"]["components"])
+        assert len(calls) == (3 * components if unlit else 0)
+
 
 class TestUnfoldCommand:
     def test_toy_census_doc(self, toy_path, tmp_path):
@@ -246,6 +282,8 @@ class TestParamBounds:
             ["map", "--margin", "0.5"],
             ["map", "--margin", "-2"],
             ["sectors", "--darkness-samples", "-5"],
+            ["unfold", "--group-cap", "0"],
+            ["unfold", "--group-cap", "1"],
         ],
     )
     def test_rejected_value_exits_two(self, toy_path, argv):
@@ -281,6 +319,20 @@ class TestOptionTable:
             main([*argv, "--scene", toy_path])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["render", "--report", "r.json", "--scene", "s.json"], "not allowed with argument"),
+            (["render", "--svg", "x.svg"], "one of the arguments --scene --report is required"),
+        ],
+        ids=["both", "neither"],
+    )
+    def test_render_takes_exactly_one_of_scene_and_report(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_render_without_svg_writes_to_stdout(self, toy_path, capsys):
         assert main(["render", "--scene", toy_path]) == 0

@@ -11,6 +11,7 @@ from darksector.dark_sector import (
     build_sector,
     contains,
     direction_arc,
+    exit_probes,
     ray_enters_sector,
     select_dark_arc,
     verify_darkness,
@@ -186,7 +187,7 @@ class TestVerifyDarkness:
         d, unlit = single_mirror_pipeline
         dark = select_dark_arc(unlit)
         s = build_sector(dark, single_mirror_circle)
-        report = verify_darkness(s, d, single_mirror_circle, 300, seed=5)
+        report = verify_darkness(s, d, single_mirror_circle, 300, exit_probes(d), seed=5)
         assert report.passed
         assert report.direction_inclusion_ok
         assert report.image_disjoint_ok
@@ -198,7 +199,7 @@ class TestVerifyDarkness:
         # component: the negative control must fail check (ii)
         bad = DarkArc(arc=Arc(math.pi / 4, 3 * math.pi / 4), source_arc=Arc(0, 1))
         s = build_sector(bad, single_mirror_circle)
-        report = verify_darkness(s, d, single_mirror_circle, 50, seed=5)
+        report = verify_darkness(s, d, single_mirror_circle, 50, exit_probes(d), seed=5)
         assert not report.image_disjoint_ok
         assert not report.passed
 
@@ -206,7 +207,7 @@ class TestVerifyDarkness:
         d, unlit = single_mirror_pipeline
         dark = select_dark_arc(unlit)
         s = build_sector(dark, single_mirror_circle)
-        report = verify_darkness(s, d, single_mirror_circle, 0, seed=5)
+        report = verify_darkness(s, d, single_mirror_circle, 0, exit_probes(d), seed=5)
         assert report.sample_count == 0
         assert report.direction_inclusion_ok
         assert report.image_disjoint_ok and report.exit_rays_ok
@@ -215,8 +216,8 @@ class TestVerifyDarkness:
         d, unlit = single_mirror_pipeline
         dark = select_dark_arc(unlit)
         s = build_sector(dark, single_mirror_circle)
-        a = verify_darkness(s, d, single_mirror_circle, 100, seed=9)
-        b = verify_darkness(s, d, single_mirror_circle, 100, seed=9)
+        a = verify_darkness(s, d, single_mirror_circle, 100, exit_probes(d), seed=9)
+        b = verify_darkness(s, d, single_mirror_circle, 100, exit_probes(d), seed=9)
         assert a == b
 
 

@@ -1,9 +1,9 @@
 """Byte-level regression gate for the CLI reports and SVGs.
 
-Each case runs one command on a bundled scene and pins the SHA-256 of the
-``--out`` JSON and, for the commands that draw one, of the ``--svg``.  A
-refactor that is meant to keep behaviour must keep these digests; a change
-that is meant to alter the output must update them deliberately.
+Each case runs one command on a scene and pins the SHA-256 of the ``--out``
+JSON and, for the commands that draw one, of the ``--svg``.  A refactor that
+is meant to keep behaviour must keep these digests; a change that is meant to
+alter the output must update them deliberately.
 """
 
 import hashlib
@@ -11,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import make_parallel_scene, make_six_mirror_trap_scene
 from darksector.cli import main
+from darksector.scene import save_scene
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -76,3 +78,39 @@ def test_report_bytes_are_pinned(scene, command, tmp_path):
     assert _sha256(out) == want_out
     if want_svg is not None:
         assert _sha256(svg) == want_svg
+
+
+# Multi-bounce scenes whose traces run to the bounce cap.  The channel run is
+# injective with 242 components and no unlit arc (exit 4); the six-mirror run
+# is not injective and certifies 11 unlit arcs (exit 0).
+# name -> (scene, sectors options, exit code, sha256 of --out, sha256 of --svg)
+TRAPPED = {
+    "channel": (
+        make_parallel_scene,
+        ["--samples", "64", "--eps-b", "1e-4", "--cap", "60"],
+        4,
+        "8d43a1ee5d379a99f49768585343d3df53a1f178979bfc531f735b31ff8ec648",
+        "18b209971a1063232f2937ec488d512d07b583ac845a2bbfff271dae1d22cf54",
+    ),
+    "six_mirror_trap": (
+        make_six_mirror_trap_scene,
+        ["--samples", "128", "--eps-b", "1e-4", "--cap", "30"],
+        0,
+        "cc6856de05555c0b53c2a678bf9577a295c89d38fc9c10b3d81705d4bc2f7ce5",
+        "6d2e9ac5e8d2d04a78a7ba010c564fee35197fec0a735e19286a15b88c886da9",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRAPPED))
+def test_trapped_scene_sectors_bytes_are_pinned(name, tmp_path):
+    make_scene, options, code, want_out, want_svg = TRAPPED[name]
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_bytes(save_scene(make_scene()))
+    out = tmp_path / "report.json"
+    svg = tmp_path / "render.svg"
+    argv = ["sectors", "--seed", "0", "--scene", str(scene_path), *options,
+            "--out", str(out), "--svg", str(svg)]
+    assert main(argv) == code
+    assert _sha256(out) == want_out
+    assert _sha256(svg) == want_svg

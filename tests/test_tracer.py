@@ -4,8 +4,14 @@ import random
 import pytest
 
 from conftest import angles_close, make_parallel_scene
-from darksector.exact_angle import GroupElement, apply, identity, make_rational_turn
-from darksector.scene import EnclosingCircle, Mirror, Scene, enclosing_circle
+from darksector.exact_angle import (
+    GroupElement,
+    apply,
+    identity,
+    make_rational_turn,
+    wrap_angle,
+)
+from darksector.scene import EnclosingCircle, Mirror, Scene, enclosing_circle, endpoints
 from darksector.scenegen import random_direction, random_scene
 from darksector.tracer import (
     Hit,
@@ -95,6 +101,62 @@ class TestTrace:
         a = trace(toy_scene, 4.0, cap=100)
         b = trace(toy_scene, 4.0, cap=100)
         assert a == b
+
+
+def outcome(tr):
+    return tr.status, tr.itinerary, tr.path, tr.exit_dir_numeric, tr.stop_point
+
+
+def trace_by_first_hit(scene, theta0, cap):
+    """``outcome(trace(scene, theta0, cap))``, stepped by hand from the
+    source with ``first_hit``."""
+    theta = wrap_angle(theta0)
+    pos = scene.source
+    path, itinerary, last = [pos], [], None
+    while True:
+        res = first_hit(pos, theta, scene, exclude_index=last)
+        if res is None:
+            return TraceStatus.ESCAPED, tuple(itinerary), tuple(path), theta, None
+        if isinstance(res, SingularStop):
+            return TraceStatus.SINGULAR, tuple(itinerary), tuple(path), theta, res.point
+        if len(itinerary) == cap:
+            return TraceStatus.BOUNCE_CAP_EXCEEDED, tuple(itinerary), tuple(path), theta, None
+        itinerary.append((res.mirror_index, res.side))
+        path.append(res.point)
+        theta = wrap_angle(scene.geometry[res.mirror_index - 1].two_angle - theta)
+        pos, last = res.point, res.mirror_index
+
+
+class TestTraceMatchesFirstHit:
+    def test_random_scenes(self):
+        rng = random.Random(8128)
+        statuses = set()
+        for _ in range(400):
+            scene = random_scene(rng)
+            theta0 = random_direction(rng)
+            if rng.random() < 0.25:  # aim at a mirror tip: a singular stop
+                tip = rng.choice(endpoints(rng.choice(scene.mirrors)))
+                theta0 = math.atan2(tip[1] - scene.source[1], tip[0] - scene.source[0])
+            cap = rng.choice([1, 2, 5, 200])
+            tr = trace(scene, theta0, cap)
+            assert outcome(tr) == trace_by_first_hit(scene, theta0, cap)
+            statuses.add(tr.status)
+        assert statuses == set(TraceStatus)
+
+    def test_singular_hit_at_the_cap_is_singular(self, parallel_scene):
+        # off the bottom mirror at x = 1/3, then onto the top mirror's tip
+        # (1, 1): the second hit is singular, and that outranks the cap of 1
+        theta0 = math.atan2(-1.5, 1.0)
+        tr = trace(parallel_scene, theta0, 1)
+        assert tr.status is TraceStatus.SINGULAR and tr.bounce_count == 1
+        assert outcome(tr) == trace_by_first_hit(parallel_scene, theta0, 1)
+
+    def test_channel_to_the_cap(self, parallel_scene):
+        rng = random.Random(9)
+        for _ in range(40):
+            theta0 = math.pi / 2 + rng.uniform(-0.2, 0.2)
+            tr = trace(parallel_scene, theta0, 150)
+            assert outcome(tr) == trace_by_first_hit(parallel_scene, theta0, 150)
 
 
 class TestExitRay:
