@@ -299,11 +299,7 @@ def decomposition_report(d: Decomposition) -> dict:
             {
                 "arc": arc_doc(c.arc),
                 "itinerary": [[k, side] for k, side in c.itinerary],
-                "isometry": {
-                    "s": c.isometry.s,
-                    "c_num": c.isometry.c.num,
-                    "c_den": c.isometry.c.den,
-                },
+                "isometry": c.isometry.to_dict(),
                 "image": arc_doc(c.image),
             }
             for c in d.components

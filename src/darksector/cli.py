@@ -36,6 +36,8 @@ from .scene import (
     EnclosingCircle,
     Scene,
     SceneFormatError,
+    _number,
+    _point,
     enclosing_circle,
     load_scene,
     scene_from_document,
@@ -141,11 +143,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         "path": [[p[0], p[1]] for p in tr.path],
         "exit_point": [tr.exit_point[0], tr.exit_point[1]],
         "exit_dir": tr.exit_dir_numeric,
-        "exit_dir_exact": {
-            "s": tr.exit_dir_exact.s,
-            "c_num": tr.exit_dir_exact.c.num,
-            "c_den": tr.exit_dir_exact.c.den,
-        },
+        "exit_dir_exact": tr.exit_dir_exact.to_dict(),
         "bounce_count": tr.bounce_count,
         "params": {"bounce_cap": args.cap},
     }
@@ -255,48 +253,73 @@ def _cmd_unfold(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _points(value, where: str, count: int | None = None) -> list:
+    if not isinstance(value, list) or count not in (None, len(value)):
+        raise SceneFormatError("expected a list of [x, y] pairs", where)
+    return [_point(p, f"{where}[{j}]") for j, p in enumerate(value)]
+
+
+def _field(obj, key: str, where: str, parse):
+    """``parse`` applied to ``obj[key]``; errors name the field ``where.key``."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise SceneFormatError("missing field", f"{where}.{key}")
+    return parse(obj[key], f"{where}.{key}")
+
+
+def _report_drawing(doc: dict, circle: EnclosingCircle):
+    """The circle, trajectory and dark sectors that a saved report draws,
+    with ``circle`` standing in for a circle the report does not carry.
+    Raises SceneFormatError naming the first malformed field."""
+    circle_doc = doc.get("decomposition", doc).get("circle")
+    if circle_doc:
+        circle = EnclosingCircle(
+            _field(circle_doc, "center", "circle", _point),
+            _field(circle_doc, "radius", "circle", _number),
+        )
+    sectors_doc = doc.get("sectors", [])
+    if not isinstance(sectors_doc, list):
+        raise SceneFormatError("expected a list", "sectors")
+    sectors = [
+        DarkSector(
+            apex=_field(rep, "apex", f"sectors[{i}]", _point),
+            dir_lo=_field(rep, "dir_lo", f"sectors[{i}]", _number),
+            dir_hi=_field(rep, "dir_hi", f"sectors[{i}]", _number),
+            tangent_points=tuple(
+                _field(rep, "tangent_points", f"sectors[{i}]", lambda v, w: _points(v, w, 2))
+            ),
+            circle=circle,
+        )
+        for i, rep in enumerate(sectors_doc)
+    ]
+    traces = [(_points(doc["path"], "path"), 0)] if "path" in doc else []
+    return circle, traces, sectors
+
+
 def _cmd_render(args: argparse.Namespace) -> int:
-    if args.report is not None:
-        try:
-            with open(args.report, "rb") as f:
-                doc = json.loads(f.read().decode("utf-8"))
-        except (OSError, json.JSONDecodeError) as e:
-            print(f"error: cannot read report: {e}", file=sys.stderr)
-            return EXIT_PARSE_ERROR
-        try:
-            scene_doc = doc.get("decomposition", doc).get("scene", doc.get("scene"))
-            scene = scene_from_document(scene_doc)
-        except (AttributeError, SceneFormatError) as e:
-            print(f"error: report carries no usable scene: {e}", file=sys.stderr)
-            return EXIT_PARSE_ERROR
-        circle = enclosing_circle(scene, margin=args.margin)
-        circle_doc = doc.get("decomposition", doc).get("circle")
-        if circle_doc:
-            circle = EnclosingCircle(
-                (circle_doc["center"][0], circle_doc["center"][1]),
-                circle_doc["radius"],
-            )
-        sectors = [
-            DarkSector(
-                apex=(rep["apex"][0], rep["apex"][1]),
-                dir_lo=rep["dir_lo"],
-                dir_hi=rep["dir_hi"],
-                tangent_points=(
-                    (rep["tangent_points"][0][0], rep["tangent_points"][0][1]),
-                    (rep["tangent_points"][1][0], rep["tangent_points"][1][1]),
-                ),
-                circle=circle,
-            )
-            for rep in doc.get("sectors", [])
-        ]
-        traces = []
-        if "path" in doc:
-            traces.append(([(p[0], p[1]) for p in doc["path"]], 0))
-        svg = render_svg(scene, circle, traces=traces, sectors=sectors)
-    else:
+    if args.report is None:
         scene = _load_valid_scene(args.scene)
-        svg = render_svg(scene, enclosing_circle(scene, margin=args.margin))
-    _emit(svg, args.svg)
+        _emit(render_svg(scene, enclosing_circle(scene, margin=args.margin)), args.svg)
+        return EXIT_OK
+    try:
+        with open(args.report, "rb") as f:
+            doc = json.loads(f.read().decode("utf-8"))
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8, or not JSON
+        print(f"error: cannot read report: {e}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
+    try:
+        scene_doc = doc.get("decomposition", doc).get("scene", doc.get("scene"))
+        scene = scene_from_document(scene_doc)
+    except (AttributeError, SceneFormatError) as e:
+        print(f"error: report carries no usable scene: {e}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
+    try:
+        circle, traces, sectors = _report_drawing(
+            doc, enclosing_circle(scene, margin=args.margin)
+        )
+    except SceneFormatError as e:
+        print(f"error: malformed report: {e}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
+    _emit(render_svg(scene, circle, traces=traces, sectors=sectors), args.svg)
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ from .arcs import Arc, arc_contains_arc, arc_intersection_measure
 from .circle_map import Decomposition
 from .exact_angle import TWO_PI, wrap_angle
 from .scene import EnclosingCircle, Point
-from .tracer import TraceResult, TraceStatus, exit_ray, trace
+from .tracer import TraceStatus, exit_ray, trace
 
 # Wide unlit arcs are shrunk symmetrically to just under a half turn, since
 # the tangent construction needs an opening angle below pi.
@@ -170,10 +170,11 @@ class DarknessReport:
         }
 
 
-def exit_probes(d: Decomposition) -> list[tuple[float, TraceResult]]:
-    """The escaped probe traces of darkness check (iii), with their launch
-    directions: for each component in order, the rays launched just inside
-    its start, at its midpoint and just inside its end.
+def exit_probes(d: Decomposition) -> list[tuple[float, Point, float]]:
+    """The exit rays of darkness check (iii) as (launch direction, point
+    where the ray leaves ``d.circle``, exit direction): for each component
+    in order, the escaped rays launched just inside its start, at its
+    midpoint and just inside its end.
 
     They depend on the decomposition alone, so one list serves every sector
     checked against it.
@@ -190,7 +191,7 @@ def exit_probes(d: Decomposition) -> list[tuple[float, TraceResult]]:
             theta = wrap_angle(theta_s)
             tr = trace(d.scene, theta, d.params.cap)
             if tr.status is TraceStatus.ESCAPED:
-                probes.append((theta, tr))
+                probes.append((theta, *exit_ray(tr, d.circle)))
     return probes
 
 
@@ -199,7 +200,7 @@ def verify_darkness(
     d: Decomposition,
     circle: EnclosingCircle,
     n: int,
-    probes: list[tuple[float, TraceResult]],
+    probes: list[tuple[float, Point, float]],
     seed: int = 0,
 ) -> DarknessReport:
     """Re-check darkness of a sector against the decomposition it came from.
@@ -229,8 +230,7 @@ def verify_darkness(
     )
 
     offending: list[float] = []
-    for theta, tr in probes:
-        point, direction = exit_ray(tr, circle)
+    for theta, point, direction in probes:
         if ray_enters_sector(point, direction, s):
             offending.append(theta)
 

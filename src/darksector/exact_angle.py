@@ -1,9 +1,10 @@
 """Exact arithmetic for directions that are rational multiples of pi.
 
-Mirror-line angles are stored as reduced fractions of pi modulo 2, so the
-direction bookkeeping of a reflected ray never drifts: composing any number
-of mirror reflections stays inside a finite set of exact circle isometries
-of the form ``theta -> s*theta + c*pi``.
+Mirror-line angles are stored as reduced fractions of pi modulo 2.  In a
+scene whose angle denominators have lcm L (``Scene.angle_unit``), every
+isometry a reflected ray accumulates is ``theta -> s*theta + k*pi/L`` with
+integer k, so direction bookkeeping never drifts: the mirror reflections
+generate a finite dihedral group of such integer pairs (s, k).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import Iterable, NamedTuple
 
 TWO_PI = 2.0 * math.pi
 
@@ -54,24 +56,6 @@ class RationalTurn:
     def radians(self) -> float:
         return math.pi * self.num / self.den
 
-    def doubled(self) -> "RationalTurn":
-        return make_rational_turn(2 * self.num, self.den)
-
-    def __add__(self, other: "RationalTurn") -> "RationalTurn":
-        return make_rational_turn(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __neg__(self) -> "RationalTurn":
-        return make_rational_turn(-self.num, self.den)
-
-    def __str__(self) -> str:
-        if self.num == 0:
-            return "0"
-        if self.den == 1:
-            return f"{self.num}·π"
-        return f"{self.num}/{self.den}·π"
-
 
 def make_rational_turn(num: int, den: int) -> RationalTurn:
     """Canonical representative of the angle (num/den)*pi modulo 2*pi.
@@ -90,96 +74,73 @@ def make_rational_turn(num: int, den: int) -> RationalTurn:
     return RationalTurn(num, den)
 
 
-ZERO_TURN = RationalTurn(0, 1)
+class GroupElement(NamedTuple):
+    """The circle isometry ``theta -> s*theta + k*pi/unit``.
 
-
-@dataclass(frozen=True)
-class GroupElement:
-    """A circle isometry ``theta -> s*theta + c*pi`` with s = +1 or -1.
-
-    Reflections carry s = -1, rotations s = +1; the offset c is exact.
+    Reflections carry s = -1, rotations s = +1; 0 <= k < 2*unit, and unit is
+    the angle unit of the scene the element belongs to.
     """
 
     s: int
-    c: RationalTurn
+    k: int
+    unit: int
 
-    def __post_init__(self) -> None:
-        if self.s not in (1, -1):
-            raise ValueError(f"parity must be +1 or -1, got {self.s}")
+    @property
+    def c(self) -> tuple[int, int]:
+        """The offset k/unit in lowest terms, as (num, den)."""
+        g = gcd(self.k, self.unit)
+        return self.k // g, self.unit // g
+
+    def to_dict(self) -> dict:
+        """The report form ``{s, c_num, c_den}``: theta -> s*theta + (c_num/c_den)*pi."""
+        num, den = self.c
+        return {"s": self.s, "c_num": num, "c_den": den}
 
     def __str__(self) -> str:
         var = "θ" if self.s == 1 else "-θ"
-        if self.c.num == 0:
-            return f"{var}"
-        return f"{var} + {self.c}"
-
-
-def identity() -> GroupElement:
-    """The identity isometry (s = 1, c = 0)."""
-    return GroupElement(1, ZERO_TURN)
-
-
-def mirror_reflection_element(r: RationalTurn) -> GroupElement:
-    """Reflection of directions in a line of angle r*pi: theta -> 2*r*pi - theta."""
-    return GroupElement(-1, r.doubled())
-
-
-def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
-    """g1 after g2: apply(compose(g1, g2), t) == apply(g1, apply(g2, t))."""
-    c2 = g2.c if g1.s == 1 else -g2.c
-    return GroupElement(g1.s * g2.s, c2 + g1.c)
+        num, den = self.c
+        if num == 0:
+            return var
+        return f"{var} + {num}·π" if den == 1 else f"{var} + {num}/{den}·π"
 
 
 def inverse(g: GroupElement) -> GroupElement:
     """The exact inverse; reflections are their own inverses."""
     if g.s == 1:
-        return GroupElement(1, -g.c)
+        return GroupElement(1, -g.k % (2 * g.unit), g.unit)
     return g
 
 
 def apply(g: GroupElement, theta: float) -> float:
     """Evaluate the isometry numerically, reduced to [0, 2*pi)."""
-    return wrap_angle(g.s * theta + g.c.radians())
+    num, den = g.c  # pi*num/den in lowest terms rounds the same for every unit
+    return wrap_angle(g.s * theta + math.pi * num / den)
 
 
-@dataclass(frozen=True)
-class ReflectionGroup:
-    """The finite group generated by the reflections in the mirror lines."""
+def reflection_group(
+    mirror_angles: Iterable[RationalTurn], cap: int = DEFAULT_GROUP_CAP
+) -> tuple[GroupElement, ...]:
+    """The dihedral group of order 2N generated by the reflections in lines
+    at the given angles, in canonical order: the rotations (1, j*step), then
+    the reflections (-1, c0 + j*step), j = 0..N-1.
 
-    elements: frozenset[GroupElement]
-    generators: tuple[GroupElement, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
-def generate_group(
-    mirror_angles: "set[RationalTurn] | frozenset[RationalTurn] | list[RationalTurn]",
-    cap: int = DEFAULT_GROUP_CAP,
-) -> ReflectionGroup:
-    """The dihedral group of order 2N generated by the mirror reflections.
-
-    For line angles a_i*pi, N is the lcm of the denominators of
-    (a_i - a_1) mod 1: the elements are the rotations by 2*pi*j/N and the
-    reflection sigma_1 applied after each of them.  Raises GroupOrderError
-    before building anything when 2N exceeds ``cap``.
+    With unit L the lcm of the denominators and p_i = 2*a_i*L the doubled
+    angles in units of pi/L, N = L / gcd(L, (p_i - p_1)/2, ...), step = 2L/N
+    and c0 = p_1 mod step.  Raises GroupOrderError before building anything
+    when 2N exceeds ``cap``.
     """
-    angles = sorted(set(mirror_angles), key=lambda r: r.fraction)
+    angles = set(mirror_angles)
     if not angles:
         raise ValueError("at least one mirror angle is required")
-    first = angles[0].fraction
-    n = math.lcm(*(((a.fraction - first) % 1).denominator for a in angles))
+    unit = math.lcm(*(a.den for a in angles))
+    p = [2 * a.num * (unit // a.den) for a in angles]
+    n = unit // gcd(unit, *((p_i - p[0]) // 2 for p_i in p))
     if 2 * n > cap:
         raise GroupOrderError(
             f"reflection group of order {2 * n} exceeds cap of {cap} elements"
         )
-    generators = tuple(mirror_reflection_element(r) for r in angles)
-    rotations = [GroupElement(1, make_rational_turn(2 * j, n)) for j in range(n)]
-    elements = rotations + [compose(generators[0], g) for g in rotations]
-    return ReflectionGroup(frozenset(elements), generators)
-
-
-def sorted_elements(group: ReflectionGroup) -> list[GroupElement]:
-    """Deterministic element order: rotations first, then reflections, by offset."""
-    return sorted(group.elements, key=lambda g: (g.s != 1, g.c.fraction))
+    step = 2 * unit // n
+    c0 = p[0] % step
+    return tuple(GroupElement(1, j * step, unit) for j in range(n)) + tuple(
+        GroupElement(-1, c0 + j * step, unit) for j in range(n)
+    )

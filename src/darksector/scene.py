@@ -240,9 +240,13 @@ def _expect_keys(obj: dict, allowed: set[str], where: str) -> None:
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SceneFormatError("expected a number", where)
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
         raise SceneFormatError("number must be finite", where)
-    return float(value)
+    return number
 
 
 def _integer(value, where: str) -> int:
@@ -264,9 +268,13 @@ def _angle(value, where: str) -> RationalTurn:
     num = _integer(value["num"], f"{where}.num")
     den = _integer(value["den"], f"{where}.den")
     try:
-        return make_rational_turn(num, den)
+        turn = make_rational_turn(num, den)
+        turn.radians()  # the geometry needs the angle as a float
     except ZeroDivisionError:
         raise SceneFormatError("denominator must be nonzero", f"{where}.den") from None
+    except OverflowError:
+        raise SceneFormatError("num/den is too large to evaluate", where) from None
+    return turn
 
 
 def scene_from_document(doc) -> Scene:
@@ -307,14 +315,16 @@ def scene_to_document(s: Scene) -> dict:
 
 def load_scene(data: "bytes | str") -> Scene:
     """Parse a scene document; raises SceneFormatError with field diagnostics."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
+        if isinstance(data, bytes):
+            data = data.decode("utf-8")
         doc = json.loads(data)
     except json.JSONDecodeError as e:
         raise SceneFormatError(
             f"invalid JSON: {e.msg} (line {e.lineno}, column {e.colno})"
         ) from None
+    except ValueError as e:  # not UTF-8, or an integer with too many digits
+        raise SceneFormatError(f"unreadable document: {e}") from None
     return scene_from_document(doc)
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .exact_angle import GroupElement, apply, make_rational_turn, wrap_angle
+from .exact_angle import GroupElement, apply, wrap_angle
 from .scene import EPS_SINGULAR, EnclosingCircle, MirrorGeometry, Point, Scene
 
 # Minimum advance along the ray before a hit counts.  EPS_SINGULAR, the
@@ -168,15 +168,14 @@ def trace(scene: Scene, theta0: float, cap: int = DEFAULT_BOUNCE_CAP) -> TraceRe
         ox, oy = pos = point
         last = index
     n = len(itinerary)
+    unit = scene.angle_unit
     return TraceResult(
         status=status,
         itinerary=tuple(itinerary),
         path=tuple(path),
         exit_point=pos,
         exit_dir_numeric=theta,
-        exit_dir_exact=GroupElement(
-            -1 if n % 2 else 1, make_rational_turn(k, scene.angle_unit)
-        ),
+        exit_dir_exact=GroupElement(-1 if n % 2 else 1, k % (2 * unit), unit),
         bounce_count=n,
         stop_point=stop_point,
     )

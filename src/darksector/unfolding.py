@@ -13,13 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exact_angle import (
-    DEFAULT_GROUP_CAP,
-    GroupElement,
-    ReflectionGroup,
-    generate_group,
-    sorted_elements,
-)
+from .exact_angle import DEFAULT_GROUP_CAP, GroupElement, reflection_group
 from .scene import Scene
 
 
@@ -37,7 +31,6 @@ class UnfoldedSurface:
 
     sheets: tuple[GroupElement, ...]
     gluings: tuple[tuple[int, ...], ...]
-    group: ReflectionGroup
 
     @property
     def sheet_count(self) -> int:
@@ -92,24 +85,26 @@ def build_surface(scene: Scene, group_cap: int = DEFAULT_GROUP_CAP) -> UnfoldedS
     """Unfold a scene: sheets are the group elements in canonical order and
     each mirror slit glues sheet g to sheet (sigma_k o g).
 
-    In canonical order sheet i < N is the rotation by 2*pi*i/N and sheet
-    N + j the reflection with offset c_N + 2j/N, so sigma_k (offset 2*a_k)
-    glues sheet i to N + (m_k - i) mod N and sheet N + j to (m_k - j) mod N,
-    where m_k = ((2*a_k - c_N) mod 2) * N/2.
+    In canonical order (see ``reflection_group``) sheet i < N is the
+    rotation (1, i*step) and sheet N + j the reflection (-1, c0 + j*step).
+    Mirror k's reflection is (-1, p_k), p_k its doubled angle in units of
+    pi/L, so it glues sheet i to N + (m_k - i) mod N and sheet N + j to
+    (m_k - j) mod N, where m_k = ((p_k - c0) mod 2L) / step.
     """
     if not scene.mirrors:
         raise ValueError("unfolding requires at least one mirror")
-    group = generate_group({m.angle for m in scene.mirrors}, cap=group_cap)
-    sheets = tuple(sorted_elements(group))
+    sheets = reflection_group((m.angle for m in scene.mirrors), cap=group_cap)
     n = len(sheets) // 2
-    c_n = sheets[n].c.fraction
+    two_l = 2 * scene.angle_unit
+    step = two_l // n
+    c0 = sheets[n].k
     gluings = []
-    for mirror in scene.mirrors:
-        m_k = int((2 * mirror.angle.fraction - c_n) % 2 * n / 2)
+    for row in scene.geometry:
+        m_k = (row.two_angle_k - c0) % two_l // step
         gluings.append(
             tuple(n + (m_k - i) % n for i in range(n)) + tuple((m_k - j) % n for j in range(n))
         )
-    return UnfoldedSurface(sheets=sheets, gluings=tuple(gluings), group=group)
+    return UnfoldedSurface(sheets=sheets, gluings=tuple(gluings))
 
 
 def cone_cycles(s: UnfoldedSurface) -> list[ConeCycle]:
@@ -181,9 +176,7 @@ def census_report(
     return {
         "sheet_count": s.sheet_count,
         "slit_count": s.slit_count,
-        "sheets": [
-            {"s": g.s, "c_num": g.c.num, "c_den": g.c.den} for g in s.sheets
-        ],
+        "sheets": [g.to_dict() for g in s.sheets],
         "gluings": [list(perm) for perm in s.gluings],
         "cycles": [
             {

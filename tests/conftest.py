@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from darksector.exact_angle import make_rational_turn
+from darksector.exact_angle import GroupElement, make_rational_turn
 from darksector.scene import EnclosingCircle, Mirror, Scene
 from darksector.scenegen import random_scene
 
@@ -64,6 +64,13 @@ def toy_scene() -> Scene:
 @pytest.fixture
 def parallel_scene() -> Scene:
     return make_parallel_scene()
+
+
+def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
+    """Reference group law for two elements of one angle unit: g1 after g2,
+    theta -> s1*(s2*theta + k2*pi/L) + k1*pi/L."""
+    s1, k1, unit = g1
+    return GroupElement(s1 * g2.s, (s1 * g2.k + k1) % (2 * unit), unit)
 
 
 def angles_close(a: float, b: float, tol: float) -> bool:

@@ -19,10 +19,9 @@ from darksector.dark_sector import (
     select_dark_arc,
     verify_darkness,
 )
-from darksector.exact_angle import generate_group
+from darksector.exact_angle import make_rational_turn, reflection_group
 from darksector.scene import EnclosingCircle, Mirror, Scene, enclosing_circle, save_scene
 from darksector.scenegen import random_direction, random_scene
-from darksector.exact_angle import make_rational_turn
 from darksector.tracer import TraceStatus, exact_numeric_gap, trace
 from darksector.unfolding import (
     build_surface,
@@ -147,10 +146,10 @@ def test_criterion_5_component_isometry_suite():
             # coarse eps_b: boundary localization is not under test here and
             # mismatched-itinerary samples are skipped below anyway
             d = decompose(scene, circle, seeds=256, eps_b=1e-6, cap=300)
-            group = generate_group({m.angle for m in scene.mirrors}, cap=250_000)
+            sheets = set(reflection_group((m.angle for m in scene.mirrors), cap=250_000))
             for comp in d.components:
                 # exact group membership of every component isometry
-                assert comp.isometry in group.elements
+                assert comp.isometry in sheets
             for comp in d.components:
                 m = comp.arc.measure
                 for _ in range(40):

@@ -19,9 +19,8 @@ from darksector.circle_map import (
 from darksector.exact_angle import (
     GroupElement,
     apply,
-    identity,
     inverse,
-    make_rational_turn,
+    reflection_group,
     wrap_angle,
 )
 from darksector.scene import EnclosingCircle, Scene, enclosing_circle
@@ -44,7 +43,7 @@ class TestDecomposeIdentityCase:
         c = d.components[0]
         assert c.arc.measure == TWO_PI
         assert c.itinerary == ()
-        assert c.isometry == identity()
+        assert c.isometry == GroupElement(1, 0, 1)
         assert c.image.measure == TWO_PI
         assert d.escape_measure == pytest.approx(TWO_PI)
         assert unlit_arcs(d) == []
@@ -73,8 +72,8 @@ class TestDecomposeSingleMirror:
         assert angles_close(bounced.arc.end, 7 * math.pi / 4, 1e-8)
         assert angles_close(direct.arc.start, 7 * math.pi / 4, 1e-8)
         assert angles_close(direct.arc.end, 5 * math.pi / 4, 1e-8)
-        assert direct.isometry == identity()
-        assert bounced.isometry == GroupElement(-1, make_rational_turn(0, 1))
+        assert direct.isometry == GroupElement(1, 0, 1)
+        assert bounced.isometry == GroupElement(-1, 0, 1)
         # image of the bounced arc: negate both endpoints, reverse orientation
         assert angles_close(bounced.image.start, math.pi / 4, 1e-8)
         assert angles_close(bounced.image.end, 3 * math.pi / 4, 1e-8)
@@ -109,7 +108,7 @@ class TestDecomposeSingleMirror:
 
 class TestImageArcs:
     def test_rotation_shifts_endpoints(self):
-        g = GroupElement(1, make_rational_turn(2, 3))
+        g = GroupElement(1, 2, 3)
         arc = Arc(1.0, 2.0)
         img = _image_of(arc, g)
         shift = 2 * math.pi / 3
@@ -117,7 +116,7 @@ class TestImageArcs:
         assert angles_close(img.end, 2.0 + shift, 1e-12)
 
     def test_reflection_reverses_orientation(self):
-        g = GroupElement(-1, make_rational_turn(0, 1))
+        g = GroupElement(-1, 0, 1)
         img = _image_of(Arc(5 * math.pi / 4, 7 * math.pi / 4), g)
         assert angles_close(img.start, math.pi / 4, 1e-12)
         assert angles_close(img.end, 3 * math.pi / 4, 1e-12)
@@ -189,7 +188,7 @@ class TestInjectivitySweep:
         # depends on the order in which the pairs are tested
         rng = random.Random(77)
         isometries = [
-            GroupElement(s, make_rational_turn(num, 6)) for s in (1, -1) for num in (0, 1, 5)
+            GroupElement(s, num, 6) for s in (1, -1) for num in (0, 1, 5)
         ]
         injective_seen = 0
         for trial in range(200):
@@ -237,16 +236,14 @@ class TestRefinement:
         assert d2.escape_measure >= d1.escape_measure - 256 * 1e-9
 
     def test_isometries_exact_group_members(self):
-        from darksector.exact_angle import generate_group
-
         rng = random.Random(31)
         for _ in range(10):
             scene = random_scene(rng)
             circle = enclosing_circle(scene)
             d = decompose(scene, circle, seeds=128, eps_b=1e-9, cap=100)
-            group = generate_group({m.angle for m in scene.mirrors}, cap=100000)
+            sheets = reflection_group((m.angle for m in scene.mirrors), cap=100000)
             for c in d.components:
-                assert c.isometry in group.elements
+                assert c.isometry in sheets
 
     def test_trapped_arc_detected(self, parallel_scene):
         # the trapped-band edge is an accumulation point of ever-thinner
@@ -305,11 +302,9 @@ class TestReport:
         for comp in rep["components"]:
             iso = comp["isometry"]
             assert iso["s"] in (1, -1)
-            g = GroupElement(iso["s"], make_rational_turn(iso["c_num"], iso["c_den"]))
             mid = Arc(comp["arc"]["start"], comp["arc"]["end"]).midpoint
-            assert Arc(comp["image"]["start"], comp["image"]["end"]).contains(
-                apply(g, mid)
-            )
+            exit_dir = iso["s"] * mid + math.pi * iso["c_num"] / iso["c_den"]
+            assert Arc(comp["image"]["start"], comp["image"]["end"]).contains(exit_dir)
 
     def test_component_isometry_preserves_distances(
         self, single_mirror_scene, single_mirror_circle

@@ -83,6 +83,21 @@ class TestValidateCommand:
     def test_missing_file_exits_three(self, tmp_path):
         assert main(["validate", "--scene", str(tmp_path / "absent.json")]) == 3
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b'{"mirrors": [{"anchor": [0, 0], "length": 1' + b"0" * 400
+            + b', "angle": {"num": 0, "den": 1}}], "source": [0, 1]}',
+            b'{"mirrors": [], "source": [0, \xff]}',
+        ],
+        ids=["400-digit-length", "non-utf8"],
+    )
+    def test_unreadable_value_exits_three(self, tmp_path, data, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        assert main(["validate", "--scene", str(path)]) == 3
+        assert "internal error" not in capsys.readouterr().err
+
 
 class TestTraceCommand:
     def test_trace_doc(self, single_path, tmp_path):
@@ -258,6 +273,35 @@ class TestRenderCommand:
         text = svg.read_text()
         assert text.count('class="mirror"') == 1
         assert text.count('class="sector"') == 1
+
+
+    @pytest.mark.parametrize(
+        "damage,field",
+        [
+            (lambda doc: doc["circle"].pop("radius"), "circle.radius: missing field"),
+            (lambda doc: doc["circle"].update(center=[1.0]), "circle.center: expected a [x, y]"),
+            (lambda doc: doc["path"].append([0.5]), "path[2]: expected a [x, y] pair"),
+            (lambda doc: doc.update(sectors=[{"apex": [0, 0]}]), "sectors[0].dir_lo: missing"),
+            (lambda doc: doc.update(sectors={}), "sectors: expected a list"),
+        ],
+        ids=["no-radius", "short-center", "short-path-point", "no-dir-lo", "sectors-not-a-list"],
+    )
+    def test_malformed_report_exits_three(self, single_path, tmp_path, capsys, damage, field):
+        report = tmp_path / "trace.json"
+        main(["trace", "--scene", single_path, "--theta", str(3 * math.pi / 2),
+              "--out", str(report)])
+        doc = json.loads(report.read_text())
+        damage(doc)
+        report.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["render", "--report", str(report), "--svg", str(tmp_path / "x.svg")]) == 3
+        assert f"error: malformed report: {field}" in capsys.readouterr().err
+
+    def test_non_utf8_report_exits_three(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_bytes(b'{"scene": "\xff"}')
+        assert main(["render", "--report", str(report)]) == 3
+        assert "error: cannot read report:" in capsys.readouterr().err
 
 
 class TestParamBounds:

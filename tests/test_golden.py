@@ -13,7 +13,8 @@ import pytest
 
 from conftest import make_parallel_scene, make_six_mirror_trap_scene
 from darksector.cli import main
-from darksector.scene import save_scene
+from darksector.exact_angle import make_rational_turn
+from darksector.scene import Mirror, Scene, save_scene
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -65,19 +66,59 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("scene,command", sorted(GOLDEN))
-def test_report_bytes_are_pinned(scene, command, tmp_path):
-    args, draws_svg = COMMANDS[command]
+def _assert_pinned(args, draws_svg, scene_path, want, tmp_path):
     out = tmp_path / "report.json"
     svg = tmp_path / "render.svg"
-    argv = [*args, "--scene", str(SCENES / f"{scene}.json"), "--out", str(out)]
+    argv = [*args, "--scene", str(scene_path), "--out", str(out)]
     if draws_svg:
         argv += ["--svg", str(svg)]
     assert main(argv) == 0
-    want_out, want_svg = GOLDEN[(scene, command)]
+    want_out, want_svg = want
     assert _sha256(out) == want_out
     if want_svg is not None:
         assert _sha256(svg) == want_svg
+
+
+@pytest.mark.parametrize("scene,command", sorted(GOLDEN))
+def test_report_bytes_are_pinned(scene, command, tmp_path):
+    args, draws_svg = COMMANDS[command]
+    _assert_pinned(args, draws_svg, SCENES / f"{scene}.json", GOLDEN[(scene, command)], tmp_path)
+
+
+def make_mixed_denominator_scene() -> Scene:
+    """Mirror lines at pi/4, pi/6, 5pi/12 and 7pi/6: the angle unit is 12, so
+    every exact direction is an offset k*pi/12 that the reports reduce
+    (k = 20 is written 5/3), and the reflection group has 24 elements."""
+    return Scene(
+        mirrors=(
+            Mirror((-0.54, -0.86), 1.84, make_rational_turn(1, 4)),
+            Mirror((-0.24, 1.03), 1.37, make_rational_turn(1, 6)),
+            Mirror((1.13, 0.34), 1.39, make_rational_turn(5, 12)),
+            Mirror((0.8, 0.67), 1.83, make_rational_turn(7, 6)),
+        ),
+        source=(0.0, 0.0),
+    )
+
+
+# command -> (options, draws an SVG, sha256 of --out, sha256 of --svg or None);
+# the traced ray bounces 9 times and leaves along -theta + 5/3*pi
+MIXED = {
+    "trace": (["trace", "--theta", "1.2"], True,
+              "32d6b850dab7d1fbcf970f1d6b97fba52886bfec4cf039928dbf2ea3bd4bed4e",
+              "ba8d9b2b06208b42dca80fff9270ccba6aecc08d72175ec03cc4d9d789cd6d20"),
+    "map": (["map"], False,
+            "ff03b589902c643ab27abc248f65415c36266ff22bbeddccdf9d3886a1a17697", None),
+    "unfold": (["unfold"], False,
+               "b63ecb99135cc9400d3887ad276ae211b8e923bd3aa9f69690cf6c84efa8a06b", None),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MIXED))
+def test_mixed_denominator_bytes_are_pinned(command, tmp_path):
+    args, draws_svg, want_out, want_svg = MIXED[command]
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_bytes(save_scene(make_mixed_denominator_scene()))
+    _assert_pinned(args, draws_svg, scene_path, (want_out, want_svg), tmp_path)
 
 
 # Multi-bounce scenes whose traces run to the bounce cap.  The channel run is

@@ -212,3 +212,31 @@ class TestSceneIO:
     def test_round_trip_random_scenes(self, seed):
         s = random_scene(random.Random(seed))
         assert load_scene(save_scene(s)) == s
+
+
+# scene files holding bytes or numbers that cannot become text or a float;
+# each is a parse error, naming the field where there is one
+UNREADABLE = {
+    "400-digit-length": (
+        '{"mirrors": [{"anchor": [0, 0], "length": 1%s, "angle": {"num": 0, "den": 1}}],'
+        ' "source": [0, 1]}' % ("0" * 400),
+        "mirrors\\[0\\].length",
+    ),
+    "400-digit-den": (
+        '{"mirrors": [{"anchor": [0, 0], "length": 1, "angle": {"num": 1, "den": 1%s}}],'
+        ' "source": [0, 1]}' % ("0" * 400),
+        "mirrors\\[0\\].angle",
+    ),
+    "5000-digit-integer": (
+        '{"mirrors": [], "source": [%s, 0]}' % ("1" * 5000),
+        "unreadable document",
+    ),
+    "non-utf8": (b'{"mirrors": [], "source": [0, \xff]}', "utf-8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_value_is_a_parse_error(case):
+    data, message = UNREADABLE[case]
+    with pytest.raises(SceneFormatError, match=message):
+        load_scene(data)

@@ -3,13 +3,8 @@ import random
 
 import pytest
 
-from conftest import make_parallel_scene, make_single_mirror_scene, make_toy_scene
-from darksector.exact_angle import (
-    GroupElement,
-    compose,
-    make_rational_turn,
-    mirror_reflection_element,
-)
+from conftest import compose, make_parallel_scene, make_single_mirror_scene, make_toy_scene
+from darksector.exact_angle import GroupElement, make_rational_turn, reflection_group
 from darksector.scene import Mirror, Scene
 from darksector.scenegen import random_scene
 from darksector.unfolding import (
@@ -39,12 +34,13 @@ class TestBuildSurface:
     def test_toy_scene_four_sheets(self):
         s = build_surface(make_toy_scene())
         assert s.sheet_count == 4
-        # canonical sheet order: rotations then reflections, by offset
+        # canonical sheet order: rotations then reflections, by offset in
+        # units of pi/2
         assert s.sheets == (
-            GroupElement(1, make_rational_turn(0, 1)),
-            GroupElement(1, make_rational_turn(1, 1)),
-            GroupElement(-1, make_rational_turn(0, 1)),
-            GroupElement(-1, make_rational_turn(1, 1)),
+            GroupElement(1, 0, 2),
+            GroupElement(1, 2, 2),
+            GroupElement(-1, 0, 2),
+            GroupElement(-1, 2, 2),
         )
         # hand-computed left-multiplication tables for the two slits
         assert s.gluings == ((2, 3, 0, 1), (3, 2, 1, 0))
@@ -84,13 +80,15 @@ class TestBuildSurface:
             assert reached == set(range(s.sheet_count))
 
     def test_gluing_matches_left_multiplication(self):
-        # the closed-form gluings against composing each sheet with sigma_k
+        # the closed-form gluings against composing each sheet with sigma_k,
+        # the reflection theta -> 2*a_k*pi - theta in mirror k's line
         rng = random.Random(20111)
         scenes = [make_toy_scene()] + [random_scene(rng, max_den=30) for _ in range(250)]
         for scene in scenes:
             s = build_surface(scene)
+            unit = scene.angle_unit
             for k, m in enumerate(scene.mirrors):
-                sigma = mirror_reflection_element(m.angle)
+                sigma = GroupElement(-1, int(2 * m.angle.fraction * unit) % (2 * unit), unit)
                 for i, g in enumerate(s.sheets):
                     assert s.sheets[s.gluings[k][i]] == compose(sigma, g)
 
@@ -190,16 +188,11 @@ class TestCensus:
         # four sheets glued along a single slit can come from no scene (one
         # mirror generates a two-element group); the degree bookkeeping
         # yields a negative genus and must fail loudly
-        from darksector.exact_angle import generate_group, sorted_elements
         from darksector.unfolding import CensusError, UnfoldedSurface
 
-        group = generate_group(
-            {make_rational_turn(0, 1), make_rational_turn(1, 2)}
-        )
         fake = UnfoldedSurface(
-            sheets=tuple(sorted_elements(group)),
+            sheets=reflection_group({make_rational_turn(0, 1), make_rational_turn(1, 2)}),
             gluings=((2, 3, 0, 1),),
-            group=group,
         )
         cycles = cone_cycles(fake)
         with pytest.raises(CensusError):
