@@ -5,21 +5,16 @@ dark-sector certificates, and the unfolded-surface census."""
 from .arcs import Arc
 from .circle_map import (
     Decomposition,
-    DecompositionError,
-    MapComponent,
     decompose,
     decomposition_report,
     is_injective,
     unlit_arcs,
 )
 from .dark_sector import (
-    DarkArc,
     DarkSector,
     build_sector,
-    contains,
-    direction_arc,
     exit_probes,
-    select_dark_arc,
+    shrink_below_pi,
     verify_darkness,
 )
 from .exact_angle import (
@@ -36,28 +31,15 @@ from .scene import (
     Mirror,
     Scene,
     SceneFormatError,
-    Violation,
     enclosing_circle,
     endpoints,
     load_scene,
     save_scene,
     validate_scene,
 )
-from .tracer import (
-    Hit,
-    SingularStop,
-    TraceResult,
-    TraceStatus,
-    exact_numeric_gap,
-    exit_ray,
-    first_hit,
-    trace,
-)
+from .tracer import TraceResult, TraceStatus, exit_ray, trace
 from .unfolding import (
     CensusError,
-    ConeCycle,
-    SurfaceCensus,
-    UnfoldedSurface,
     build_surface,
     census,
     cone_cycles,
@@ -70,49 +52,36 @@ __version__ = "0.1.0"
 __all__ = [
     "Arc",
     "CensusError",
-    "ConeCycle",
-    "DarkArc",
     "DarkSector",
     "Decomposition",
-    "DecompositionError",
     "EnclosingCircle",
     "GroupElement",
     "GroupOrderError",
-    "Hit",
-    "MapComponent",
     "Mirror",
     "RationalTurn",
     "Scene",
     "SceneFormatError",
-    "SingularStop",
-    "SurfaceCensus",
     "TraceResult",
     "TraceStatus",
-    "UnfoldedSurface",
-    "Violation",
     "apply",
     "build_sector",
     "build_surface",
     "census",
     "cone_cycles",
-    "contains",
     "decompose",
     "decomposition_report",
-    "direction_arc",
     "enclosing_circle",
     "endpoints",
-    "exact_numeric_gap",
     "euler_check",
     "exit_probes",
     "exit_ray",
-    "first_hit",
     "inverse",
     "is_injective",
     "load_scene",
     "make_rational_turn",
     "reflection_group",
     "save_scene",
-    "select_dark_arc",
+    "shrink_below_pi",
     "total_dark_angle",
     "trace",
     "unlit_arcs",

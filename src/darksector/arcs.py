@@ -30,9 +30,9 @@ class Arc:
     def midpoint(self) -> float:
         return wrap_angle(self.start + 0.5 * self.measure)
 
-    def contains(self, theta: float) -> bool:
-        off = (theta - self.start) % TWO_PI
-        return 0.0 < off < self.measure
+    def to_dict(self) -> dict:
+        """The report form ``{start, end, measure}``."""
+        return {"start": self.start, "end": self.end, "measure": self.measure}
 
 
 def angle_distance(a: float, b: float) -> float:
@@ -89,10 +89,6 @@ def _to_arcs(pieces: list[tuple[float, float]]) -> list[Arc]:
         pieces = pieces[1:-1]
         pieces.append((last[0], TWO_PI + first[1]))
     return [Arc(lo, hi) for lo, hi in pieces]
-
-
-def arc_union(arcs) -> list[Arc]:
-    return _to_arcs(_union_pieces(arcs))
 
 
 def arc_difference(arcs_a, arcs_b) -> list[Arc]:

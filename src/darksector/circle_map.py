@@ -26,10 +26,8 @@ from .tracer import DEFAULT_BOUNCE_CAP, TraceResult, TraceStatus, trace
 DEFAULT_SEEDS = 4096
 DEFAULT_EPS_B = 1e-10
 
-
-class DecompositionError(RuntimeError):
-    """Two samples in one itinerary run disagree on the exact isometry,
-    which indicates the sampling resolution or bounce cap is too coarse."""
+# Image arcs overlapping by at most this measure count as disjoint.
+MIN_OVERLAP = 1e-9
 
 
 @dataclass(frozen=True)
@@ -153,14 +151,9 @@ def decompose(
     def emit_run(run: list[_Sample], arc: Arc) -> None:
         status = run[0].key[0]
         if status == TraceStatus.ESCAPED.value:
+            # the run shares one itinerary, and trace derives the exact
+            # isometry from the itinerary alone
             iso = run[0].isometry
-            assert iso is not None
-            for s in run:
-                if s.isometry != iso:
-                    raise DecompositionError(
-                        f"isometry disagreement inside one run near theta="
-                        f"{wrap_angle(s.theta):.17g}"
-                    )
             components.append(
                 MapComponent(
                     arc=arc,
@@ -202,9 +195,7 @@ def decompose(
     )
 
 
-def is_injective(
-    d: Decomposition, tol: float = 1e-9
-) -> tuple[bool, tuple[float, float] | None]:
+def is_injective(d: Decomposition) -> tuple[bool, tuple[float, float] | None]:
     """Whether the exit-direction map is injective on the resolved arcs.
 
     On a positive-measure overlap of two image arcs the overlap midpoint is
@@ -215,7 +206,7 @@ def is_injective(
     """
     comps = d.components
     for i, j in _overlapping_pairs([c.image for c in comps]):
-        if arc_intersection_measure(comps[i].image, comps[j].image) <= tol:
+        if arc_intersection_measure(comps[i].image, comps[j].image) <= MIN_OVERLAP:
             continue
         overlap = _widest_overlap(comps[i].image, comps[j].image)
         if overlap is None:
@@ -279,10 +270,6 @@ def unlit_arcs(d: Decomposition) -> list[Arc]:
 
 def decomposition_report(d: Decomposition) -> dict:
     """JSON-ready report: arcs, itineraries, exact isometries, parameters."""
-
-    def arc_doc(a: Arc) -> dict:
-        return {"start": a.start, "end": a.end, "measure": a.measure}
-
     return {
         "scene": scene_to_document(d.scene),
         "circle": {
@@ -297,13 +284,13 @@ def decomposition_report(d: Decomposition) -> dict:
         "escape_measure": d.escape_measure,
         "components": [
             {
-                "arc": arc_doc(c.arc),
+                "arc": c.arc.to_dict(),
                 "itinerary": [[k, side] for k, side in c.itinerary],
                 "isometry": c.isometry.to_dict(),
-                "image": arc_doc(c.image),
+                "image": c.image.to_dict(),
             }
             for c in d.components
         ],
-        "trapped_arcs": [arc_doc(a) for a in d.trapped_arcs],
+        "trapped_arcs": [a.to_dict() for a in d.trapped_arcs],
         "singular_directions": list(d.singular_directions),
     }

@@ -1,8 +1,8 @@
 """Command-line entry points and report emission.
 
-Exit codes: 0 success, 1 internal failure, 2 invalid scene or rejected
-option value, 3 parse error, 4 no dark sector certified (sectors command
-only).
+Exit codes: 0 success, 1 internal failure or an output path that cannot be
+written, 2 invalid scene or rejected option value, 3 parse error, 4 no dark
+sector certified (sectors command only).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .dark_sector import (
     build_sector,
     exit_probes,
     sector_report,
-    select_dark_arc,
+    shrink_below_pi,
     verify_darkness,
 )
 from .exact_angle import DEFAULT_GROUP_CAP, GroupOrderError
@@ -70,13 +70,15 @@ class _Exit(Exception):
 
 
 def _emit(text: str, path: str | None) -> None:
-    """Write text to path atomically, or to stdout when no path is given."""
+    """Write text to path atomically, or to stdout when no path is given.
+    A path that cannot be written ends the command with exit 1."""
     if not path:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".darksector-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".darksector-")
         with os.fdopen(fd, "wb") as f:
             f.write(text.encode("utf-8"))
         # mkstemp creates the file 0600; give it the mode open() would
@@ -84,10 +86,12 @@ def _emit(text: str, path: str | None) -> None:
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as e:
+        print(f"error: cannot write {path}: {e.strerror or e}", file=sys.stderr)
+        raise _Exit(EXIT_INTERNAL) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _emit_doc(doc: dict, path: str | None) -> None:
@@ -169,12 +173,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 def _decompose_for(args: argparse.Namespace, scene: Scene):
     circle = enclosing_circle(scene, margin=args.margin)
-    d = decompose(scene, circle, seeds=args.samples, eps_b=args.eps_b, cap=args.cap)
-    return d, circle
+    return decompose(scene, circle, seeds=args.samples, eps_b=args.eps_b, cap=args.cap)
 
 
 def _cmd_map(args: argparse.Namespace) -> int:
-    d, _ = _decompose_for(args, _load_valid_scene(args.scene))
+    d = _decompose_for(args, _load_valid_scene(args.scene))
     _emit_doc(decomposition_report(d), args.out)
     print(
         f"map: {len(d.components)} component(s), escape measure "
@@ -186,7 +189,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 def _cmd_sectors(args: argparse.Namespace) -> int:
     scene = _load_valid_scene(args.scene)
-    d, circle = _decompose_for(args, scene)
+    d = _decompose_for(args, scene)
     injective, witness = is_injective(d)
     unlit = unlit_arcs(d)
     probes = exit_probes(d) if unlit else []
@@ -195,13 +198,12 @@ def _cmd_sectors(args: argparse.Namespace) -> int:
     reports = []
     certified = False
     for i, arc in enumerate(unlit):
-        dark = select_dark_arc([arc])
-        sector = build_sector(dark, circle)
+        sector = build_sector(shrink_below_pi(arc), d.circle)
         verification = verify_darkness(
-            sector, d, circle, args.darkness_samples, probes, seed=args.seed + i
+            sector, d, args.darkness_samples, probes, seed=args.seed + i
         )
         sectors.append(sector)
-        reports.append(sector_report(sector, dark, verification))
+        reports.append(sector_report(sector, arc, verification))
         certified = certified or verification.passed
 
     doc = {
@@ -209,9 +211,7 @@ def _cmd_sectors(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "injective": injective,
         "witness": list(witness) if witness is not None else None,
-        "unlit_arcs": [
-            {"start": a.start, "end": a.end, "measure": a.measure} for a in unlit
-        ],
+        "unlit_arcs": [a.to_dict() for a in unlit],
         "sectors": reports,
         # the widest unlit arc, the first one on a tie
         "selected_sector_index": (
@@ -221,7 +221,7 @@ def _cmd_sectors(args: argparse.Namespace) -> int:
     }
     _emit_doc(doc, args.out)
     if args.svg:
-        svg = render_svg(scene, circle, sectors=sectors)
+        svg = render_svg(scene, d.circle, sectors=sectors)
         _emit(svg, args.svg)
     if certified:
         print(
@@ -287,7 +287,6 @@ def _report_drawing(doc: dict, circle: EnclosingCircle):
             tangent_points=tuple(
                 _field(rep, "tangent_points", f"sectors[{i}]", lambda v, w: _points(v, w, 2))
             ),
-            circle=circle,
         )
         for i, rep in enumerate(sectors_doc)
     ]

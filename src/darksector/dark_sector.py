@@ -23,14 +23,8 @@ from .tracer import TraceStatus, exit_ray, trace
 # the tangent construction needs an opening angle below pi.
 MAX_SECTOR_MEASURE = math.pi - 1e-6
 
-
-@dataclass(frozen=True, eq=False)
-class DarkArc:
-    """An unlit arc selected for sector construction, with the unlit arc it
-    was cut from."""
-
-    arc: Arc
-    source_arc: Arc
+# A ray meets a sector only along a stretch of its parameter longer than this.
+ENTRY_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -41,33 +35,28 @@ class DarkSector:
     dir_lo: float
     dir_hi: float
     tangent_points: tuple[Point, Point]
-    circle: EnclosingCircle
 
     @property
     def interior_angle(self) -> float:
         return (self.dir_hi - self.dir_lo) % TWO_PI
 
 
-def select_dark_arc(unlit: "list[Arc]") -> DarkArc | None:
-    """The widest unlit arc, shrunk about its midpoint when it spans >= pi."""
-    if not unlit:
-        return None
-    widest = max(unlit, key=lambda a: a.measure)
-    arc = widest
-    if arc.measure >= math.pi:
-        mid = arc.midpoint
-        half = 0.5 * MAX_SECTOR_MEASURE
-        arc = Arc(mid - half, mid + half)
-    return DarkArc(arc=arc, source_arc=widest)
+def shrink_below_pi(arc: Arc) -> Arc:
+    """The arc itself, or when it spans pi or more, the arc of
+    ``MAX_SECTOR_MEASURE`` about its midpoint."""
+    if arc.measure < math.pi:
+        return arc
+    mid = arc.midpoint
+    half = 0.5 * MAX_SECTOR_MEASURE
+    return Arc(mid - half, mid + half)
 
 
-def build_sector(a: DarkArc, circle: EnclosingCircle) -> DarkSector:
+def build_sector(arc: Arc, circle: EnclosingCircle) -> DarkSector:
     """Tangent-line construction of the sector certified by a dark arc.
 
     The tangent touch points sit a quarter turn from the arc endpoints; the
     tangent lines run in the endpoint directions and meet at the apex.
     """
-    arc = a.arc
     if arc.measure >= math.pi:
         raise ValueError("dark arc must span less than pi")
     lo, hi = arc.start, arc.end
@@ -82,21 +71,7 @@ def build_sector(a: DarkArc, circle: EnclosingCircle) -> DarkSector:
     rx, ry = t2[0] - t1[0], t2[1] - t1[1]
     s = (rx * u2[1] - ry * u2[0]) / det
     apex = (t1[0] + s * u1[0], t1[1] + s * u1[1])
-    return DarkSector(
-        apex=apex,
-        dir_lo=lo,
-        dir_hi=hi,
-        tangent_points=(t1, t2),
-        circle=circle,
-    )
-
-
-def contains(s: DarkSector, p: Point) -> bool:
-    """Strict membership in the open sector."""
-    vx, vy = p[0] - s.apex[0], p[1] - s.apex[1]
-    clo = math.cos(s.dir_lo) * vy - math.sin(s.dir_lo) * vx
-    chi = math.cos(s.dir_hi) * vy - math.sin(s.dir_hi) * vx
-    return clo > 0.0 and chi < 0.0
+    return DarkSector(apex=apex, dir_lo=lo, dir_hi=hi, tangent_points=(t1, t2))
 
 
 def direction_arc(p: Point, circle: EnclosingCircle) -> Arc:
@@ -114,9 +89,7 @@ def direction_arc(p: Point, circle: EnclosingCircle) -> Arc:
     return Arc(psi - half, psi + half)
 
 
-def ray_enters_sector(
-    origin: Point, theta: float, s: DarkSector, margin: float = 1e-9
-) -> bool:
+def ray_enters_sector(origin: Point, theta: float, s: DarkSector) -> bool:
     """Whether the ray from origin in direction theta meets the open sector."""
     dx, dy = math.cos(theta), math.sin(theta)
     vx, vy = origin[0] - s.apex[0], origin[1] - s.apex[1]
@@ -138,7 +111,7 @@ def ray_enters_sector(
         return False
     lo = max(i1[0], i2[0], 0.0)
     hi = min(i1[1], i2[1])
-    return hi - lo > margin
+    return hi - lo > ENTRY_MARGIN
 
 
 @dataclass
@@ -198,21 +171,22 @@ def exit_probes(d: Decomposition) -> list[tuple[float, Point, float]]:
 def verify_darkness(
     s: DarkSector,
     d: Decomposition,
-    circle: EnclosingCircle,
     n: int,
     probes: list[tuple[float, Point, float]],
     seed: int = 0,
 ) -> DarknessReport:
     """Re-check darkness of a sector against the decomposition it came from.
 
-    (i) for n sampled sector points (log-uniform radii over [1, 1e6]*R) the
-    directions of rays reaching them stay inside the dark arc; (ii) the dark
+    (i) for n sampled sector points (log-uniform radii over [1, 1e6]*R, R
+    the radius of ``d.circle``) the directions of rays leaving that circle
+    and reaching them stay inside the dark arc; (ii) the dark
     arc is disjoint from every image arc; (iii) exit rays traced at component
     extremes and midpoints never enter the sector.  Check (iii) reads
     ``probes``, the ``exit_probes(d)`` traced once per decomposition and
     shared by every sector verified against it.  A failure flags an upstream
     resolution problem, not a broken construction.
     """
+    circle = d.circle
     dark = Arc(s.dir_lo, s.dir_hi)
     measure = dark.measure
     rng = random.Random(seed)
@@ -245,15 +219,12 @@ def verify_darkness(
     )
 
 
-def sector_report(s: DarkSector, a: DarkArc, verification: DarknessReport | None) -> dict:
-    """JSON-ready description of one certified sector."""
+def sector_report(s: DarkSector, source_arc: Arc, verification: DarknessReport) -> dict:
+    """JSON-ready description of one sector, cut from the unlit arc
+    ``source_arc``."""
     return {
-        "arc": {"start": a.arc.start, "end": a.arc.end, "measure": a.arc.measure},
-        "source_arc": {
-            "start": a.source_arc.start,
-            "end": a.source_arc.end,
-            "measure": a.source_arc.measure,
-        },
+        "arc": Arc(s.dir_lo, s.dir_hi).to_dict(),
+        "source_arc": source_arc.to_dict(),
         "apex": [s.apex[0], s.apex[1]],
         "dir_lo": s.dir_lo,
         "dir_hi": s.dir_hi,
@@ -262,5 +233,5 @@ def sector_report(s: DarkSector, a: DarkArc, verification: DarknessReport | None
             [s.tangent_points[0][0], s.tangent_points[0][1]],
             [s.tangent_points[1][0], s.tangent_points[1][1]],
         ],
-        "verification": verification.to_dict() if verification is not None else None,
+        "verification": verification.to_dict(),
     }

@@ -135,27 +135,32 @@ def point_segment_distance(p: Point, a: Point, b: Point) -> float:
 
 
 def segment_distance(a1: Point, b1: Point, a2: Point, b2: Point) -> float:
-    """Distance between two closed segments (zero if they cross)."""
-    d1 = _cross(_sub(b2, a2), _sub(a1, a2))
-    d2 = _cross(_sub(b2, a2), _sub(b1, a2))
-    d3 = _cross(_sub(b1, a1), _sub(a2, a1))
-    d4 = _cross(_sub(b1, a1), _sub(b2, a1))
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
-        return 0.0
-    return min(
+    """Distance between two closed segments (about zero if they cross)."""
+    d = min(
         point_segment_distance(a1, a2, b2),
         point_segment_distance(b1, a2, b2),
         point_segment_distance(a2, a1, b1),
         point_segment_distance(b2, a1, b1),
     )
+    d1 = _cross(_sub(b2, a2), _sub(a1, a2))
+    d2 = _cross(_sub(b2, a2), _sub(b1, a2))
+    d3 = _cross(_sub(b1, a1), _sub(a2, a1))
+    d4 = _cross(_sub(b1, a1), _sub(b2, a1))
+    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
+        # The side tests say the segments cross.  On collinear segments they
+        # see only rounding, so measure from the crossing point they imply.
+        t = d1 / (d1 - d2)
+        p = (a1[0] + t * (b1[0] - a1[0]), a1[1] + t * (b1[1] - a1[1]))
+        d = min(d, point_segment_distance(p, a2, b2))
+    return d
 
 
 def validate_scene(s: Scene) -> list[Violation]:
     """Check the scene invariants; an empty list means the scene is valid.
 
-    Codes: ``no-mirrors``, ``non-positive-length``, ``mirrors-intersect``,
-    ``source-on-mirror``.  Mirrors are addressed by 1-based index in
-    document order.
+    Codes: ``no-mirrors``, ``non-positive-length``, ``non-finite-endpoint``,
+    ``mirrors-intersect``, ``source-on-mirror``.  Mirrors are addressed by
+    1-based index in document order.
     """
     out: list[Violation] = []
     if not s.mirrors:
@@ -171,7 +176,16 @@ def validate_scene(s: Scene) -> list[Violation]:
                     (i,),
                 )
             )
-        segs.append(endpoints(m))
+        a, b = endpoints(m)
+        if not all(map(math.isfinite, b)):
+            out.append(
+                Violation(
+                    "non-finite-endpoint",
+                    f"mirror {i} ends at ({b[0]}, {b[1]}), beyond the float range",
+                    (i,),
+                )
+            )
+        segs.append((a, b))
     for i in range(len(segs)):
         for j in range(i + 1, len(segs)):
             d = segment_distance(*segs[i], *segs[j])

@@ -7,7 +7,6 @@ small; mirrors are rejection-sampled to keep a comfortable pairwise gap.
 
 from __future__ import annotations
 
-import math
 import random
 
 from .exact_angle import make_rational_turn
@@ -49,7 +48,3 @@ def random_scene(
         ):
             break
     return Scene(mirrors=tuple(mirrors), source=source)
-
-
-def random_direction(rng: random.Random) -> float:
-    return rng.uniform(0.0, 2.0 * math.pi)

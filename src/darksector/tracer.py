@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .exact_angle import GroupElement, apply, wrap_angle
+from .exact_angle import GroupElement, wrap_angle
 from .scene import EPS_SINGULAR, EnclosingCircle, MirrorGeometry, Point, Scene
 
 # Minimum advance along the ray before a hit counts.  EPS_SINGULAR, the
@@ -197,11 +197,3 @@ def exit_ray(tr: TraceResult, circle: EnclosingCircle) -> tuple[Point, float]:
         raise ValueError("trace exit point is not inside the circle")
     t = -b + math.sqrt(disc)
     return (ox + t * dx, oy + t * dy), tr.exit_dir_numeric
-
-
-def exact_numeric_gap(tr: TraceResult, theta0: float) -> float:
-    """Circle distance between the numeric exit direction and the exact
-    group element applied to the launch direction."""
-    predicted = apply(tr.exit_dir_exact, theta0)
-    d = (tr.exit_dir_numeric - predicted) % (2.0 * math.pi)
-    return min(d, 2.0 * math.pi - d)

@@ -73,6 +73,11 @@ def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
     return GroupElement(s1 * g2.s, (s1 * g2.k + k1) % (2 * unit), unit)
 
 
+def in_arc(a, theta: float) -> bool:
+    """Whether theta lies in the open arc a."""
+    return 0.0 < (theta - a.start) % (2.0 * math.pi) < a.measure
+
+
 def angles_close(a: float, b: float, tol: float) -> bool:
     d = (a - b) % (2.0 * math.pi)
     return min(d, 2.0 * math.pi - d) <= tol

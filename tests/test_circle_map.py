@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import angles_close, make_toy_scene
+from conftest import angles_close, in_arc, make_toy_scene
 from darksector.arcs import Arc, angle_distance, arc_intersection_measure
 from darksector.circle_map import (
     Decomposition,
@@ -304,7 +304,7 @@ class TestReport:
             assert iso["s"] in (1, -1)
             mid = Arc(comp["arc"]["start"], comp["arc"]["end"]).midpoint
             exit_dir = iso["s"] * mid + math.pi * iso["c_num"] / iso["c_den"]
-            assert Arc(comp["image"]["start"], comp["image"]["end"]).contains(exit_dir)
+            assert in_arc(Arc(comp["image"]["start"], comp["image"]["end"]), exit_dir)
 
     def test_component_isometry_preserves_distances(
         self, single_mirror_scene, single_mirror_circle

@@ -99,6 +99,30 @@ class TestValidateCommand:
         assert "internal error" not in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate"],
+            ["trace", "--theta", "0.1"],
+            ["map", "--samples", "8"],
+            ["sectors", "--samples", "8"],
+            ["unfold"],
+            ["render"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_overflowing_endpoint_exits_two(self, tmp_path, argv, capsys):
+        far = Scene(
+            mirrors=(Mirror((1e308, 0.0), 1e308, make_rational_turn(0, 1)),),
+            source=(0.0, 1.0),
+        )
+        path = write_scene(tmp_path, far)
+        out = ["--svg" if argv[0] == "render" else "--out", str(tmp_path / "out")]
+        assert main([argv[0], "--scene", path, *argv[1:], *out]) == 2
+        if argv[0] != "validate":
+            assert "[non-finite-endpoint] mirror 1" in capsys.readouterr().err
+
+
 class TestTraceCommand:
     def test_trace_doc(self, single_path, tmp_path):
         out = tmp_path / "trace.json"
@@ -190,6 +214,7 @@ class TestSectorsCommand:
         doc = json.loads(out.read_text())
         assert doc["certified"] is False
         assert doc["sectors"] == []
+        assert doc["selected_sector_index"] is None
         # the decomposition is still emitted
         assert doc["decomposition"]["components"]
 
@@ -209,6 +234,19 @@ class TestSectorsCommand:
             svgs.append(svg.read_bytes())
         assert outs[0] == outs[1]
         assert svgs[0] == svgs[1]
+
+    def test_selected_sector_is_the_widest(self, tmp_path):
+        out = tmp_path / "sectors.json"
+        path = write_scene(tmp_path, make_six_mirror_trap_scene())
+        argv = ["sectors", "--scene", path, "--samples", "128", "--cap", "30",
+                "--eps-b", "1e-4", "--darkness-samples", "10", "--out", str(out)]
+        assert main(argv) == 0
+        doc = json.loads(out.read_text())
+        measures = [a["measure"] for a in doc["unlit_arcs"]]
+        assert len(set(measures)) > 1
+        assert measures[doc["selected_sector_index"]] == max(measures)
+        # each sector is cut from its own unlit arc
+        assert [s["source_arc"] for s in doc["sectors"]] == doc["unlit_arcs"]
 
     @pytest.mark.parametrize(
         "make_scene,options,code,unlit",
@@ -409,3 +447,16 @@ class TestWrittenFiles:
         finally:
             os.umask(previous)
         assert stat.S_IMODE(out.stat().st_mode) == mode
+
+    @pytest.mark.parametrize("option", ["--out", "--svg"])
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_unwritable_path_exits_one(self, toy_path, tmp_path, capsys, option, target):
+        path = tmp_path / "absent" / "x" if target == "missing-dir" else tmp_path
+        argv = ["trace", "--scene", toy_path, "--theta", "1.0", option, str(path)]
+        if option == "--svg":
+            argv += ["--out", str(tmp_path / "trace.json")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: cannot write {path}: " in err
+        assert "internal error" not in err and ".darksector-" not in err
+        assert not list(tmp_path.glob(".darksector-*"))

@@ -7,18 +7,24 @@ from conftest import angles_close
 from darksector.arcs import Arc
 from darksector.circle_map import decompose, unlit_arcs
 from darksector.dark_sector import (
-    DarkArc,
     build_sector,
-    contains,
     direction_arc,
     exit_probes,
     ray_enters_sector,
-    select_dark_arc,
+    shrink_below_pi,
     verify_darkness,
 )
 from darksector.scene import EnclosingCircle
 
 TWO_PI = 2.0 * math.pi
+
+
+def contains(s, p):
+    """Strict membership of the point p in the open sector s."""
+    vx, vy = p[0] - s.apex[0], p[1] - s.apex[1]
+    clo = math.cos(s.dir_lo) * vy - math.sin(s.dir_lo) * vx
+    chi = math.cos(s.dir_hi) * vy - math.sin(s.dir_hi) * vx
+    return clo > 0.0 and chi < 0.0
 
 
 @pytest.fixture
@@ -27,35 +33,27 @@ def single_mirror_pipeline(single_mirror_scene, single_mirror_circle):
     return d, unlit_arcs(d)
 
 
-class TestSelectDarkArc:
-    def test_picks_single_arc(self, single_mirror_pipeline):
+class TestShrinkBelowPi:
+    def test_single_mirror_arc_is_kept(self, single_mirror_pipeline):
         d, unlit = single_mirror_pipeline
-        dark = select_dark_arc(unlit)
-        assert dark is not None
-        assert angles_close(dark.arc.start, 5 * math.pi / 4, 1e-8)
-        assert angles_close(dark.arc.end, 7 * math.pi / 4, 1e-8)
-        assert dark.arc.measure == pytest.approx(math.pi / 2, abs=1e-8)
-
-    def test_empty_gives_none(self):
-        assert select_dark_arc([]) is None
+        assert len(unlit) == 1
+        dark = shrink_below_pi(unlit[0])
+        assert dark == unlit[0]
+        assert angles_close(dark.start, 5 * math.pi / 4, 1e-8)
+        assert angles_close(dark.end, 7 * math.pi / 4, 1e-8)
+        assert dark.measure == pytest.approx(math.pi / 2, abs=1e-8)
 
     def test_wide_arc_shrunk_about_midpoint(self):
         wide = Arc(0.0, 1.5 * math.pi)
-        dark = select_dark_arc([wide])
-        assert dark.arc.measure == pytest.approx(math.pi - 1e-6)
-        assert angles_close(dark.arc.midpoint, wide.midpoint, 1e-12)
-        assert dark.source_arc == wide
-
-    def test_picks_largest(self):
-        dark = select_dark_arc([Arc(0.0, 0.3), Arc(1.0, 2.5), Arc(3.0, 3.2)])
-        assert dark.source_arc == Arc(1.0, 2.5)
+        dark = shrink_below_pi(wide)
+        assert dark.measure == pytest.approx(math.pi - 1e-6)
+        assert angles_close(dark.midpoint, wide.midpoint, 1e-12)
 
 
 class TestBuildSector:
     def test_downward_sector_geometry(self):
         k = EnclosingCircle((0.0, 0.5), 2.0)
-        dark = DarkArc(arc=Arc(5 * math.pi / 4, 7 * math.pi / 4), source_arc=Arc(0, 1))
-        s = build_sector(dark, k)
+        s = build_sector(Arc(5 * math.pi / 4, 7 * math.pi / 4), k)
         r2 = math.sqrt(2.0)
         assert s.apex[0] == pytest.approx(0.0, abs=1e-12)
         assert s.apex[1] == pytest.approx(0.5 - 2 * r2)
@@ -67,8 +65,7 @@ class TestBuildSector:
 
     def test_upward_sector_geometry(self):
         k = EnclosingCircle((0.0, 0.0), 1.0)
-        dark = DarkArc(arc=Arc(math.pi / 4, 3 * math.pi / 4), source_arc=Arc(0, 1))
-        s = build_sector(dark, k)
+        s = build_sector(Arc(math.pi / 4, 3 * math.pi / 4), k)
         assert s.apex[0] == pytest.approx(0.0, abs=1e-12)
         assert s.apex[1] == pytest.approx(math.sqrt(2.0))
         assert s.interior_angle == pytest.approx(math.pi / 2)
@@ -76,14 +73,14 @@ class TestBuildSector:
     def test_interior_angle_equals_arc_measure_exactly(self):
         k = EnclosingCircle((0.3, -0.2), 1.7)
         arc = Arc(0.3, 2.1)
-        s = build_sector(DarkArc(arc=arc, source_arc=arc), k)
+        s = build_sector(arc, k)
         assert s.interior_angle == arc.measure
 
     def test_tangency(self):
         k = EnclosingCircle((0.4, 1.2), 2.5)
         for start, width in ((0.0, 1.0), (3.0, 2.0), (5.5, 2.5)):
             arc = Arc(start, start + width)
-            s = build_sector(DarkArc(arc=arc, source_arc=arc), k)
+            s = build_sector(arc, k)
             for tp, direction in ((s.tangent_points[0], s.dir_lo), (s.tangent_points[1], s.dir_hi)):
                 # distance from the circle center to each boundary line is R
                 ux, uy = math.cos(direction), math.sin(direction)
@@ -97,14 +94,14 @@ class TestBuildSector:
         k = EnclosingCircle((0.0, 0.0), 1.0)
         arc = Arc(0.0, math.pi + 0.1)
         with pytest.raises(ValueError):
-            build_sector(DarkArc(arc=arc, source_arc=arc), k)
+            build_sector(arc, k)
 
     def test_sector_disjoint_from_closed_disk(self):
         k = EnclosingCircle((-0.7, 0.9), 1.3)
         rng = random.Random(8)
         for start, width in ((0.2, 0.9), (2.0, 1.4), (4.4, 2.8)):
             arc = Arc(start, start + width)
-            s = build_sector(DarkArc(arc=arc, source_arc=arc), k)
+            s = build_sector(arc, k)
             for _ in range(500):
                 theta = s.dir_lo + rng.random() * s.interior_angle
                 r = 10 ** rng.uniform(-3, 2) * k.radius
@@ -117,8 +114,8 @@ class TestBuildSector:
         k = EnclosingCircle((0.0, 0.0), 1.0)
         inner = Arc(1.2, 2.2)
         outer = Arc(1.0, 2.5)
-        si = build_sector(DarkArc(arc=inner, source_arc=inner), k)
-        so = build_sector(DarkArc(arc=outer, source_arc=outer), k)
+        si = build_sector(inner, k)
+        so = build_sector(outer, k)
         rng = random.Random(1)
         for _ in range(300):
             theta = rng.uniform(si.dir_lo + 1e-6, si.dir_lo + inner.measure - 1e-6)
@@ -131,7 +128,7 @@ class TestContains:
     def test_derived_points(self):
         k = EnclosingCircle((0.0, 0.5), 2.0)
         arc = Arc(5 * math.pi / 4, 7 * math.pi / 4)
-        s = build_sector(DarkArc(arc=arc, source_arc=arc), k)
+        s = build_sector(arc, k)
         assert contains(s, (0.0, -100.0))
         assert not contains(s, (100.0, 0.0))
         assert not contains(s, s.apex)
@@ -139,7 +136,7 @@ class TestContains:
     def test_boundary_rays_excluded(self):
         k = EnclosingCircle((0.0, 0.0), 1.0)
         arc = Arc(0.0, 1.0)
-        s = build_sector(DarkArc(arc=arc, source_arc=arc), k)
+        s = build_sector(arc, k)
         on_lo = (s.apex[0] + 5 * math.cos(s.dir_lo), s.apex[1] + 5 * math.sin(s.dir_lo))
         assert not contains(s, on_lo)
 
@@ -185,9 +182,8 @@ class TestDirectionArc:
 class TestVerifyDarkness:
     def test_single_mirror_passes(self, single_mirror_pipeline, single_mirror_circle):
         d, unlit = single_mirror_pipeline
-        dark = select_dark_arc(unlit)
-        s = build_sector(dark, single_mirror_circle)
-        report = verify_darkness(s, d, single_mirror_circle, 300, exit_probes(d), seed=5)
+        s = build_sector(shrink_below_pi(unlit[0]), single_mirror_circle)
+        report = verify_darkness(s, d, 300, exit_probes(d), seed=5)
         assert report.passed
         assert report.direction_inclusion_ok
         assert report.image_disjoint_ok
@@ -197,27 +193,24 @@ class TestVerifyDarkness:
         d, _ = single_mirror_pipeline
         # deliberately use an arc overlapping the image of the bounced
         # component: the negative control must fail check (ii)
-        bad = DarkArc(arc=Arc(math.pi / 4, 3 * math.pi / 4), source_arc=Arc(0, 1))
-        s = build_sector(bad, single_mirror_circle)
-        report = verify_darkness(s, d, single_mirror_circle, 50, exit_probes(d), seed=5)
+        s = build_sector(Arc(math.pi / 4, 3 * math.pi / 4), single_mirror_circle)
+        report = verify_darkness(s, d, 50, exit_probes(d), seed=5)
         assert not report.image_disjoint_ok
         assert not report.passed
 
     def test_zero_samples_is_vacuous(self, single_mirror_pipeline, single_mirror_circle):
         d, unlit = single_mirror_pipeline
-        dark = select_dark_arc(unlit)
-        s = build_sector(dark, single_mirror_circle)
-        report = verify_darkness(s, d, single_mirror_circle, 0, exit_probes(d), seed=5)
+        s = build_sector(shrink_below_pi(unlit[0]), single_mirror_circle)
+        report = verify_darkness(s, d, 0, exit_probes(d), seed=5)
         assert report.sample_count == 0
         assert report.direction_inclusion_ok
         assert report.image_disjoint_ok and report.exit_rays_ok
 
     def test_deterministic_given_seed(self, single_mirror_pipeline, single_mirror_circle):
         d, unlit = single_mirror_pipeline
-        dark = select_dark_arc(unlit)
-        s = build_sector(dark, single_mirror_circle)
-        a = verify_darkness(s, d, single_mirror_circle, 100, exit_probes(d), seed=9)
-        b = verify_darkness(s, d, single_mirror_circle, 100, exit_probes(d), seed=9)
+        s = build_sector(shrink_below_pi(unlit[0]), single_mirror_circle)
+        a = verify_darkness(s, d, 100, exit_probes(d), seed=9)
+        b = verify_darkness(s, d, 100, exit_probes(d), seed=9)
         assert a == b
 
 
@@ -225,7 +218,7 @@ class TestRayEntersSector:
     def test_ray_through_sector(self):
         k = EnclosingCircle((0.0, 0.0), 1.0)
         arc = Arc(math.pi / 4, 3 * math.pi / 4)
-        s = build_sector(DarkArc(arc=arc, source_arc=arc), k)  # opens upward
+        s = build_sector(arc, k)  # opens upward
         assert ray_enters_sector((0.0, -5.0), math.pi / 2, s)
         assert not ray_enters_sector((0.0, -5.0), 3 * math.pi / 2, s)
         assert not ray_enters_sector((10.0, 0.0), 0.0, s)

@@ -3,12 +3,14 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_toy_scene
+from darksector.circle_map import decompose
 from darksector.exact_angle import make_rational_turn
 from darksector.scene import (
+    MIN_SEPARATION,
     Mirror,
     Scene,
     SceneFormatError,
@@ -77,10 +79,70 @@ class TestValidate:
         codes = [v.code for v in validate_scene(Scene(mirrors=(), source=(0.0, 0.0)))]
         assert codes == ["no-mirrors"]
 
+    def test_overflowing_endpoint(self):
+        s = Scene(
+            mirrors=(Mirror((1e308, 0.0), 1e308, make_rational_turn(0, 1)),),
+            source=(0.0, 1.0),
+        )
+        violations = validate_scene(s)
+        assert [(v.code, v.mirrors) for v in violations] == [("non-finite-endpoint", (1,))]
+        assert "inf" in violations[0].detail
+
     def test_generator_output_always_valid(self):
         rng = random.Random(99)
         for _ in range(50):
             assert validate_scene(random_scene(rng)) == []
+
+
+HORIZONTAL = make_rational_turn(0, 1)
+coords = st.floats(-3.0, 3.0)
+lengths = st.floats(0.1, 2.0)
+
+
+def assert_valid_and_accounted(scene):
+    """The scene validates, and its decomposition never counts more than a
+    full turn of escape and trapped directions."""
+    assert validate_scene(scene) == []
+    d = decompose(scene, enclosing_circle(scene), seeds=64, eps_b=1e-6, cap=50)
+    assert d.escape_measure + sum(a.measure for a in d.trapped_arcs) <= 2 * math.pi + 1e-9
+
+
+class TestValidationEdges:
+    @settings(max_examples=25, deadline=None)
+    @given(x=coords, l1=lengths, l2=lengths, source=st.tuples(coords, st.floats(0.5, 3.0)))
+    def test_mirrors_exactly_min_separation_apart(self, x, l1, l2, source):
+        low = Mirror((x, 0.0), l1, HORIZONTAL)
+        high = Mirror((x, MIN_SEPARATION), l2, HORIZONTAL)
+        assert segment_distance(*endpoints(low), *endpoints(high)) == MIN_SEPARATION
+        assert_valid_and_accounted(Scene(mirrors=(low, high), source=source))
+
+    @settings(max_examples=25, deadline=None)
+    @given(x=coords, length=lengths, frac=st.floats(0.0, 1.0), side=st.sampled_from([1, -1]))
+    def test_source_at_minimum_clearance(self, x, length, frac, side):
+        m = Mirror((x, 0.0), length, HORIZONTAL)
+        source = (x + frac * length, side * MIN_SEPARATION)
+        assert point_segment_distance(source, *endpoints(m)) >= MIN_SEPARATION
+        assert_valid_and_accounted(Scene(mirrors=(m,), source=source))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        num=st.integers(0, 11),
+        den=st.integers(1, 6),
+        anchor=st.tuples(coords, coords),
+        spans=st.lists(st.tuples(lengths, st.floats(0.01, 1.0)), min_size=2, max_size=4),
+        offset=st.floats(0.1, 2.0),
+    )
+    def test_mirrors_on_one_line(self, num, den, anchor, spans, offset):
+        angle = make_rational_turn(num, den)
+        ux, uy = math.cos(angle.radians()), math.sin(angle.radians())
+        mirrors, along = [], 0.0
+        for length, gap in spans:
+            mirrors.append(
+                Mirror((anchor[0] + along * ux, anchor[1] + along * uy), length, angle)
+            )
+            along += length + gap
+        source = (anchor[0] - offset * uy, anchor[1] + offset * ux)
+        assert_valid_and_accounted(Scene(mirrors=tuple(mirrors), source=source))
 
 
 class TestSegmentDistance:

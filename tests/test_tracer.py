@@ -2,8 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import angles_close, make_parallel_scene
+from conftest import angles_close, compose, make_parallel_scene
 from darksector.exact_angle import (
     GroupElement,
     apply,
@@ -12,16 +14,8 @@ from darksector.exact_angle import (
     wrap_angle,
 )
 from darksector.scene import EnclosingCircle, Mirror, Scene, enclosing_circle, endpoints
-from darksector.scenegen import random_direction, random_scene
-from darksector.tracer import (
-    Hit,
-    SingularStop,
-    TraceStatus,
-    exact_numeric_gap,
-    exit_ray,
-    first_hit,
-    trace,
-)
+from darksector.scenegen import random_scene
+from darksector.tracer import Hit, SingularStop, TraceStatus, exit_ray, first_hit, trace
 
 TWO_PI = 2.0 * math.pi
 
@@ -133,7 +127,7 @@ class TestTraceMatchesFirstHit:
         statuses = set()
         for _ in range(400):
             scene = random_scene(rng)
-            theta0 = random_direction(rng)
+            theta0 = rng.uniform(0.0, TWO_PI)
             if rng.random() < 0.25:  # aim at a mirror tip: a singular stop
                 tip = rng.choice(endpoints(rng.choice(scene.mirrors)))
                 theta0 = math.atan2(tip[1] - scene.source[1], tip[0] - scene.source[0])
@@ -188,17 +182,30 @@ class TestTraceProperties:
         rng = random.Random(123)
         for _ in range(300):
             scene = random_scene(rng)
-            theta0 = random_direction(rng)
+            theta0 = rng.uniform(0.0, TWO_PI)
             tr = trace(scene, theta0, cap=200)
             assert tr.exit_dir_exact.s == (-1) ** tr.bounce_count
-            assert exact_numeric_gap(tr, theta0) <= 1e-6
+            assert angles_close(tr.exit_dir_numeric, apply(tr.exit_dir_exact, theta0), 1e-6)
+
+    @settings(deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(0.0, TWO_PI, exclude_max=True))
+    def test_exact_element_is_the_itinerary_folded(self, seed, theta0):
+        # the exit element is a function of the itinerary alone: the product
+        # of the reflections theta -> -theta + two_angle_k*pi/L it lists
+        scene = random_scene(random.Random(seed))
+        tr = trace(scene, theta0, cap=200)
+        unit = scene.angle_unit
+        g = GroupElement(1, 0, unit)
+        for index, _ in tr.itinerary:
+            g = compose(GroupElement(-1, scene.geometry[index - 1].two_angle_k, unit), g)
+        assert tr.exit_dir_exact == g
 
     def test_exact_element_in_reflection_group(self):
         rng = random.Random(42)
         for _ in range(60):
             scene = random_scene(rng)
             sheets = reflection_group((m.angle for m in scene.mirrors), cap=100000)
-            tr = trace(scene, random_direction(rng), cap=200)
+            tr = trace(scene, rng.uniform(0.0, TWO_PI), cap=200)
             assert tr.exit_dir_exact in sheets
 
     def test_path_stays_inside_enclosing_circle(self):
@@ -206,7 +213,7 @@ class TestTraceProperties:
         for _ in range(100):
             scene = random_scene(rng)
             circle = enclosing_circle(scene)
-            tr = trace(scene, random_direction(rng), cap=200)
+            tr = trace(scene, rng.uniform(0.0, TWO_PI), cap=200)
             for p in tr.path:
                 d = math.hypot(p[0] - circle.center[0], p[1] - circle.center[1])
                 assert d < circle.radius
@@ -222,7 +229,7 @@ class TestTraceProperties:
         while checked < 60:
             scene = random_scene(rng)
             circle = enclosing_circle(scene)
-            tr = trace(scene, random_direction(rng), cap=200)
+            tr = trace(scene, rng.uniform(0.0, TWO_PI), cap=200)
             if tr.status is not TraceStatus.ESCAPED or tr.bounce_count == 0:
                 continue
             start, _ = exit_ray(tr, circle)
@@ -248,5 +255,5 @@ class TestTraceProperties:
         for _ in range(200):
             theta0 = math.pi / 2 + rng.uniform(-0.4, 0.4)
             tr = trace(channel, theta0, cap=500)
-            assert exact_numeric_gap(tr, theta0) <= 1e-6
+            assert angles_close(tr.exit_dir_numeric, apply(tr.exit_dir_exact, theta0), 1e-6)
             assert tr.exit_dir_exact.s == (-1) ** tr.bounce_count
