@@ -285,7 +285,7 @@ def decomposition_report(d: Decomposition) -> dict:
         "components": [
             {
                 "arc": c.arc.to_dict(),
-                "itinerary": [[k, side] for k, side in c.itinerary],
+                "itinerary": c.itinerary,
                 "isometry": c.isometry.to_dict(),
                 "image": c.image.to_dict(),
             }

@@ -44,6 +44,7 @@ from .scene import (
     scene_to_document,
     validate_scene,
 )
+from .json_stream import write_json
 from .svg_render import render_svg
 from .tracer import DEFAULT_BOUNCE_CAP, TraceStatus, exit_ray, trace
 from .unfolding import (
@@ -69,18 +70,20 @@ class _Exit(Exception):
     already on stderr."""
 
 
-def _emit(text: str, path: str | None) -> None:
-    """Write text to path atomically, or to stdout when no path is given.
-    A path that cannot be written ends the command with exit 1."""
+def _emit(produce, path: str | None) -> None:
+    """Call ``produce(write)``, with ``write`` taking text chunks for path,
+    or for stdout when no path is given.  The file appears at path only
+    once complete; a path that cannot be written ends the command with
+    exit 1 and leaves any file already there unchanged."""
     if not path:
-        sys.stdout.write(text)
+        produce(sys.stdout.write)
         return
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".darksector-")
-        with os.fdopen(fd, "wb") as f:
-            f.write(text.encode("utf-8"))
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
+            produce(f.write)
         # mkstemp creates the file 0600; give it the mode open() would
         umask = os.umask(0)
         os.umask(umask)
@@ -95,7 +98,12 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _emit_doc(doc: dict, path: str | None) -> None:
-    _emit(json.dumps(doc, indent=2) + "\n", path)
+    """Write doc as ``json.dumps(doc, indent=2)`` would, plus a newline."""
+    _emit(lambda write: write_json(doc, write), path)
+
+
+def _emit_svg(svg: str, path: str | None) -> None:
+    _emit(lambda write: write(svg), path)
 
 
 def _read_scene(path: str) -> Scene:
@@ -119,6 +127,20 @@ def _load_valid_scene(path: str) -> Scene:
     return scene
 
 
+def _enclosing_circle(scene: Scene, margin: float) -> EnclosingCircle:
+    """The scene's enclosing circle; a margin that overflows its radius
+    ends the command with exit 2."""
+    circle = enclosing_circle(scene, margin=margin)
+    if not math.isfinite(circle.radius):
+        print(
+            f"error: --margin {margin} makes the enclosing circle's radius "
+            "overflow the float range",
+            file=sys.stderr,
+        )
+        raise _Exit(EXIT_INVALID_SCENE)
+    return circle
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     scene = _read_scene(args.scene)
     violations = validate_scene(scene)
@@ -136,15 +158,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     scene = _load_valid_scene(args.scene)
-    circle = enclosing_circle(scene, margin=args.margin)
+    circle = _enclosing_circle(scene, args.margin)
     tr = trace(scene, args.theta, cap=args.cap)
     doc = {
         "scene": scene_to_document(scene),
         "circle": {"center": list(circle.center), "radius": circle.radius},
         "theta0": args.theta,
         "status": tr.status.value,
-        "itinerary": [[k, side] for k, side in tr.itinerary],
-        "path": [[p[0], p[1]] for p in tr.path],
+        "itinerary": tr.itinerary,
+        "path": tr.path,
         "exit_point": [tr.exit_point[0], tr.exit_point[1]],
         "exit_dir": tr.exit_dir_numeric,
         "exit_dir_exact": tr.exit_dir_exact.to_dict(),
@@ -161,7 +183,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         elif tr.stop_point is not None:
             points.append(tr.stop_point)
         svg = render_svg(scene, circle, traces=[(points, 0)])
-        _emit(svg, args.svg)
+        _emit_svg(svg, args.svg)
     print(
         f"trace: {tr.status.value}, {tr.bounce_count} bounce(s), "
         f"exit direction {tr.exit_dir_numeric:.17g} rad "
@@ -172,7 +194,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _decompose_for(args: argparse.Namespace, scene: Scene):
-    circle = enclosing_circle(scene, margin=args.margin)
+    circle = _enclosing_circle(scene, args.margin)
     return decompose(scene, circle, seeds=args.samples, eps_b=args.eps_b, cap=args.cap)
 
 
@@ -222,7 +244,7 @@ def _cmd_sectors(args: argparse.Namespace) -> int:
     _emit_doc(doc, args.out)
     if args.svg:
         svg = render_svg(scene, d.circle, sectors=sectors)
-        _emit(svg, args.svg)
+        _emit_svg(svg, args.svg)
     if certified:
         print(
             f"sectors: certified {len(reports)} dark sector(s); exit-direction map "
@@ -297,7 +319,7 @@ def _report_drawing(doc: dict, circle: EnclosingCircle):
 def _cmd_render(args: argparse.Namespace) -> int:
     if args.report is None:
         scene = _load_valid_scene(args.scene)
-        _emit(render_svg(scene, enclosing_circle(scene, margin=args.margin)), args.svg)
+        _emit_svg(render_svg(scene, _enclosing_circle(scene, args.margin)), args.svg)
         return EXIT_OK
     try:
         with open(args.report, "rb") as f:
@@ -313,12 +335,12 @@ def _cmd_render(args: argparse.Namespace) -> int:
         return EXIT_PARSE_ERROR
     try:
         circle, traces, sectors = _report_drawing(
-            doc, enclosing_circle(scene, margin=args.margin)
+            doc, _enclosing_circle(scene, args.margin)
         )
     except SceneFormatError as e:
         print(f"error: malformed report: {e}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    _emit(render_svg(scene, circle, traces=traces, sectors=sectors), args.svg)
+    _emit_svg(render_svg(scene, circle, traces=traces, sectors=sectors), args.svg)
     return EXIT_OK
 
 

@@ -17,8 +17,11 @@ from .exact_angle import RationalTurn, make_rational_turn
 
 Point = tuple[float, float]
 
-# Minimum segment/segment and source/segment clearance, in scene units.
-MIN_SEPARATION = 1e-9
+# Minimum segment/segment and source/segment clearance, in scene units.  It
+# must exceed the tracer's EPS_ADVANCE (1e-9), the advance along a ray below
+# which a hit is ignored: at a clearance of EPS_ADVANCE or less, the ray
+# aimed straight at the nearest mirror would pass through it.
+MIN_SEPARATION = 1e-8
 
 # The radius around segment endpoints (or grazing angle) below which a ray's
 # hit on a mirror is singular.
@@ -66,6 +69,9 @@ class MirrorGeometry(NamedTuple):
     ny: float
     two_angle: float  # 2 * angle * pi, numerically
     two_angle_k: int  # 2 * angle * pi exactly, in units of pi / Scene.angle_unit
+    # the itinerary entries (index, side) of a hit from the left-normal side
+    # and from the other, shared by every trace
+    lips: tuple[tuple[int, int], tuple[int, int]]
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,7 @@ class Scene:
                     ny=math.cos(t),
                     two_angle=math.pi * (2 * m.angle.num) / m.angle.den,
                     two_angle_k=2 * m.angle.num * (self.angle_unit // m.angle.den),
+                    lips=((i, 1), (i, -1)),
                 )
             )
         return tuple(geos)
@@ -159,8 +166,10 @@ def validate_scene(s: Scene) -> list[Violation]:
     """Check the scene invariants; an empty list means the scene is valid.
 
     Codes: ``no-mirrors``, ``non-positive-length``, ``non-finite-endpoint``,
-    ``mirrors-intersect``, ``source-on-mirror``.  Mirrors are addressed by
-    1-based index in document order.
+    ``non-finite-extent`` (every point is finite but the width or height of
+    the scene's bounding box is not, so no enclosing circle has a finite
+    radius), ``mirrors-intersect``, ``source-on-mirror``.  Mirrors are
+    addressed by 1-based index in document order.
     """
     out: list[Violation] = []
     if not s.mirrors:
@@ -186,6 +195,16 @@ def validate_scene(s: Scene) -> list[Violation]:
                 )
             )
         segs.append((a, b))
+    if not any(v.code == "non-finite-endpoint" for v in out):
+        xmin, xmax, ymin, ymax = _bounding_box(_points(s))
+        width, height = xmax - xmin, ymax - ymin
+        if not (math.isfinite(width) and math.isfinite(height)):
+            out.append(
+                Violation(
+                    "non-finite-extent",
+                    f"the scene spans {width} by {height}, beyond the float range",
+                )
+            )
     for i in range(len(segs)):
         for j in range(i + 1, len(segs)):
             d = segment_distance(*segs[i], *segs[j])
@@ -218,17 +237,26 @@ class EnclosingCircle:
     radius: float
 
 
-def enclosing_circle(s: Scene, margin: float = DEFAULT_CIRCLE_MARGIN) -> EnclosingCircle:
-    """Circle centered on the bounding box of all endpoints and the source,
-    with radius ``margin`` times the largest center distance."""
-    pts: list[Point] = [s.source]
-    for m in s.mirrors:
-        a, b = endpoints(m)
-        pts.extend((a, b))
+def _points(s: Scene) -> list[Point]:
+    """The source and every mirror endpoint."""
+    return [s.source, *(p for m in s.mirrors for p in endpoints(m))]
+
+
+def _bounding_box(pts: list[Point]) -> tuple[float, float, float, float]:
+    """(xmin, xmax, ymin, ymax) of the points."""
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
-    cx = 0.5 * (min(xs) + max(xs))
-    cy = 0.5 * (min(ys) + max(ys))
+    return min(xs), max(xs), min(ys), max(ys)
+
+
+def enclosing_circle(s: Scene, margin: float = DEFAULT_CIRCLE_MARGIN) -> EnclosingCircle:
+    """Circle centered on the bounding box of all endpoints and the source,
+    with radius ``margin`` times the largest center distance.  The radius
+    is infinite when the scene's extent or the margin overflows it."""
+    pts = _points(s)
+    xmin, xmax, ymin, ymax = _bounding_box(pts)
+    cx = 0.5 * (xmin + xmax)
+    cy = 0.5 * (ymin + ymax)
     d = max(math.hypot(p[0] - cx, p[1] - cy) for p in pts)
     return EnclosingCircle((cx, cy), margin * d if d > 0 else margin)
 

@@ -16,7 +16,8 @@ from enum import Enum
 from .exact_angle import GroupElement, wrap_angle
 from .scene import EPS_SINGULAR, EnclosingCircle, MirrorGeometry, Point, Scene
 
-# Minimum advance along the ray before a hit counts.  EPS_SINGULAR, the
+# Minimum advance along the ray before a hit counts; scene.MIN_SEPARATION,
+# the clearance validation demands, stays above it.  EPS_SINGULAR, the
 # radius around segment endpoints (or grazing angle) below which a hit is
 # singular, lives with the per-mirror geometry that precomputes it.
 EPS_ADVANCE = 1e-9
@@ -65,7 +66,7 @@ def _nearest_hit(
     best_t = math.inf
     best = None
     for row in geos:
-        index, ax, ay, ex, ey, slack, _, _, _, _, _ = row
+        index, ax, ay, ex, ey, slack, _, _, _, _, _, _ = row
         if index == exclude:
             continue
         denom = dx * ey - dy * ex
@@ -153,7 +154,7 @@ def trace(scene: Scene, theta0: float, cap: int = DEFAULT_BOUNCE_CAP) -> TraceRe
             status = TraceStatus.ESCAPED
             break
         t, u, row, denom = hit
-        index, _, _, _, _, _, length, nx, ny, two_angle, two_angle_k = row
+        index, _, _, _, _, _, length, nx, ny, two_angle, two_angle_k, lips = row
         point = (ox + t * dx, oy + t * dy)
         if _singular_reason(u, length, denom) is not None:
             status, stop_point = TraceStatus.SINGULAR, point
@@ -161,7 +162,7 @@ def trace(scene: Scene, theta0: float, cap: int = DEFAULT_BOUNCE_CAP) -> TraceRe
         if len(itinerary) == cap:
             status = TraceStatus.BOUNCE_CAP_EXCEEDED
             break
-        itinerary.append((index, 1 if (dx * nx + dy * ny) < 0.0 else -1))
+        itinerary.append(lips[0] if (dx * nx + dy * ny) < 0.0 else lips[1])
         path.append(point)
         theta = wrap_angle(two_angle - theta)
         k = two_angle_k - k

@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -121,6 +122,40 @@ class TestValidateCommand:
         assert main([argv[0], "--scene", path, *argv[1:], *out]) == 2
         if argv[0] != "validate":
             assert "[non-finite-endpoint] mirror 1" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate"],
+            ["trace", "--theta", "0.1"],
+            ["map", "--samples", "8"],
+            ["sectors", "--samples", "8"],
+            ["unfold"],
+            ["render"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_overflowing_extent_exits_two(self, tmp_path, argv, capsys):
+        # every point is finite, but the scene is wider than the float range
+        wide = Scene(
+            mirrors=(
+                Mirror((-1.5e308, 0.0), 1.0, make_rational_turn(0, 1)),
+                Mirror((1.5e308, 0.0), 1.0, make_rational_turn(0, 1)),
+            ),
+            source=(0.0, 1.0),
+        )
+        path = write_scene(tmp_path, wide)
+        out = tmp_path / "out"
+        option = "--svg" if argv[0] == "render" else "--out"
+        assert main([argv[0], "--scene", path, *argv[1:], option, str(out)]) == 2
+        if argv[0] == "validate":
+            doc = json.loads(out.read_text())
+            assert [v["code"] for v in doc["violations"]] == ["non-finite-extent"]
+            assert "Infinity" not in out.read_text()
+        else:
+            assert "[non-finite-extent] the scene spans inf by " in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestTraceCommand:
@@ -373,6 +408,29 @@ class TestParamBounds:
             main([*argv, "--scene", toy_path])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "--theta", "0.1"],
+            ["map", "--samples", "8"],
+            ["sectors", "--samples", "8"],
+            ["render"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize("margin", ["1.5e308", "inf"])
+    def test_margin_overflowing_the_circle_exits_two(
+        self, toy_path, tmp_path, argv, margin, capsys
+    ):
+        # the toy scene's largest center distance is ~1.77, so 1.5e308 overflows
+        out = tmp_path / "out"
+        option = "--svg" if argv[0] == "render" else "--out"
+        argv = [*argv, "--scene", toy_path, "--margin", margin, option, str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"error: --margin {float(margin)} makes the enclosing circle's radius" in err
+        assert not out.exists()
+
 
 class TestOptionTable:
     # the options each command's handler reads; every other pair exits 2
@@ -447,6 +505,51 @@ class TestWrittenFiles:
         finally:
             os.umask(previous)
         assert stat.S_IMODE(out.stat().st_mode) == mode
+
+    def test_failing_stream_leaves_the_target_unchanged(self, tmp_path, monkeypatch, capsys):
+        path = write_scene(tmp_path, make_parallel_scene())
+        out = tmp_path / "map.json"
+        out.write_bytes(b"the previous report\n")
+        real_fdopen = os.fdopen
+        writes = []
+
+        class FullDisk:
+            """A file whose third write finds the disk full."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, text):
+                writes.append(len(text))
+                if len(writes) == 3:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.f.write(text)
+
+        monkeypatch.setattr(os, "fdopen", lambda *a, **kw: FullDisk(real_fdopen(*a, **kw)))
+        # a ~440 kB report, streamed in chunks of about 64 kB
+        argv = ["map", "--scene", path, "--samples", "64", "--eps-b", "1e-4", "--cap", "60",
+                "--out", str(out)]
+        assert main(argv) == 1
+        assert len(writes) == 3
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}" in err
+        assert "internal error" not in err
+        assert out.read_bytes() == b"the previous report\n"
+        assert not list(tmp_path.glob(".darksector-*"))
+
+    @pytest.mark.parametrize("command", ["map", "unfold"])
+    def test_stdout_carries_the_bytes_of_out(self, toy_path, tmp_path, capsys, command):
+        out = tmp_path / "report.json"
+        assert main([command, "--scene", toy_path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main([command, "--scene", toy_path]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
     @pytest.mark.parametrize("option", ["--out", "--svg"])
     @pytest.mark.parametrize("target", ["missing-dir", "directory"])

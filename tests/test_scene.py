@@ -23,6 +23,7 @@ from darksector.scene import (
     validate_scene,
 )
 from darksector.scenegen import random_scene
+from darksector.tracer import EPS_ADVANCE, TraceStatus, trace
 
 
 class TestEndpoints:
@@ -88,6 +89,19 @@ class TestValidate:
         assert [(v.code, v.mirrors) for v in violations] == [("non-finite-endpoint", (1,))]
         assert "inf" in violations[0].detail
 
+    def test_overflowing_extent(self):
+        # every point is finite, but the width is 3e308
+        s = Scene(
+            mirrors=(
+                Mirror((-1.5e308, 0.0), 1.0, HORIZONTAL),
+                Mirror((1.5e308, 0.0), 1.0, HORIZONTAL),
+            ),
+            source=(0.0, 1.0),
+        )
+        violations = validate_scene(s)
+        assert [(v.code, v.mirrors) for v in violations] == [("non-finite-extent", ())]
+        assert math.isinf(enclosing_circle(s).radius)
+
     def test_generator_output_always_valid(self):
         rng = random.Random(99)
         for _ in range(50):
@@ -123,6 +137,16 @@ class TestValidationEdges:
         source = (x + frac * length, side * MIN_SEPARATION)
         assert point_segment_distance(source, *endpoints(m)) >= MIN_SEPARATION
         assert_valid_and_accounted(Scene(mirrors=(m,), source=source))
+
+    def test_ray_from_minimum_clearance_bounces(self):
+        # a hit nearer than the tracer's EPS_ADVANCE would be skipped
+        assert MIN_SEPARATION > EPS_ADVANCE
+        m = Mirror((-1.0, 0.0), 2.0, HORIZONTAL)
+        scene = Scene(mirrors=(m,), source=(0.0, MIN_SEPARATION))
+        assert validate_scene(scene) == []
+        tr = trace(scene, 3 * math.pi / 2)
+        assert (tr.status, tr.itinerary) == (TraceStatus.ESCAPED, ((1, 1),))
+        assert tr.exit_dir_numeric == pytest.approx(math.pi / 2)
 
     @settings(max_examples=25, deadline=None)
     @given(

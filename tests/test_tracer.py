@@ -153,6 +153,24 @@ class TestTraceMatchesFirstHit:
             assert outcome(tr) == trace_by_first_hit(parallel_scene, theta0, 150)
 
 
+class TestSharedItineraryEntries:
+    def test_entries_are_the_mirrors_lips(self):
+        # each entry is the very tuple of its mirror's geometry, so a trace
+        # allocates nothing per bounce for its itinerary
+        rng = random.Random(5)
+        channel = [(make_parallel_scene(), math.pi / 2 + rng.uniform(-0.01, 0.01))
+                   for _ in range(10)]
+        scattered = [(random_scene(rng), rng.uniform(0.0, TWO_PI)) for _ in range(200)]
+        entries = 0
+        for scene, theta0 in channel + scattered:
+            tr = trace(scene, theta0, 200)
+            entries += len(tr.itinerary)
+            for entry in tr.itinerary:
+                lips = scene.geometry[entry[0] - 1].lips
+                assert entry is lips[0 if entry[1] == 1 else 1]
+        assert entries > 1000
+
+
 class TestExitRay:
     def test_after_one_bounce(self, single_mirror_scene, single_mirror_circle):
         tr = trace(single_mirror_scene, 3 * math.pi / 2, cap=10)
