@@ -11,6 +11,7 @@ no exit ray attains).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arcs import (
     Arc,
@@ -21,7 +22,7 @@ from .arcs import (
 )
 from .exact_angle import TWO_PI, GroupElement, apply, inverse, wrap_angle
 from .scene import EnclosingCircle, Scene, scene_to_document
-from .tracer import DEFAULT_BOUNCE_CAP, TraceResult, TraceStatus, trace
+from .tracer import DEFAULT_BOUNCE_CAP, TraceStatus, trace
 
 DEFAULT_SEEDS = 4096
 DEFAULT_EPS_B = 1e-10
@@ -58,27 +59,23 @@ class Decomposition:
     escape_measure: float
 
 
-@dataclass(frozen=True)
-class _Sample:
-    theta: float  # may exceed 2*pi during circular refinement
-    key: tuple
+class _Sample(NamedTuple):
+    theta: float  # may exceed 2*pi during circular refinement; trace wraps it
+    key: tuple  # (TraceStatus,) or (TraceStatus, itinerary)
     isometry: GroupElement | None
 
 
-def _trace_key(tr: TraceResult) -> tuple:
+def _sample(scene: Scene, theta: float, cap: int) -> "_Sample":
+    tr = trace(scene, theta, cap)
+    status = tr.status
     # Trapped traces are keyed by status alone: their cap-length itineraries
     # are pairwise distinct at any resolution, so refining between two
     # trapped samples can never terminate in a component and would cost
     # cap-bounce traces all the way down to eps_b.
-    if tr.status is TraceStatus.BOUNCE_CAP_EXCEEDED:
-        return (tr.status.value,)
-    return (tr.status.value, tr.itinerary)
-
-
-def _sample(scene: Scene, theta: float, cap: int) -> "_Sample":
-    tr = trace(scene, wrap_angle(theta), cap)
-    iso = tr.exit_dir_exact if tr.status is TraceStatus.ESCAPED else None
-    return _Sample(theta, _trace_key(tr), iso)
+    if status is TraceStatus.BOUNCE_CAP_EXCEEDED:
+        return _Sample(theta, (status,), None)
+    iso = tr.exit_dir_exact if status is TraceStatus.ESCAPED else None
+    return _Sample(theta, (status, tr.itinerary), iso)
 
 
 def _image_of(arc: Arc, g: GroupElement) -> Arc:
@@ -150,7 +147,7 @@ def decompose(
 
     def emit_run(run: list[_Sample], arc: Arc) -> None:
         status = run[0].key[0]
-        if status == TraceStatus.ESCAPED.value:
+        if status is TraceStatus.ESCAPED:
             # the run shares one itinerary, and trace derives the exact
             # isometry from the itinerary alone
             iso = run[0].isometry
@@ -162,7 +159,7 @@ def decompose(
                     image=_image_of(arc, iso),
                 )
             )
-        elif status == TraceStatus.BOUNCE_CAP_EXCEEDED.value:
+        elif status is TraceStatus.BOUNCE_CAP_EXCEEDED:
             trapped.append(arc)
         # singular runs only contribute their boundaries
 

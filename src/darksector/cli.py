@@ -8,6 +8,7 @@ sector certified (sectors command only).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -26,6 +27,7 @@ from .dark_sector import (
     DarkSector,
     build_sector,
     exit_probes,
+    sample_reach,
     sector_report,
     shrink_below_pi,
     verify_darkness,
@@ -193,13 +195,32 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _decompose_for(args: argparse.Namespace, scene: Scene):
-    circle = _enclosing_circle(scene, args.margin)
+def _decompose_for(args: argparse.Namespace, scene: Scene, circle: EnclosingCircle):
     return decompose(scene, circle, seeds=args.samples, eps_b=args.eps_b, cap=args.cap)
 
 
+def _sector_circle(scene: Scene, args: argparse.Namespace) -> EnclosingCircle:
+    """The scene's enclosing circle; a circle so large that the darkness
+    samples of its sectors could leave the float range ends the command
+    with exit 2."""
+    circle = _enclosing_circle(scene, args.margin)
+    radii = sample_reach(args.eps_b)
+    # the samples' coordinates, and their offsets from the center, stay finite
+    if not math.isfinite(2.0 * (max(map(abs, circle.center)) + radii * circle.radius)):
+        print(
+            f"error: scene too large for sectors: with --eps-b {args.eps_b:g} "
+            f"the darkness samples lie up to {radii:.3g} radii (radius "
+            f"{circle.radius:.3g}) from the enclosing circle's center, beyond "
+            "the float range",
+            file=sys.stderr,
+        )
+        raise _Exit(EXIT_INVALID_SCENE)
+    return circle
+
+
 def _cmd_map(args: argparse.Namespace) -> int:
-    d = _decompose_for(args, _load_valid_scene(args.scene))
+    scene = _load_valid_scene(args.scene)
+    d = _decompose_for(args, scene, _enclosing_circle(scene, args.margin))
     _emit_doc(decomposition_report(d), args.out)
     print(
         f"map: {len(d.components)} component(s), escape measure "
@@ -211,7 +232,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 def _cmd_sectors(args: argparse.Namespace) -> int:
     scene = _load_valid_scene(args.scene)
-    d = _decompose_for(args, scene)
+    d = _decompose_for(args, scene, _sector_circle(scene, args))
     injective, witness = is_injective(d)
     unlit = unlit_arcs(d)
     probes = exit_probes(d) if unlit else []
@@ -410,6 +431,7 @@ _COMMANDS = (
 )
 
 
+@functools.cache  # one parser per process, built on first use rather than at import
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="darksector",

@@ -26,6 +26,13 @@ MAX_SECTOR_MEASURE = math.pi - 1e-6
 # A ray meets a sector only along a stretch of its parameter longer than this.
 ENTRY_MARGIN = 1e-9
 
+# Check (i) decides a point without the arc algebra when its direction arc
+# clears both ends of the dark arc by more than this.
+INSIDE_MARGIN = 1e-9
+
+# Check (i) samples radii from the apex log-uniformly over [1, 10**SAMPLE_DECADES]*R.
+SAMPLE_DECADES = 6
+
 
 @dataclass(frozen=True)
 class DarkSector:
@@ -74,19 +81,47 @@ def build_sector(arc: Arc, circle: EnclosingCircle) -> DarkSector:
     return DarkSector(apex=apex, dir_lo=lo, dir_hi=hi, tangent_points=(t1, t2))
 
 
+def _direction_span(p: Point, circle: EnclosingCircle) -> tuple[float, float]:
+    """(psi, half): the direction from the circle's center to p, and
+    asin(R/d) with d the distance between them."""
+    dx, dy = p[0] - circle.center[0], p[1] - circle.center[1]
+    d = math.hypot(dx, dy)
+    if d <= circle.radius:
+        raise ValueError("point must lie strictly outside the circle")
+    return math.atan2(dy, dx), math.asin(circle.radius / d)
+
+
+def sample_reach(eps_b: float) -> float:
+    """How far from the enclosing circle's center, in radii R, check (i) of
+    ``verify_darkness`` can sample a point, for a sector cut from an arc of
+    ``unlit_arcs`` with boundary tolerance ``eps_b``.
+
+    Such an arc spans more than 2*eps_b, so its sector's apex lies within
+    R / sin(eps_b) of the center, and the samples within
+    10**SAMPLE_DECADES * R of the apex.
+    """
+    return 1.0 / math.sin(eps_b) + 10.0**SAMPLE_DECADES
+
+
 def direction_arc(p: Point, circle: EnclosingCircle) -> Arc:
     """Directions of all rays that leave the circle and pass through p.
 
     Requires p strictly outside the circle; the arc is centered on the
     direction from the circle's center to p with half-width asin(R/d).
     """
-    dx, dy = p[0] - circle.center[0], p[1] - circle.center[1]
-    d = math.hypot(dx, dy)
-    if d <= circle.radius:
-        raise ValueError("point must lie strictly outside the circle")
-    psi = math.atan2(dy, dx)
-    half = math.asin(circle.radius / d)
+    psi, half = _direction_span(p, circle)
     return Arc(psi - half, psi + half)
+
+
+def _clearly_inside(dark: Arc, psi: float, half: float) -> bool:
+    """Whether the arc (psi - half, psi + half) lies inside ``dark`` with
+    more than ``INSIDE_MARGIN`` to spare at both ends.
+
+    Plain float arithmetic, sound only thanks to that margin: False means
+    "not decided here", and the caller asks ``arc_contains_arc``.
+    """
+    offset = (psi - half - dark.start) % TWO_PI
+    return INSIDE_MARGIN < offset and offset + 2.0 * half < dark.measure - INSIDE_MARGIN
 
 
 def ray_enters_sector(origin: Point, theta: float, s: DarkSector) -> bool:
@@ -181,10 +216,13 @@ def verify_darkness(
     the radius of ``d.circle``) the directions of rays leaving that circle
     and reaching them stay inside the dark arc; (ii) the dark
     arc is disjoint from every image arc; (iii) exit rays traced at component
-    extremes and midpoints never enter the sector.  Check (iii) reads
-    ``probes``, the ``exit_probes(d)`` traced once per decomposition and
-    shared by every sector verified against it.  A failure flags an upstream
-    resolution problem, not a broken construction.
+    extremes and midpoints never enter the sector.  Check (i) passes a
+    point on plain float arithmetic when its direction arc clears both ends
+    of the dark arc by more than ``INSIDE_MARGIN``; ``arc_contains_arc``
+    decides every other point.  Check (iii) reads ``probes``, the
+    ``exit_probes(d)`` traced once per decomposition and shared by every
+    sector verified against it.  A failure flags an upstream resolution
+    problem, not a broken construction.
     """
     circle = d.circle
     dark = Arc(s.dir_lo, s.dir_hi)
@@ -194,8 +232,10 @@ def verify_darkness(
     bad_points: list[Point] = []
     for _ in range(n):
         theta = s.dir_lo + rng.random() * measure
-        r = circle.radius * 10.0 ** (6.0 * rng.random())
+        r = circle.radius * 10.0 ** (SAMPLE_DECADES * rng.random())
         p = (s.apex[0] + r * math.cos(theta), s.apex[1] + r * math.sin(theta))
+        if _clearly_inside(dark, *_direction_span(p, circle)):
+            continue
         if not arc_contains_arc(dark, direction_arc(p, circle), tol=1e-12):
             bad_points.append(p)
 

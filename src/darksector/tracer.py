@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .exact_angle import GroupElement, wrap_angle
 from .scene import EPS_SINGULAR, EnclosingCircle, MirrorGeometry, Point, Scene
@@ -121,8 +122,7 @@ def first_hit(
     return Hit(row.index, side, point, t)
 
 
-@dataclass(frozen=True)
-class TraceResult:
+class TraceResult(NamedTuple):
     status: TraceStatus
     itinerary: tuple[tuple[int, int], ...]  # (mirror_index, side) per bounce
     path: tuple[Point, ...]  # source followed by each reflection point
@@ -171,14 +171,14 @@ def trace(scene: Scene, theta0: float, cap: int = DEFAULT_BOUNCE_CAP) -> TraceRe
     n = len(itinerary)
     unit = scene.angle_unit
     return TraceResult(
-        status=status,
-        itinerary=tuple(itinerary),
-        path=tuple(path),
-        exit_point=pos,
-        exit_dir_numeric=theta,
-        exit_dir_exact=GroupElement(-1 if n % 2 else 1, k % (2 * unit), unit),
-        bounce_count=n,
-        stop_point=stop_point,
+        status,
+        tuple(itinerary),
+        tuple(path),
+        pos,
+        theta,
+        GroupElement(-1 if n % 2 else 1, k % (2 * unit), unit),
+        n,
+        stop_point,
     )
 
 

@@ -16,12 +16,14 @@ from conftest import (
     make_six_mirror_trap_scene,
     make_toy_scene,
 )
+import darksector.cli as cli
 import darksector.dark_sector as dark_sector
 from darksector.cli import main
 from darksector.scene import Mirror, Scene, enclosing_circle, save_scene
 from darksector.exact_angle import make_rational_turn
 from darksector.svg_render import render_svg
 
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 def write_scene(tmp_path, scene, name="scene.json"):
     path = tmp_path / name
@@ -313,6 +315,68 @@ class TestSectorsCommand:
         components = len(doc["decomposition"]["components"])
         assert len(calls) == (3 * components if unlit else 0)
 
+    @pytest.mark.parametrize(
+        "scene_path,options,points",
+        [
+            (None, ["--samples", "128", "--cap", "30", "--eps-b", "1e-4"], 11_000),
+            (SCENES / "single_mirror.json", ["--seed", "1"], 1000),
+            (SCENES / "two_perpendicular.json", ["--seed", "1"], 3000),
+        ],
+        ids=["six_mirror_trap", "single_mirror", "two_perpendicular"],
+    )
+    def test_check_i_decides_points_without_the_arc_algebra(
+        self, tmp_path, monkeypatch, scene_path, options, points
+    ):
+        # check (i) hands a sampled point to the exact arc test only within
+        # INSIDE_MARGIN of the dark arc's ends, which none of these meets
+        fallbacks = []
+        original = dark_sector.arc_contains_arc
+
+        def counting_arc_contains_arc(*args, **kwargs):
+            fallbacks.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(dark_sector, "arc_contains_arc", counting_arc_contains_arc)
+        if scene_path is None:
+            scene_path = write_scene(tmp_path, make_six_mirror_trap_scene())
+        out = tmp_path / "sectors.json"
+        assert main(["sectors", "--scene", str(scene_path), *options, "--out", str(out)]) == 0
+        sectors = json.loads(out.read_text())["sectors"]
+        assert sum(s["verification"]["sample_count"] for s in sectors) == points
+        assert all(s["verification"]["direction_inclusion_ok"] for s in sectors)
+        assert fallbacks == []
+
+    @pytest.mark.parametrize(
+        "far_x,code",
+        [(1e298, 0), (1e299, 2), (0.8e308, 2)],
+        ids=["inside_the_reach", "just_beyond", "near_float_max"],
+    )
+    def test_scene_whose_samples_overflow_exits_two(self, tmp_path, capsys, far_x, code):
+        # a second mirror far out makes the enclosing circle huge; check (i)
+        # samples up to 1/sin(eps_b) + 1e6 radii from its center, which at
+        # the default eps_b leaves the float range beyond far_x ~ 9e297
+        scene = Scene(
+            mirrors=(
+                Mirror((-1.0, 0.0), 2.0, make_rational_turn(0, 1)),
+                Mirror((far_x, 0.0), 1.0, make_rational_turn(0, 1)),
+            ),
+            source=(0.0, 1.0),
+        )
+        out = tmp_path / "sectors.json"
+        argv = ["sectors", "--scene", write_scene(tmp_path, scene), "--samples", "64",
+                "--out", str(out)]
+        assert main(argv) == code
+        if code == 2:
+            assert "error: scene too large for sectors" in capsys.readouterr().err
+            assert not out.exists()
+            return
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        assert doc["certified"] is True
+
 
 class TestUnfoldCommand:
     def test_toy_census_doc(self, toy_path, tmp_path):
@@ -473,6 +537,24 @@ class TestOptionTable:
             main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_one_parser_serves_every_call(self, toy_path, tmp_path, capsys):
+        # the parser is built once per process; rejected arguments and other
+        # commands in between leave the next call's parse unchanged
+        first, last = tmp_path / "first.json", tmp_path / "last.json"
+        sectors = ["sectors", "--scene", toy_path, "--samples", "64", "--cap", "20",
+                   "--darkness-samples", "50", "--seed", "3"]
+        assert main([*sectors, "--out", str(first)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["unfold", "--scene", toy_path, "--seed", "5"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["render", "--scene", toy_path, "--report", str(first)])
+        assert exc.value.code == 2
+        assert main(["unfold", "--scene", toy_path, "--out", str(tmp_path / "u.json")]) == 0
+        assert main([*sectors, "--out", str(last)]) == 0
+        assert last.read_bytes() == first.read_bytes()
+        assert cli._build_parser.cache_info().misses == 1
 
     def test_render_without_svg_writes_to_stdout(self, toy_path, capsys):
         assert main(["render", "--scene", toy_path]) == 0

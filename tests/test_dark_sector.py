@@ -2,11 +2,17 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import angles_close
-from darksector.arcs import Arc
+from darksector.arcs import Arc, arc_contains_arc
 from darksector.circle_map import decompose, unlit_arcs
 from darksector.dark_sector import (
+    INSIDE_MARGIN,
+    MAX_SECTOR_MEASURE,
+    _clearly_inside,
+    _direction_span,
     build_sector,
     direction_arc,
     exit_probes,
@@ -177,6 +183,58 @@ class TestDirectionArc:
         lo_gap = min((d - arc.start) % TWO_PI for d in seen)
         hi_gap = min((arc.end - d) % TWO_PI for d in seen)
         assert lo_gap <= 1e-2 and hi_gap <= 1e-2
+
+
+class TestInsidePrefilter:
+    """Check (i) skips the exact arc test only for points whose direction
+    arc clears the dark arc by more than INSIDE_MARGIN at both ends."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        # dark arcs anywhere, often wrapping through 0
+        lo=st.one_of(st.floats(0.0, TWO_PI, exclude_max=True),
+                     st.floats(TWO_PI - 0.5, TWO_PI, exclude_max=True)),
+        width=st.one_of(st.floats(2e-10, MAX_SECTOR_MEASURE),
+                        st.floats(MAX_SECTOR_MEASURE - 1e-6, MAX_SECTOR_MEASURE)),
+        center=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+        radius=st.floats(1e-3, 1e3),
+        where=st.sampled_from(["sector", "lo_edge", "hi_edge", "near_lo_edge",
+                               "near_hi_edge", "near_circle"]),
+        u=st.floats(0.0, 1.0),
+        v=st.floats(0.0, 1.0),
+    )
+    def test_inside_means_inside_with_the_margin_to_spare(
+        self, lo, width, center, radius, where, u, v
+    ):
+        circle = EnclosingCircle(center, radius)
+        s = build_sector(Arc(lo, lo + width), circle)
+        dark = Arc(s.dir_lo, s.dir_hi)  # as verify_darkness forms it
+        # a point drawn like verify_darkness's samples, on an edge ray, a
+        # hair inside an edge, or just outside the circle
+        r = radius * 10.0 ** (6.0 * v)
+        theta = {
+            "sector": s.dir_lo + u * dark.measure,
+            "lo_edge": s.dir_lo,
+            "hi_edge": s.dir_hi,
+            "near_lo_edge": s.dir_lo + 10.0 ** (-13.0 + 5.0 * u),
+            "near_hi_edge": s.dir_hi - 10.0 ** (-13.0 + 5.0 * u),
+        }.get(where)
+        if theta is None:
+            phi, rho = TWO_PI * u, radius * (1.0 + 10.0 ** (-12.0 + 9.0 * v))
+            p = (center[0] + rho * math.cos(phi), center[1] + rho * math.sin(phi))
+        else:
+            p = (s.apex[0] + r * math.cos(theta), s.apex[1] + r * math.sin(theta))
+        try:
+            psi, half = _direction_span(p, circle)
+        except ValueError:  # rounding put the point on or inside the circle
+            assume(False)
+        if not _clearly_inside(dark, psi, half):
+            return
+        # the exact test, which decides every other point, agrees ...
+        assert arc_contains_arc(dark, direction_arc(p, circle), tol=1e-12)
+        # ... and would still agree with the direction arc widened
+        slack = 0.5 * INSIDE_MARGIN
+        assert arc_contains_arc(dark, Arc(psi - half - slack, psi + half + slack))
 
 
 class TestVerifyDarkness:
