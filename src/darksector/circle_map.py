@@ -128,9 +128,12 @@ def decompose(
     ]
     while pending:
         a, b = pending.pop()
-        if b.theta - a.theta <= eps_b:
+        theta = 0.5 * (a.theta + b.theta)
+        # between adjacent floats the midpoint rounds to one of them, and
+        # sampling it would push the same pair back forever
+        if b.theta - a.theta <= eps_b or theta == a.theta or theta == b.theta:
             continue
-        mid = _sample(scene, 0.5 * (a.theta + b.theta), cap)
+        mid = _sample(scene, theta, cap)
         extras.append(mid)
         if mid.key != a.key:
             pending.append((a, mid))

@@ -3,18 +3,19 @@
 ``write_json(doc, write)`` passes ``write`` the text of
 ``json.dumps(doc, indent=2) + "\\n"`` in chunks, so a report of tens of
 megabytes is never held whole in memory.  With an indent, CPython's ``json``
-runs its pure-Python encoder, one generator step per value; this writer
+runs its pure-Python encoder, one generator step per value.  This writer
 formats with the same primitives (``encode_basestring_ascii``,
-``float.__repr__``, ``int.__repr__``) but joins each container of scalars,
-and each list of such containers, in one call.  The ``[k, side]`` pairs of
-the itineraries are formatted once per depth and reused.  ``json.dumps``
-stays the oracle that tests/test_json_stream.py compares the bytes with.
+``float.__repr__``, ``int.__repr__``) but builds the whole text of each list
+item, such as one census row or one component, in one call: the dicts along
+the way to the lists are written key by key, the items of a list one text
+each.  Per depth it keeps the indent and separator strings, the text of each
+key with its indent, and the text of each ``[k, side]`` itinerary pair.
+``json.dumps`` stays the oracle that tests/test_json_stream.py compares the
+bytes with.
 """
 
 from __future__ import annotations
 
-import math
-from collections import defaultdict
 from json.encoder import encode_basestring_ascii
 
 # Pending characters at which the writer hands its chunks to ``write``.
@@ -22,13 +23,9 @@ _FLUSH_AT = 1 << 16
 
 
 def _float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == math.inf:
-        return "Infinity"
-    if x == -math.inf:
-        return "-Infinity"
-    return float.__repr__(x)
+    if x - x == 0.0:  # finite
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
 _SCALARS = {
@@ -40,13 +37,11 @@ _SCALARS = {
 }
 
 
-def _scalar(o) -> str | None:
-    """The text of a scalar, or None for a list, tuple or dict.  Raises
-    TypeError for a value json.dumps cannot encode either."""
-    text = _SCALARS.get(type(o))
-    if text is not None:
-        return text(o)
-    # subclasses, tested in json's order (bool cannot be subclassed)
+def _subclass_text(o) -> str | None:
+    """The text of an instance of a subclass of str, int or float, None for
+    a list, tuple or dict.  Raises TypeError for a value json.dumps cannot
+    encode either."""
+    # tested in json's order (bool cannot be subclassed)
     if isinstance(o, str):
         return encode_basestring_ascii(o)
     if isinstance(o, int):
@@ -58,33 +53,32 @@ def _scalar(o) -> str | None:
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _scalars(values) -> list[str] | None:
-    """The texts of the values if all are scalars, else None."""
-    texts = []
-    for v in values:
-        text = _scalar(v)
-        if text is None:
-            return None
-        texts.append(text)
-    return texts
+class _Level(dict):
+    """The strings of a container at one depth: ``inner`` opens an item,
+    ``sep`` separates two, ``close`` precedes the closing bracket.  The dict
+    itself maps each key to ``inner`` plus its text and ``": "``; ``pairs``
+    maps a pair of ints to its text as an item of the container."""
+
+    def __init__(self, depth: int):
+        super().__init__()
+        self.inner = "\n" + "  " * (depth + 1)
+        self.sep = "," + self.inner
+        self.close = "\n" + "  " * depth
+        self.pairs: dict = {}
+
+    def __missing__(self, k) -> str:
+        # json.dumps would also turn number, bool and None keys into strings;
+        # every report key is a str
+        if not isinstance(k, str):
+            raise TypeError(f"keys must be str, not {type(k).__name__}")
+        text = self[k] = self.inner + encode_basestring_ascii(k) + ": "
+        return text
 
 
-def _key(k) -> str:
-    # json.dumps would also turn number, bool and None keys into strings;
-    # every report key is a str
-    if not isinstance(k, str):
-        raise TypeError(f"keys must be str, not {type(k).__name__}")
-    return encode_basestring_ascii(k)
-
-
-def _block(opening: str, texts: list[str], closing: str, depth: int) -> str:
-    """A non-empty container at ``depth`` from the texts of its items."""
-    inner = "\n" + "  " * (depth + 1)
-    return opening + inner + ("," + inner).join(texts) + "\n" + "  " * depth + closing
-
-
-def _is_int_pair(o) -> bool:
-    return len(o) == 2 and type(o[0]) is int and type(o[1]) is int
+class _Levels(dict):
+    def __missing__(self, depth: int) -> _Level:
+        level = self[depth] = _Level(depth)
+        return level
 
 
 class _Writer:
@@ -92,8 +86,7 @@ class _Writer:
         self.write = write
         self.parts: list[str] = []
         self.pending = 0
-        # depth -> (k, side) -> the text of that pair of ints at that depth
-        self.pairs: defaultdict[int, dict] = defaultdict(dict)
+        self.levels = _Levels()
 
     def add(self, text: str) -> None:
         self.parts.append(text)
@@ -103,76 +96,64 @@ class _Writer:
             self.parts.clear()
             self.pending = 0
 
-    def pair(self, o, depth: int) -> str:
-        cache = self.pairs[depth]
-        key = (o[0], o[1])
-        text = cache.get(key)
-        if text is None:
-            text = cache[key] = _block("[", [repr(o[0]), repr(o[1])], "]", depth)
-        return text
-
-    def flat(self, o, depth: int) -> str | None:
-        """The text of a scalar or of a container whose items are all
-        scalars, or None for a container that holds a container."""
+    def text(self, o, depth: int) -> str:
+        """The whole text of o at ``depth``."""
+        scalars = _SCALARS
         kind = type(o)
-        if kind is not list and kind is not tuple and kind is not dict:
-            text = _scalar(o)
+        if kind is not dict and kind is not list and kind is not tuple:
+            scalar = scalars.get(kind)
+            if scalar is not None:
+                return scalar(o)
+            text = _subclass_text(o)
             if text is not None:
                 return text
         if not o:
             return "{}" if isinstance(o, dict) else "[]"
+        level = self.levels[depth]
+        items = []
+        append = items.append
         if isinstance(o, dict):
-            texts = _scalars(o.values())
-            if texts is None:
-                return None
-            return _block("{", [_key(k) + ": " + t for k, t in zip(o, texts)], "}", depth)
-        if _is_int_pair(o):
-            return self.pair(o, depth)
-        texts = _scalars(o)
-        return None if texts is None else _block("[", texts, "]", depth)
-
-    def flat_items(self, o, depth: int) -> list[str] | None:
-        """The texts of the items when every item is flat, else None."""
-        cache = self.pairs[depth]
-        texts = []
+            for k, v in o.items():
+                scalar = scalars.get(type(v))
+                append(level[k] + (scalar(v) if scalar is not None else self.text(v, depth + 1)))
+            return "{" + ",".join(items) + level.close + "}"
+        pairs = level.pairs
         for v in o:
-            # an itinerary entry, a tuple of two ints: formatted once per depth
-            if type(v) is tuple and _is_int_pair(v):
-                text = cache.get(v) or self.pair(v, depth)
-            else:
-                text = self.flat(v, depth)
+            scalar = scalars.get(type(v))
+            if scalar is not None:
+                append(scalar(v))
+            # an itinerary entry: formatted once per depth.  The type tests
+            # keep (1.0, 1) and (True, 1), equal to (1, 1), out of the cache.
+            elif type(v) is tuple and len(v) == 2 and type(v[0]) is int and type(v[1]) is int:
+                text = pairs.get(v)
                 if text is None:
-                    return None
-            texts.append(text)
-        return texts
+                    text = pairs[v] = self.text(v, depth + 1)
+                append(text)
+            else:
+                append(self.text(v, depth + 1))
+        return "[" + level.inner + level.sep.join(items) + level.close + "]"
 
     def value(self, o, depth: int) -> None:
-        """Write o: one text when it is flat or a list of flat items, else
-        item by item."""
-        text = self.flat(o, depth)
-        if text is None and not isinstance(o, dict):
-            texts = self.flat_items(o, depth + 1)
-            if texts is not None:
-                text = _block("[", texts, "]", depth)
-        if text is not None:
-            self.add(text)
+        """Write o: a dict key by key, a list item by item, each item in
+        one ``text`` call, anything else in one text."""
+        if not o or not isinstance(o, (list, tuple, dict)):
+            self.add(self.text(o, depth))
             return
-        inner = "\n" + "  " * (depth + 1)
-        sep = inner
+        level = self.levels[depth]
         if isinstance(o, dict):
             self.add("{")
+            comma = ""
             for k, v in o.items():
-                self.add(sep + _key(k) + ": ")
+                self.add(comma + level[k])
                 self.value(v, depth + 1)
-                sep = "," + inner
-            self.add("\n" + "  " * depth + "}")
-        else:
-            self.add("[")
-            for v in o:
-                self.add(sep)
-                self.value(v, depth + 1)
-                sep = "," + inner
-            self.add("\n" + "  " * depth + "]")
+                comma = ","
+            self.add(level.close + "}")
+            return
+        sep = "[" + level.inner
+        for v in o:
+            self.add(sep + self.text(v, depth + 1))
+            sep = level.sep
+        self.add(level.close + "]")
 
 
 def write_json(doc, write) -> None:

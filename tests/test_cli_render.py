@@ -31,6 +31,18 @@ def write_scene(tmp_path, scene, name="scene.json"):
     return str(path)
 
 
+def run_darksector(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """``python -m darksector *args`` in a fresh process, killed after
+    ``timeout`` seconds."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run(
+        [sys.executable, "-m", "darksector", *args],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
 @pytest.fixture
 def toy_path(tmp_path):
     return write_scene(tmp_path, make_toy_scene())
@@ -198,6 +210,27 @@ class TestMapCommand:
         assert len(doc["components"]) == 2
         assert doc["params"]["seeds"] == 256
         assert doc["escape_measure"] == pytest.approx(2 * math.pi, abs=1e-6)
+
+    def test_eps_b_below_the_float_spacing_ends(self, tmp_path):
+        # near 2*pi adjacent floats are 8.9e-16 apart, so bisection down to
+        # 1e-17 meets pairs with no float between them; a fresh process with
+        # a timeout turns a run that never ends into a failure
+        docs = {}
+        for eps_b in ("1e-17", "1e-15"):
+            out = tmp_path / f"map{eps_b}.json"
+            proc = run_darksector(
+                "map", "--scene", str(SCENES / "single_mirror.json"), "--samples", "64",
+                "--cap", "20", "--eps-b", eps_b, "--out", str(out), timeout=30,
+            )
+            assert proc.returncode == 0, proc.stderr
+            docs[eps_b] = json.loads(out.read_text())
+        fine, coarse = docs["1e-17"]["components"], docs["1e-15"]["components"]
+        assert [(c["itinerary"], c["isometry"]) for c in fine] == [
+            (c["itinerary"], c["isometry"]) for c in coarse
+        ]
+        for a, b in zip(fine, coarse):
+            assert a["arc"]["start"] == pytest.approx(b["arc"]["start"], abs=1e-15)
+            assert a["arc"]["end"] == pytest.approx(b["arc"]["end"], abs=1e-15)
 
 
 class TestSectorsCommand:
@@ -563,13 +596,7 @@ class TestOptionTable:
 
     @pytest.mark.parametrize("command", sorted(TABLE))
     def test_help_lists_exactly_the_command_options(self, command):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        proc = subprocess.run(
-            [sys.executable, "-m", "darksector", command, "--help"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        proc = run_darksector(command, "--help")
         assert proc.returncode == 0, proc.stderr
         listed = set(re.findall(r"--[a-z][a-z-]*", proc.stdout)) - {"--help"}
         assert listed == self.TABLE[command]

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import darksector.cli as cli
-from darksector.json_stream import write_json
-from darksector.scene import save_scene
+from darksector.exact_angle import make_rational_turn
+from darksector.json_stream import _FLUSH_AT, write_json
+from darksector.scene import Mirror, Scene, save_scene
 from test_golden import COMMANDS, GOLDEN, MIXED, SCENES, TRAPPED, make_mixed_denominator_scene
 
 
@@ -39,12 +40,27 @@ pairs = st.one_of(
     st.lists(st.integers(-2, 40), min_size=2, max_size=2),
     st.tuples(st.sampled_from([1, 1.0, True]), st.sampled_from([1, -1, True, -1.0])),
 )
+# report rows: the same few keys recur at several depths, so one key's text
+# is looked up at different indents; the rows hold pairs that equal (1, 1)
+ROW_KEYS = ["slit", "sheets", "order", "arc", "s"]
+row_values = st.one_of(
+    scalars, pairs, st.lists(pairs, max_size=4), st.sampled_from([(1.0, 1), (True, 1), [1, 1], (1, 1)])
+)
+records = st.recursive(
+    st.lists(st.dictionaries(st.sampled_from(ROW_KEYS), row_values, max_size=5), max_size=4),
+    lambda rows: st.lists(
+        st.dictionaries(st.sampled_from(ROW_KEYS), st.one_of(row_values, rows), max_size=5),
+        max_size=4,
+    ),
+    max_leaves=20,
+)
 documents = st.recursive(
-    st.one_of(scalars, pairs, st.lists(pairs)),
+    st.one_of(scalars, pairs, st.lists(pairs), records),
     lambda inner: st.one_of(
         st.lists(inner, max_size=5),
         st.tuples(inner, inner),
         st.dictionaries(st.text(max_size=4), inner, max_size=5),
+        st.dictionaries(st.sampled_from(ROW_KEYS), inner, max_size=5),
     ),
     max_leaves=30,
 )
@@ -58,17 +74,24 @@ def test_generated_documents(doc):
 
 def test_equal_pairs_of_other_types_are_not_confused():
     # (1, 1) == (1.0, 1) == (True, 1), but each is written differently
-    doc = {"a": [(1, 1), (1.0, 1), (True, 1), [1, True], (1, 1)], "b": [[(1, 1)]]}
+    mixed = [(1, 1), (1.0, 1), (True, 1), [1, True], (1, 1)]
+    # a list the writer streams item by item, and one inside such an item
+    doc = {"a": mixed, "b": [[(1, 1)]], "c": [{"itinerary": mixed}]}
     assert streamed(doc) == oracle(doc)
 
 
 def test_large_document_is_written_in_several_chunks():
-    doc = {"components": [{"itinerary": [(k % 7, 1 - 2 * (k % 2)) for k in range(400)],
-                           "arc": {"start": k / 3, "end": k / 2}} for k in range(200)]}
+    components = [{"itinerary": [(k % 7, 1 - 2 * (k % 2)) for k in range(400)],
+                   "arc": {"start": k / 3, "end": k / 2}} for k in range(200)]
+    doc = {"components": components}
     chunks = []
     write_json(doc, chunks.append)
     assert len(chunks) > 1
     assert "".join(chunks) == oracle(doc)
+    # a chunk passes the flush threshold by at most one list item: its text
+    # at depth 2 (each line indented 4 more spaces) and its separator
+    longest = max(len(json.dumps(c, indent=2).replace("\n", "\n    ")) for c in components)
+    assert all(len(chunk) <= _FLUSH_AT + longest + len(",\n    ") for chunk in chunks[:-1])
 
 
 @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", 1j])
@@ -98,7 +121,8 @@ def recorded_docs(monkeypatch):
 
 
 def _golden_runs(tmp_path):
-    """(name, argv) for every case of tests/test_golden.py."""
+    """(name, argv) for every case of tests/test_golden.py, and one large
+    ``unfold``."""
     for scene, command in sorted(GOLDEN):
         args, _ = COMMANDS[command]
         yield f"{scene}-{command}", [*args, "--scene", str(SCENES / f"{scene}.json")]
@@ -110,6 +134,21 @@ def _golden_runs(tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_bytes(save_scene(make_scene()))
         yield f"trapped-{name}", ["sectors", "--seed", "0", "--scene", str(path), *options]
+    # mirrors at angles 0 and pi/840: 1,680 sheets, row lists of thousands of
+    # rows over many flushes
+    large = tmp_path / "order1680.json"
+    large.write_bytes(save_scene(make_order_1680_scene()))
+    yield "unfold-order1680", ["unfold", "--scene", str(large)]
+
+
+def make_order_1680_scene() -> Scene:
+    return Scene(
+        mirrors=(
+            Mirror(anchor=(-1.0, 0.0), length=2.0, angle=make_rational_turn(0, 1)),
+            Mirror(anchor=(-1.0, 1.0), length=2.0, angle=make_rational_turn(1, 840)),
+        ),
+        source=(0.0, 0.5),
+    )
 
 
 def test_every_golden_report_matches_the_oracle(tmp_path, recorded_docs):
@@ -119,5 +158,5 @@ def test_every_golden_report_matches_the_oracle(tmp_path, recorded_docs):
         cli.main([*argv, "--out", str(out)])
         assert out.read_text(encoding="ascii") == oracle(recorded_docs[-1]), name
         names.append(name)
-    assert len(names) == len(GOLDEN) + len(MIXED) + len(TRAPPED)
+    assert len(names) == len(GOLDEN) + len(MIXED) + len(TRAPPED) + 1
     assert len(recorded_docs) == len(names)
