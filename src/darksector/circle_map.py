@@ -116,16 +116,8 @@ def decompose(
     samples = [_sample(scene, i * spacing, cap) for i in range(seeds)]
 
     # Circular adjacency: close the ring with a shifted copy of seed 0.
-    first = samples[0]
-    sentinel = _Sample(first.theta + TWO_PI, first.key, first.isometry)
-    ring = samples + [sentinel]
-
-    extras: list[_Sample] = []
-    pending = [
-        (ring[i], ring[i + 1])
-        for i in range(seeds)
-        if ring[i].key != ring[i + 1].key
-    ]
+    ring = samples + [samples[0]._replace(theta=samples[0].theta + TWO_PI)]
+    pending = [(a, b) for a, b in zip(ring, ring[1:]) if a.key != b.key]
     while pending:
         a, b = pending.pop()
         theta = 0.5 * (a.theta + b.theta)
@@ -134,62 +126,38 @@ def decompose(
         if b.theta - a.theta <= eps_b or theta == a.theta or theta == b.theta:
             continue
         mid = _sample(scene, theta, cap)
-        extras.append(mid)
+        samples.append(mid)
         if mid.key != a.key:
             pending.append((a, mid))
         if mid.key != b.key:
             pending.append((mid, b))
+    samples.sort(key=lambda s: s.theta)
 
-    ordered = sorted(samples + extras, key=lambda s: s.theta)
-    n = len(ordered)
-    cuts = [i for i in range(n) if ordered[i].key != ordered[i - 1].key]
-
-    components: list[MapComponent] = []
-    trapped: list[Arc] = []
-    boundaries: list[float] = []
-
-    def emit_run(run: list[_Sample], arc: Arc) -> None:
-        status = run[0].key[0]
-        if status is TraceStatus.ESCAPED:
-            # the run shares one itinerary, and trace derives the exact
-            # isometry from the itinerary alone
-            iso = run[0].isometry
-            components.append(
-                MapComponent(
-                    arc=arc,
-                    itinerary=run[0].key[1],
-                    isometry=iso,
-                    image=_image_of(arc, iso),
-                )
-            )
-        elif status is TraceStatus.BOUNCE_CAP_EXCEEDED:
-            trapped.append(arc)
-        # singular runs only contribute their boundaries
-
-    if not cuts:
-        emit_run(ordered, Arc(0.0, 0.0))
-    else:
-        for j, start_idx in enumerate(cuts):
-            prev = ordered[start_idx - 1]
-            cur = ordered[start_idx]
-            gap = (cur.theta - prev.theta) % TWO_PI
-            boundaries.append(wrap_angle(prev.theta + 0.5 * gap))
-        for j, start_idx in enumerate(cuts):
-            end_idx = cuts[(j + 1) % len(cuts)]
-            if end_idx > start_idx:
-                run = ordered[start_idx:end_idx]
-            else:
-                run = ordered[start_idx:] + ordered[:end_idx]
-            arc = Arc(boundaries[j], boundaries[(j + 1) % len(cuts)])
-            emit_run(run, arc)
-
-    components.sort(key=lambda c: c.arc.start)
+    # Each neighbouring pair with different keys, (samples[-1], samples[0])
+    # included, starts a run at the midpoint of the pair; the run's first
+    # sample stands for all of it.  One key all round is one full-circle run.
+    starts = [
+        (b, wrap_angle(a.theta + 0.5 * ((b.theta - a.theta) % TWO_PI)))
+        for a, b in zip(samples[-1:] + samples, samples)
+        if a.key != b.key
+    ]
+    runs = [
+        (s, Arc(lo, hi)) for (s, lo), (_, hi) in zip(starts, starts[1:] + starts[:1])
+    ] or [(samples[0], Arc(0.0, 0.0))]
+    # trace derives the exact isometry from the itinerary alone, so the first
+    # sample's isometry is the run's; singular runs only give their boundaries
+    components = sorted(
+        (MapComponent(arc, s.key[1], s.isometry, _image_of(arc, s.isometry))
+         for s, arc in runs if s.key[0] is TraceStatus.ESCAPED),
+        key=lambda c: c.arc.start,
+    )
+    trapped = [arc for s, arc in runs if s.key[0] is TraceStatus.BOUNCE_CAP_EXCEEDED]
     return Decomposition(
         scene=scene,
         circle=circle,
         params=DecompositionParams(seeds=seeds, eps_b=eps_b, cap=cap),
         components=tuple(components),
-        singular_directions=tuple(sorted(boundaries)),
+        singular_directions=tuple(sorted(lo for _, lo in starts)),
         trapped_arcs=tuple(sorted(trapped, key=lambda a: a.start)),
         escape_measure=sum(c.arc.measure for c in components),
     )
@@ -208,10 +176,7 @@ def is_injective(d: Decomposition) -> tuple[bool, tuple[float, float] | None]:
     for i, j in _overlapping_pairs([c.image for c in comps]):
         if arc_intersection_measure(comps[i].image, comps[j].image) <= MIN_OVERLAP:
             continue
-        overlap = _widest_overlap(comps[i].image, comps[j].image)
-        if overlap is None:
-            continue
-        lo, hi = overlap
+        lo, hi = _widest_overlap(comps[i].image, comps[j].image)
         for frac in (0.5, 0.25, 0.75):
             phi = wrap_angle(lo + frac * (hi - lo))
             t1 = apply(inverse(comps[i].isometry), phi)
@@ -233,9 +198,9 @@ def _overlapping_pairs(arcs: list[Arc]) -> list[tuple[int, int]]:
     active: list[tuple[float, int]] = []  # (end, index) of the pieces still open
     for lo, hi, i in pieces:
         active = [(end, j) for end, j in active if end > lo]
+        # the pieces of one arc are disjoint, so j != i
         for _, j in active:
-            if j != i:
-                pairs.add((j, i) if j < i else (i, j))
+            pairs.add((j, i) if j < i else (i, j))
         active.append((hi, i))
     return sorted(pairs)
 
@@ -272,10 +237,7 @@ def decomposition_report(d: Decomposition) -> dict:
     """JSON-ready report: arcs, itineraries, exact isometries, parameters."""
     return {
         "scene": scene_to_document(d.scene),
-        "circle": {
-            "center": [d.circle.center[0], d.circle.center[1]],
-            "radius": d.circle.radius,
-        },
+        "circle": {"center": d.circle.center, "radius": d.circle.radius},
         "params": {
             "seeds": d.params.seeds,
             "eps_b": d.params.eps_b,
@@ -292,5 +254,5 @@ def decomposition_report(d: Decomposition) -> dict:
             for c in d.components
         ],
         "trapped_arcs": [a.to_dict() for a in d.trapped_arcs],
-        "singular_directions": list(d.singular_directions),
+        "singular_directions": d.singular_directions,
     }

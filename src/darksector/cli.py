@@ -48,7 +48,7 @@ from .scene import (
 )
 from .json_stream import write_json
 from .svg_render import render_svg
-from .tracer import DEFAULT_BOUNCE_CAP, TraceStatus, exit_ray, trace
+from .tracer import DEFAULT_BOUNCE_CAP, TraceResult, TraceStatus, exit_ray, trace
 from .unfolding import (
     CensusError,
     build_surface,
@@ -143,6 +143,27 @@ def _enclosing_circle(scene: Scene, margin: float) -> EnclosingCircle:
     return circle
 
 
+def _drawable(circle: EnclosingCircle) -> EnclosingCircle:
+    """circle, if the SVG viewport around it, 6 radii wide, stays inside the
+    float range; otherwise the command ends with exit 2."""
+    if not math.isfinite(2.0 * (max(map(abs, circle.center)) + 3.0 * circle.radius)):
+        print(f"error: the SVG viewport, 6 radii wide around the enclosing circle "
+              f"(radius {circle.radius:.3g}), leaves the float range", file=sys.stderr)
+        raise _Exit(EXIT_INVALID_SCENE)
+    return circle
+
+
+def _trace_points(tr: TraceResult, circle: EnclosingCircle) -> list:
+    """The polyline that draws a trace: its path, then the point where an
+    escaped ray crosses ``circle`` or where a singular ray stopped."""
+    points = list(tr.path)
+    if tr.status is TraceStatus.ESCAPED:
+        points.append(exit_ray(tr, circle)[0])
+    elif tr.stop_point is not None:
+        points.append(tr.stop_point)
+    return points
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     scene = _read_scene(args.scene)
     violations = validate_scene(scene)
@@ -150,7 +171,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         "scene": scene_to_document(scene),
         "valid": not violations,
         "violations": [
-            {"code": v.code, "detail": v.detail, "mirrors": list(v.mirrors)}
+            {"code": v.code, "detail": v.detail, "mirrors": v.mirrors}
             for v in violations
         ],
     }
@@ -161,30 +182,27 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     scene = _load_valid_scene(args.scene)
     circle = _enclosing_circle(scene, args.margin)
+    if args.svg:
+        _drawable(circle)
     tr = trace(scene, args.theta, cap=args.cap)
     doc = {
         "scene": scene_to_document(scene),
-        "circle": {"center": list(circle.center), "radius": circle.radius},
+        "circle": {"center": circle.center, "radius": circle.radius},
         "theta0": args.theta,
         "status": tr.status.value,
         "itinerary": tr.itinerary,
         "path": tr.path,
-        "exit_point": [tr.exit_point[0], tr.exit_point[1]],
+        "exit_point": tr.exit_point,
         "exit_dir": tr.exit_dir_numeric,
         "exit_dir_exact": tr.exit_dir_exact.to_dict(),
         "bounce_count": tr.bounce_count,
         "params": {"bounce_cap": args.cap},
     }
     if tr.stop_point is not None:
-        doc["stop_point"] = [tr.stop_point[0], tr.stop_point[1]]
+        doc["stop_point"] = tr.stop_point
     _emit_doc(doc, args.out)
     if args.svg:
-        points = list(tr.path)
-        if tr.status is TraceStatus.ESCAPED:
-            points.append(exit_ray(tr, circle)[0])
-        elif tr.stop_point is not None:
-            points.append(tr.stop_point)
-        svg = render_svg(scene, circle, traces=[(points, 0)])
+        svg = render_svg(scene, circle, traces=[(_trace_points(tr, circle), 0)])
         _emit_svg(svg, args.svg)
     print(
         f"trace: {tr.status.value}, {tr.bounce_count} bounce(s), "
@@ -193,10 +211,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     return EXIT_OK
-
-
-def _decompose_for(args: argparse.Namespace, scene: Scene, circle: EnclosingCircle):
-    return decompose(scene, circle, seeds=args.samples, eps_b=args.eps_b, cap=args.cap)
 
 
 def _sector_circle(scene: Scene, args: argparse.Namespace) -> EnclosingCircle:
@@ -220,7 +234,8 @@ def _sector_circle(scene: Scene, args: argparse.Namespace) -> EnclosingCircle:
 
 def _cmd_map(args: argparse.Namespace) -> int:
     scene = _load_valid_scene(args.scene)
-    d = _decompose_for(args, scene, _enclosing_circle(scene, args.margin))
+    circle = _enclosing_circle(scene, args.margin)
+    d = decompose(scene, circle, seeds=args.samples, eps_b=args.eps_b, cap=args.cap)
     _emit_doc(decomposition_report(d), args.out)
     print(
         f"map: {len(d.components)} component(s), escape measure "
@@ -232,7 +247,8 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 def _cmd_sectors(args: argparse.Namespace) -> int:
     scene = _load_valid_scene(args.scene)
-    d = _decompose_for(args, scene, _sector_circle(scene, args))
+    circle = _sector_circle(scene, args)
+    d = decompose(scene, circle, seeds=args.samples, eps_b=args.eps_b, cap=args.cap)
     injective, witness = is_injective(d)
     unlit = unlit_arcs(d)
     probes = exit_probes(d) if unlit else []
@@ -253,7 +269,7 @@ def _cmd_sectors(args: argparse.Namespace) -> int:
         "decomposition": decomposition_report(d),
         "seed": args.seed,
         "injective": injective,
-        "witness": list(witness) if witness is not None else None,
+        "witness": witness,
         "unlit_arcs": [a.to_dict() for a in unlit],
         "sectors": reports,
         # the widest unlit arc, the first one on a tie
@@ -333,14 +349,35 @@ def _report_drawing(doc: dict, circle: EnclosingCircle):
         )
         for i, rep in enumerate(sectors_doc)
     ]
-    traces = [(_points(doc["path"], "path"), 0)] if "path" in doc else []
+    traces = [(_report_trace(doc, circle), 0)] if "path" in doc else []
     return circle, traces, sectors
+
+
+def _report_trace(doc: dict, circle: EnclosingCircle) -> list:
+    """The polyline of a saved trace report, as ``trace --svg`` drew it from
+    the same fields, which round-trip exactly."""
+    path = tuple(_points(doc["path"], "path"))
+    try:
+        status = TraceStatus(doc.get("status"))
+    except ValueError:
+        raise SceneFormatError("expected a trace status", "status") from None
+    stop = doc.get("stop_point")
+    tr = TraceResult(  # the itinerary and the exact direction are not drawn
+        status, (), path, _point(doc.get("exit_point"), "exit_point"),
+        _number(doc.get("exit_dir"), "exit_dir"), None, len(path) - 1,
+        None if stop is None else _point(stop, "stop_point"),
+    )
+    try:
+        return _trace_points(tr, circle)
+    except ValueError as e:  # an exit point outside the report's circle
+        raise SceneFormatError(str(e), "exit_point") from None
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
     if args.report is None:
         scene = _load_valid_scene(args.scene)
-        _emit_svg(render_svg(scene, _enclosing_circle(scene, args.margin)), args.svg)
+        circle = _drawable(_enclosing_circle(scene, args.margin))
+        _emit_svg(render_svg(scene, circle), args.svg)
         return EXIT_OK
     try:
         with open(args.report, "rb") as f:
@@ -361,6 +398,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     except SceneFormatError as e:
         print(f"error: malformed report: {e}", file=sys.stderr)
         return EXIT_PARSE_ERROR
+    _drawable(circle)
     _emit_svg(render_svg(scene, circle, traces=traces, sectors=sectors), args.svg)
     return EXIT_OK
 

@@ -172,7 +172,7 @@ class DarknessReport:
             "direction_inclusion_ok": self.direction_inclusion_ok,
             "image_disjoint_ok": self.image_disjoint_ok,
             "exit_rays_ok": self.exit_rays_ok,
-            "bad_points": [[p[0], p[1]] for p in self.bad_points[:10]],
+            "bad_points": self.bad_points[:10],
             "overlapping_images": self.overlapping_images,
             "offending_rays": self.offending_rays[:10],
         }
@@ -265,13 +265,10 @@ def sector_report(s: DarkSector, source_arc: Arc, verification: DarknessReport) 
     return {
         "arc": Arc(s.dir_lo, s.dir_hi).to_dict(),
         "source_arc": source_arc.to_dict(),
-        "apex": [s.apex[0], s.apex[1]],
+        "apex": s.apex,
         "dir_lo": s.dir_lo,
         "dir_hi": s.dir_hi,
         "interior_angle": s.interior_angle,
-        "tangent_points": [
-            [s.tangent_points[0][0], s.tangent_points[0][1]],
-            [s.tangent_points[1][0], s.tangent_points[1][1]],
-        ],
+        "tangent_points": s.tangent_points,
         "verification": verification.to_dict(),
     }

@@ -345,13 +345,13 @@ def scene_to_document(s: Scene) -> dict:
     return {
         "mirrors": [
             {
-                "anchor": [m.anchor[0], m.anchor[1]],
+                "anchor": m.anchor,
                 "length": m.length,
                 "angle": {"num": m.angle.num, "den": m.angle.den},
             }
             for m in s.mirrors
         ],
-        "source": [s.source[0], s.source[1]],
+        "source": s.source,
     }
 
 

@@ -177,12 +177,12 @@ def census_report(
         "sheet_count": s.sheet_count,
         "slit_count": s.slit_count,
         "sheets": [g.to_dict() for g in s.sheets],
-        "gluings": [list(perm) for perm in s.gluings],
+        "gluings": s.gluings,
         "cycles": [
             {
                 "slit": cy.slit,
                 "endpoint": cy.endpoint,
-                "sheets": list(cy.sheet_cycle),
+                "sheets": cy.sheet_cycle,
                 "length": cy.length,
                 "cone_angle": cy.cone_angle,
             }

@@ -38,6 +38,22 @@ def make_parallel_scene() -> Scene:
     )
 
 
+def make_box_scene(gap: float = 1e-3) -> Scene:
+    """Four mirrors around the square [-1, 1]^2, their corners ``gap`` apart
+    along each side, with the source inside."""
+    side = 2.0 - 2.0 * gap
+    flat, upright = make_rational_turn(0, 1), make_rational_turn(1, 2)
+    return Scene(
+        mirrors=(
+            Mirror(anchor=(-1.0 + gap, -1.0), length=side, angle=flat),
+            Mirror(anchor=(-1.0 + gap, 1.0), length=side, angle=flat),
+            Mirror(anchor=(-1.0, -1.0 + gap), length=side, angle=upright),
+            Mirror(anchor=(1.0, -1.0 + gap), length=side, angle=upright),
+        ),
+        source=(0.1, 0.2),
+    )
+
+
 def make_six_mirror_trap_scene() -> Scene:
     """The second draw of ``random_scene(Random(7), n_mirrors=6)``: two
     parallel mirror pairs with trapped bands between them."""

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import angles_close, in_arc, make_toy_scene
+from conftest import angles_close, in_arc, make_box_scene, make_toy_scene
 from darksector.arcs import Arc, angle_distance, arc_intersection_measure
 from darksector.circle_map import (
     Decomposition,
@@ -255,6 +255,16 @@ class TestRefinement:
         d_more = decompose(parallel_scene, circle, seeds=256, eps_b=1e-5, cap=400)
         trapped_more = sum(a.measure for a in d_more.trapped_arcs)
         assert trapped_more <= trapped_measure + 1e-9
+
+    def test_every_direction_trapped_is_one_full_circle_arc(self):
+        # at cap 1 every seed ray meets a second wall of the box: one key all
+        # round the circle, so one trapped run with no boundaries
+        scene = make_box_scene()
+        d = decompose(scene, enclosing_circle(scene), seeds=8, eps_b=1e-10, cap=1)
+        assert d.trapped_arcs == (Arc(0.0, 0.0),)
+        assert d.components == ()
+        assert d.singular_directions == ()
+        assert d.escape_measure == 0
 
     def test_trapped_measure_scales_inversely_with_cap(self, parallel_scene):
         # directions down a parallel channel escape after ~1/angle bounces,

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (
+    make_box_scene,
     make_parallel_scene,
     make_single_mirror_scene,
     make_six_mirror_trap_scene,
@@ -210,6 +211,17 @@ class TestMapCommand:
         assert len(doc["components"]) == 2
         assert doc["params"]["seeds"] == 256
         assert doc["escape_measure"] == pytest.approx(2 * math.pi, abs=1e-6)
+
+    def test_every_direction_trapped(self, tmp_path):
+        out = tmp_path / "map.json"
+        argv = ["map", "--scene", write_scene(tmp_path, make_box_scene()),
+                "--samples", "8", "--cap", "1", "--out", str(out)]
+        assert main(argv) == 0
+        doc = json.loads(out.read_text())
+        assert doc["trapped_arcs"] == [{"start": 0.0, "end": 0.0, "measure": 2 * math.pi}]
+        assert doc["components"] == []
+        assert doc["singular_directions"] == []
+        assert doc["escape_measure"] == 0
 
     def test_eps_b_below_the_float_spacing_ends(self, tmp_path):
         # near 2*pi adjacent floats are 8.9e-16 apart, so bisection down to
@@ -446,15 +458,42 @@ class TestRenderCommand:
 
 
     @pytest.mark.parametrize(
+        "scene,theta,status",
+        [
+            (make_single_mirror_scene(), 4.2, "escaped"),
+            (make_single_mirror_scene(), 7 * math.pi / 4, "singular"),
+            (make_parallel_scene(), math.pi / 2, "bounce_cap_exceeded"),
+        ],
+        ids=["escaped", "singular", "cap-exceeded"],
+    )
+    def test_saved_trace_renders_as_trace_svg(self, tmp_path, scene, theta, status):
+        # the last leg, to the circle or to where the ray stopped, is drawn
+        # from the report's exit point, exit direction and circle
+        report, traced, rendered = (tmp_path / n for n in ("t.json", "t.svg", "r.svg"))
+        argv = ["trace", "--scene", write_scene(tmp_path, scene), "--theta", repr(theta),
+                "--cap", "5", "--out", str(report), "--svg", str(traced)]
+        assert main(argv) == 0
+        assert json.loads(report.read_text())["status"] == status
+        assert main(["render", "--report", str(report), "--svg", str(rendered)]) == 0
+        assert rendered.read_bytes() == traced.read_bytes()
+
+    @pytest.mark.parametrize(
         "damage,field",
         [
             (lambda doc: doc["circle"].pop("radius"), "circle.radius: missing field"),
+            (lambda doc: doc.update(status="lost"), "status: expected a trace status"),
+            (lambda doc: doc.pop("exit_dir"), "exit_dir: expected a number"),
+            (lambda doc: doc.update(exit_point=[0.0]), "exit_point: expected a [x, y] pair"),
+            (lambda doc: doc["circle"].update(radius=0.25),
+             "exit_point: trace exit point is not inside the circle"),
             (lambda doc: doc["circle"].update(center=[1.0]), "circle.center: expected a [x, y]"),
             (lambda doc: doc["path"].append([0.5]), "path[2]: expected a [x, y] pair"),
             (lambda doc: doc.update(sectors=[{"apex": [0, 0]}]), "sectors[0].dir_lo: missing"),
             (lambda doc: doc.update(sectors={}), "sectors: expected a list"),
         ],
-        ids=["no-radius", "short-center", "short-path-point", "no-dir-lo", "sectors-not-a-list"],
+        ids=["no-radius", "bad-status", "no-exit-dir", "short-exit-point",
+             "exit-point-outside-the-circle", "short-center", "short-path-point", "no-dir-lo",
+             "sectors-not-a-list"],
     )
     def test_malformed_report_exits_three(self, single_path, tmp_path, capsys, damage, field):
         report = tmp_path / "trace.json"
@@ -466,6 +505,33 @@ class TestRenderCommand:
         capsys.readouterr()
         assert main(["render", "--report", str(report), "--svg", str(tmp_path / "x.svg")]) == 3
         assert f"error: malformed report: {field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["trace", "render-scene", "render-report"])
+    def test_viewport_beyond_the_float_range_exits_two(self, tmp_path, capsys, command):
+        # the enclosing circle (radius ~6e307) is finite and the scene
+        # valid, but the viewport, 6 radii wide, is not
+        scene = Scene(
+            mirrors=(
+                Mirror((-1.0, 0.0), 2.0, make_rational_turn(0, 1)),
+                Mirror((1e308, 0.0), 1.0, make_rational_turn(1, 2)),
+            ),
+            source=(0.0, 1.0),
+        )
+        path = write_scene(tmp_path, scene)
+        assert main(["validate", "--scene", path]) == 0
+        trace = ["trace", "--scene", path, "--theta", "0.3", "--out", str(tmp_path / "t.json")]
+        if command == "render-report":
+            assert main(trace) == 0
+        argv = {
+            "trace": trace,
+            "render-scene": ["render", "--scene", path],
+            "render-report": ["render", "--report", str(tmp_path / "t.json")],
+        }[command]
+        written = set(tmp_path.iterdir())
+        capsys.readouterr()
+        assert main([*argv, "--svg", str(tmp_path / "out.svg")]) == 2
+        assert "error: the SVG viewport, 6 radii wide" in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == written
 
     def test_non_utf8_report_exits_three(self, tmp_path, capsys):
         report = tmp_path / "report.json"
