@@ -38,20 +38,12 @@ from .scene import (
     validate_scene,
 )
 from .tracer import TraceResult, TraceStatus, exit_ray, trace
-from .unfolding import (
-    CensusError,
-    build_surface,
-    census,
-    cone_cycles,
-    euler_check,
-    total_dark_angle,
-)
+from .unfolding import build_surface, census_report, cone_cycles, total_dark_angle
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Arc",
-    "CensusError",
     "DarkSector",
     "Decomposition",
     "EnclosingCircle",
@@ -66,13 +58,12 @@ __all__ = [
     "apply",
     "build_sector",
     "build_surface",
-    "census",
+    "census_report",
     "cone_cycles",
     "decompose",
     "decomposition_report",
     "enclosing_circle",
     "endpoints",
-    "euler_check",
     "exit_probes",
     "exit_ray",
     "inverse",

@@ -49,14 +49,7 @@ from .scene import (
 from .json_stream import write_json
 from .svg_render import render_svg
 from .tracer import DEFAULT_BOUNCE_CAP, TraceResult, TraceStatus, exit_ray, trace
-from .unfolding import (
-    CensusError,
-    build_surface,
-    census,
-    census_report,
-    cone_cycles,
-    euler_check,
-)
+from .unfolding import build_surface, census_report, cone_cycles
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -297,16 +290,14 @@ def _cmd_unfold(args: argparse.Namespace) -> int:
     scene = _load_valid_scene(args.scene)
     try:
         surface = build_surface(scene, group_cap=args.group_cap)
-        cycles = cone_cycles(surface)
-        c = census(surface, cycles)
-        chi = euler_check(surface, cycles)
-    except (GroupOrderError, CensusError) as e:
+    except GroupOrderError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INTERNAL
-    _emit_doc(census_report(surface, cycles, c, chi), args.out)
+    doc = census_report(surface, cone_cycles(surface))
+    _emit_doc(doc, args.out)
     print(
-        f"unfold: {c.sheet_count} sheet(s), {len(c.zeros)} zero(s), "
-        f"{len(c.poles)} pole(s), genus {c.genus}, chi {chi}",
+        f"unfold: {doc['sheet_count']} sheet(s), {len(doc['zeros'])} zero(s), "
+        f"{len(doc['poles'])} pole(s), genus {doc['genus']}, chi {doc['euler_characteristic']}",
         file=sys.stderr,
     )
     return EXIT_OK

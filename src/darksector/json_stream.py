@@ -8,8 +8,9 @@ formats with the same primitives (``encode_basestring_ascii``,
 ``float.__repr__``, ``int.__repr__``) but builds the whole text of each list
 item, such as one census row or one component, in one call: the dicts along
 the way to the lists are written key by key, the items of a list one text
-each.  Per depth it keeps the indent and separator strings, the text of each
-key with its indent, and the text of each ``[k, side]`` itinerary pair.
+each, reused while the same object repeats.  Per depth it keeps the indent
+and separator strings, the text of each key with its indent, and the text
+of each ``[k, side]`` itinerary pair.
 ``json.dumps`` stays the oracle that tests/test_json_stream.py compares the
 bytes with.
 """
@@ -20,6 +21,8 @@ from json.encoder import encode_basestring_ascii
 
 # Pending characters at which the writer hands its chunks to ``write``.
 _FLUSH_AT = 1 << 16
+# no list item is this object
+_NOTHING = object()
 
 
 def _float(x: float) -> str:
@@ -150,8 +153,13 @@ class _Writer:
             self.add(level.close + "}")
             return
         sep = "[" + level.inner
+        # an item that is the object before it, such as the census's shared
+        # zero rows, has that item's text: a text depends on object and depth
+        prev = text = _NOTHING
         for v in o:
-            self.add(sep + self.text(v, depth + 1))
+            if v is not prev:
+                prev, text = v, self.text(v, depth + 1)
+            self.add(sep + text)
             sep = level.sep
         self.add(level.close + "]")
 

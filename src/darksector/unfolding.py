@@ -4,8 +4,10 @@ Reflections are replaced by transitions between sheets indexed by the
 reflection group: one slitted plane per group element, glued pairwise along
 each mirror slit by left-multiplication with that mirror's reflection.  The
 census counts the cone points (zeros), the planar infinities (double poles,
-one per sheet) and the genus; the Euler characteristic is counted over the
-induced cell structure.
+one per sheet) and the genus, all in closed form: every gluing is a
+fixed-point-free involution, so each slit endpoint is surrounded by cycles
+of two sheets, each a zero of order 1.  With n slits and 2N sheets the
+degree is 2Nn - 4N and the genus 1 + N(n - 2).
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import dataclass
 from .exact_angle import DEFAULT_GROUP_CAP, GroupElement, reflection_group
 from .scene import Scene
 
-
-class CensusError(RuntimeError):
-    """The zero/pole bookkeeping is internally inconsistent."""
+ENDPOINTS = ("first", "second")
+# a sweep around a slit endpoint crosses two full sheets
+CONE_ANGLE = 4.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -39,46 +41,6 @@ class UnfoldedSurface:
     @property
     def slit_count(self) -> int:
         return len(self.gluings)
-
-
-@dataclass(frozen=True)
-class ConeCycle:
-    """The sheets swept in order around one slit endpoint; each sweep of a
-    full plane contributes 2*pi of cone angle."""
-
-    slit: int  # 1-based mirror index
-    endpoint: str  # "first" or "second"
-    sheet_cycle: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.sheet_cycle)
-
-    @property
-    def cone_angle(self) -> float:
-        return 2.0 * math.pi * self.length
-
-
-@dataclass(frozen=True)
-class Zero:
-    cycle: ConeCycle
-    order: int
-
-
-@dataclass(frozen=True)
-class Pole:
-    sheet_index: int
-    order: int = 2
-    residue: int = 0
-
-
-@dataclass(frozen=True)
-class SurfaceCensus:
-    sheet_count: int
-    zeros: tuple[Zero, ...]
-    poles: tuple[Pole, ...]
-    degree: int
-    genus: int
 
 
 def build_surface(scene: Scene, group_cap: int = DEFAULT_GROUP_CAP) -> UnfoldedSurface:
@@ -107,96 +69,52 @@ def build_surface(scene: Scene, group_cap: int = DEFAULT_GROUP_CAP) -> UnfoldedS
     return UnfoldedSurface(sheets=sheets, gluings=tuple(gluings))
 
 
-def cone_cycles(s: UnfoldedSurface) -> list[ConeCycle]:
-    """All cone points: for each slit endpoint, one cycle per pair of sheets
-    the slit glues.
+def cone_cycles(s: UnfoldedSurface) -> list[dict]:
+    """The census rows of all cone points: for each slit endpoint, one cycle
+    (i, perm[i]) with i < perm[i] per pair of sheets the slit glues.
 
-    Sweeping a full turn around a slit tip inside one sheet crosses from the
-    plus lip to the minus lip, then the gluing carries the sweep to the
-    partner sheet.  Every gluing is a fixed-point-free involution, so the
-    sweep closes after two sheets: each cycle is (i, perm[i]) with
-    i < perm[i].
-    """
-    cycles: list[ConeCycle] = []
+    A full turn around a slit tip inside one sheet crosses from the plus lip
+    to the minus lip, the gluing carries it to the partner sheet, and the
+    involution closes it there.  A gluing pairs each rotation i < N with a
+    reflection, so i < perm[i] exactly for i < N."""
+    n = s.sheet_count // 2
+    rows: list[dict] = []
     for k, perm in enumerate(s.gluings, start=1):
-        pairs = [(i, j) for i, j in enumerate(perm) if i < j]
-        for endpoint in ("first", "second"):
-            cycles.extend(
-                ConeCycle(slit=k, endpoint=endpoint, sheet_cycle=p) for p in pairs
-            )
-    return cycles
+        pairs = list(zip(range(n), perm))
+        for endpoint in ENDPOINTS:
+            rows += [{"slit": k, "endpoint": endpoint, "sheets": p, "length": 2,
+                      "cone_angle": CONE_ANGLE} for p in pairs]
+    return rows
 
 
-def census(s: UnfoldedSurface, cycles: "list[ConeCycle]") -> SurfaceCensus:
-    """Zeros from cone cycles, double poles from sheets, genus from the
-    degree formula."""
+def total_dark_angle(sheet_count: int, escape_measure: float) -> float:
+    """Aggregate opening angle of the directions at all sheets' planar
+    infinities that no ray from the source reaches.  In sheet g's chart an
+    escaped ray leaves in its launch direction, so the escaped directions
+    light their own measure, spread over the sheets they end on, and the
+    trapped ones light none: 2*pi * sheet_count minus the escape measure."""
+    return 2.0 * math.pi * sheet_count - escape_measure
+
+
+def census_report(s: UnfoldedSurface, cycles: list[dict]) -> dict:
+    """JSON-ready census document.  Every cone cycle has two sheets, so the
+    N zero rows of one slit endpoint are one shared dict of order 1."""
     m = s.sheet_count
-    zeros = tuple(Zero(cycle=c, order=c.length - 1) for c in cycles)
-    poles = tuple(Pole(sheet_index=i) for i in range(m))
-    degree = sum(z.order for z in zeros) - 2 * m
-    twice_genus = degree + 2
-    if twice_genus < 0 or twice_genus % 2 != 0:
-        raise CensusError(
-            f"degree {degree} does not yield a non-negative integer genus"
-        )
-    return SurfaceCensus(
-        sheet_count=m, zeros=zeros, poles=poles, degree=degree, genus=twice_genus // 2
-    )
-
-
-def euler_check(s: UnfoldedSurface, cycles: "list[ConeCycle]") -> int:
-    """Euler characteristic of the closed surface.
-
-    Cell structure: one vertex per cone cycle plus one per compactified
-    sheet infinity; one edge per glued lip pair plus one spine edge from
-    each sheet's infinity to each slit; one disc face per sheet (a sheet cut
-    along its slits and spines is simply connected).
-    """
-    m = s.sheet_count
-    n = s.slit_count
-    vertices = len(cycles) + m
-    lip_pairs = sum(len(perm) for perm in s.gluings)  # 2*n*m lips / 2
-    spine_edges = n * m
-    edges = lip_pairs + spine_edges
-    faces = m
-    return vertices - edges + faces
-
-
-def total_dark_angle(c: SurfaceCensus, escape_measure: float) -> float:
-    """Aggregate opening angle of the dark sectors certified around every
-    planar infinity other than the escape target: (sheet_count - 1) copies
-    of the resolved escape measure."""
-    return (c.sheet_count - 1) * escape_measure
-
-
-def census_report(
-    s: UnfoldedSurface, cycles: "list[ConeCycle]", c: SurfaceCensus, chi: int
-) -> dict:
-    """JSON-ready census document."""
+    zeros: list[dict] = []
+    for k in range(1, s.slit_count + 1):
+        for endpoint in ENDPOINTS:
+            zeros += [{"slit": k, "endpoint": endpoint, "order": 1}] * (m // 2)
+    degree = len(zeros) - 2 * m
+    genus = (degree + 2) // 2
     return {
-        "sheet_count": s.sheet_count,
+        "sheet_count": m,
         "slit_count": s.slit_count,
         "sheets": [g.to_dict() for g in s.sheets],
         "gluings": s.gluings,
-        "cycles": [
-            {
-                "slit": cy.slit,
-                "endpoint": cy.endpoint,
-                "sheets": cy.sheet_cycle,
-                "length": cy.length,
-                "cone_angle": cy.cone_angle,
-            }
-            for cy in cycles
-        ],
-        "zeros": [
-            {"slit": z.cycle.slit, "endpoint": z.cycle.endpoint, "order": z.order}
-            for z in c.zeros
-        ],
-        "poles": [
-            {"sheet_index": p.sheet_index, "order": p.order, "residue": p.residue}
-            for p in c.poles
-        ],
-        "degree": c.degree,
-        "genus": c.genus,
-        "euler_characteristic": chi,
+        "cycles": cycles,
+        "zeros": zeros,
+        "poles": [{"sheet_index": i, "order": 2, "residue": 0} for i in range(m)],
+        "degree": degree,
+        "genus": genus,
+        "euler_characteristic": 2 - 2 * genus,
     }

@@ -97,3 +97,39 @@ def in_arc(a, theta: float) -> bool:
 def angles_close(a: float, b: float, tol: float) -> bool:
     d = (a - b) % (2.0 * math.pi)
     return min(d, 2.0 * math.pi - d) <= tol
+
+
+def walk_cone_cycles(surface) -> list[tuple[int, str, tuple[int, ...]]]:
+    """Oracle for the census cycles: (slit, endpoint, sheets) of every cone
+    point, found by walking around each slit endpoint.  A full turn around
+    the tip inside sheet i leaves it through a lip of slit k, which the
+    gluing joins to sheet perm[i]; the walk goes on until it is back in its
+    first sheet.  Cycles start at their smallest sheet, in sheet order."""
+    cycles = []
+    for k, perm in enumerate(surface.gluings, start=1):
+        for endpoint in ("first", "second"):
+            seen: set[int] = set()
+            for start in range(len(perm)):
+                if start in seen:
+                    continue
+                cycle = [start]
+                j = perm[start]
+                while j != start:
+                    cycle.append(j)
+                    j = perm[j]
+                seen.update(cycle)
+                cycles.append((k, endpoint, tuple(cycle)))
+    return cycles
+
+
+def cell_count_euler(surface, cycles) -> int:
+    """Oracle for the Euler characteristic, V - E + F over a cell structure:
+    one vertex per cone cycle plus one per compactified sheet infinity; one
+    edge per glued lip pair plus one spine edge from each sheet's infinity to
+    each slit; one disc face per sheet (a sheet cut along its slits and
+    spines is simply connected)."""
+    m = surface.sheet_count
+    vertices = len(cycles) + m
+    lip_pairs = sum(len(perm) for perm in surface.gluings)  # 2*n*m lips / 2
+    spine_edges = surface.slit_count * m
+    return vertices - (lip_pairs + spine_edges) + m

@@ -155,3 +155,23 @@ def test_trapped_scene_sectors_bytes_are_pinned(name, tmp_path):
     assert main(argv) == code
     assert _sha256(out) == want_out
     assert _sha256(svg) == want_svg
+
+
+def make_five_mirror_scene() -> Scene:
+    """Five mirrors at angles 0, pi/4, pi/5, pi/3 and 7pi/12, side by side:
+    the angle unit is 60 and the reflection group has 120 elements, so the
+    census holds 600 zero rows, 60 for each slit endpoint."""
+    turns = [(0, 1), (1, 4), (1, 5), (1, 3), (7, 12)]
+    return Scene(
+        mirrors=tuple(
+            Mirror((3.0 * i, 0.0), 1.0, make_rational_turn(p, q)) for i, (p, q) in enumerate(turns)
+        ),
+        source=(0.0, 5.0),
+    )
+
+
+def test_large_surface_unfold_bytes_are_pinned(tmp_path):
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_bytes(save_scene(make_five_mirror_scene()))
+    want = ("bcd8b354ba1e6502e4b2bc5f403dc43db191cca4c1d8cce3a7229c3cf7623c86", None)
+    _assert_pinned(["unfold"], False, scene_path, want, tmp_path)

@@ -12,7 +12,15 @@ import darksector.cli as cli
 from darksector.exact_angle import make_rational_turn
 from darksector.json_stream import _FLUSH_AT, write_json
 from darksector.scene import Mirror, Scene, save_scene
-from test_golden import COMMANDS, GOLDEN, MIXED, SCENES, TRAPPED, make_mixed_denominator_scene
+from test_golden import (
+    COMMANDS,
+    GOLDEN,
+    MIXED,
+    SCENES,
+    TRAPPED,
+    make_five_mirror_scene,
+    make_mixed_denominator_scene,
+)
 
 
 def streamed(doc) -> str:
@@ -72,6 +80,23 @@ def test_generated_documents(doc):
     assert streamed(doc) == oracle(doc)
 
 
+def test_repeated_items_are_written_like_distinct_ones():
+    # the writer reuses an item's text while the same object repeats
+    row = {"slit": 1, "endpoint": "first", "order": 1}
+    pair = [3, 4]
+    docs = [
+        [row] * 3 + [{"slit": 2}] + [row] * 2,  # one dict object, repeated
+        {"sheets": [pair, pair, pair, [pair, pair]]},  # one list object
+        # equal but distinct dicts, some of them written differently
+        {"zeros": [dict(row) for _ in range(3)] + [{"order": 1}, {"order": 1.0}, {"order": True}]},
+        # a repeated dict below depth 1, and repeats across depths
+        {"a": [{"b": [row, row]}, {"c": [[row] * 2, row]}], "d": [row, [], [], None, None]},
+        [None, None, 0, 0, "", ""],  # repeated scalars and empty texts
+    ]
+    for doc in docs:
+        assert streamed(doc) == oracle(doc)
+
+
 def test_equal_pairs_of_other_types_are_not_confused():
     # (1, 1) == (1.0, 1) == (True, 1), but each is written differently
     mixed = [(1, 1), (1.0, 1), (True, 1), [1, True], (1, 1)]
@@ -121,7 +146,7 @@ def recorded_docs(monkeypatch):
 
 
 def _golden_runs(tmp_path):
-    """(name, argv) for every case of tests/test_golden.py, and one large
+    """(name, argv) for every case of tests/test_golden.py, and one larger
     ``unfold``."""
     for scene, command in sorted(GOLDEN):
         args, _ = COMMANDS[command]
@@ -134,6 +159,9 @@ def _golden_runs(tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_bytes(save_scene(make_scene()))
         yield f"trapped-{name}", ["sectors", "--seed", "0", "--scene", str(path), *options]
+    five = tmp_path / "five.json"
+    five.write_bytes(save_scene(make_five_mirror_scene()))
+    yield "unfold-five-mirrors", ["unfold", "--scene", str(five)]
     # mirrors at angles 0 and pi/840: 1,680 sheets, row lists of thousands of
     # rows over many flushes
     large = tmp_path / "order1680.json"
@@ -158,5 +186,5 @@ def test_every_golden_report_matches_the_oracle(tmp_path, recorded_docs):
         cli.main([*argv, "--out", str(out)])
         assert out.read_text(encoding="ascii") == oracle(recorded_docs[-1]), name
         names.append(name)
-    assert len(names) == len(GOLDEN) + len(MIXED) + len(TRAPPED) + 1
+    assert len(names) == len(GOLDEN) + len(MIXED) + len(TRAPPED) + 2
     assert len(recorded_docs) == len(names)

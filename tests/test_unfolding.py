@@ -3,18 +3,18 @@ import random
 
 import pytest
 
-from conftest import compose, make_parallel_scene, make_single_mirror_scene, make_toy_scene
-from darksector.exact_angle import GroupElement, make_rational_turn, reflection_group
+from conftest import (
+    cell_count_euler,
+    compose,
+    make_parallel_scene,
+    make_single_mirror_scene,
+    make_toy_scene,
+    walk_cone_cycles,
+)
+from darksector.exact_angle import GroupElement, make_rational_turn
 from darksector.scene import Mirror, Scene
 from darksector.scenegen import random_scene
-from darksector.unfolding import (
-    build_surface,
-    census,
-    census_report,
-    cone_cycles,
-    euler_check,
-    total_dark_angle,
-)
+from darksector.unfolding import build_surface, census_report, cone_cycles, total_dark_angle
 
 TWO_PI = 2.0 * math.pi
 
@@ -28,6 +28,12 @@ def three_parallel_scene() -> Scene:
         ),
         source=(0.0, 0.5),
     )
+
+
+def census_of(scene: Scene, **kwargs):
+    """The surface, its census document and the walked cone cycles."""
+    s = build_surface(scene, **kwargs)
+    return s, census_report(s, cone_cycles(s)), walk_cone_cycles(s)
 
 
 class TestBuildSurface:
@@ -63,6 +69,24 @@ class TestBuildSurface:
                 for i, j in enumerate(perm):
                     assert j != i
                     assert perm[j] == i
+
+    def test_gluings_swap_rotations_and_reflections(self):
+        # the closed-form census rests on this: a reflection glues each
+        # rotation to a reflection and back, never a sheet to itself, so every
+        # cone cycle has two sheets and the census cannot come out
+        # inconsistent
+        rng = random.Random(1618)
+        scenes = [make_toy_scene(), three_parallel_scene()]
+        scenes += [random_scene(rng, max_den=30) for _ in range(200)]
+        for scene in scenes:
+            s = build_surface(scene)
+            half = s.sheet_count // 2
+            assert [g.s for g in s.sheets] == [1] * half + [-1] * half
+            for perm in s.gluings:
+                assert sorted(perm) == list(range(s.sheet_count))
+                for i, j in enumerate(perm):
+                    assert j != i and perm[j] == i
+                    assert s.sheets[i].s == -s.sheets[j].s
 
     def test_gluing_graph_connected(self):
         rng = random.Random(159)
@@ -102,14 +126,14 @@ class TestConeCycles:
         s = build_surface(make_toy_scene())
         cycles = cone_cycles(s)
         assert len(cycles) == 8
-        assert all(c.length == 2 for c in cycles)
-        assert all(c.cone_angle == pytest.approx(4 * math.pi) for c in cycles)
+        assert all(c["length"] == 2 for c in cycles)
+        assert all(c["cone_angle"] == pytest.approx(4 * math.pi) for c in cycles)
 
     def test_single_mirror_two_cycles(self):
         s = build_surface(make_single_mirror_scene())
         cycles = cone_cycles(s)
         assert len(cycles) == 2
-        assert all(c.length == 2 for c in cycles)
+        assert all(c["length"] == 2 for c in cycles)
 
     def test_three_parallel_six_cycles(self):
         s = build_surface(three_parallel_scene())
@@ -121,7 +145,7 @@ class TestConeCycles:
             s = build_surface(random_scene(rng), group_cap=100000)
             cycles = cone_cycles(s)
             incidences = [
-                (c.slit, c.endpoint, i) for c in cycles for i in c.sheet_cycle
+                (c["slit"], c["endpoint"], i) for c in cycles for i in c["sheets"]
             ]
             assert len(incidences) == len(set(incidences))
             assert len(incidences) == 2 * s.slit_count * s.sheet_count
@@ -129,89 +153,86 @@ class TestConeCycles:
 
 class TestCensus:
     def test_toy_scene_torus(self):
-        s = build_surface(make_toy_scene())
-        cycles = cone_cycles(s)
-        c = census(s, cycles)
-        assert c.sheet_count == 4
-        assert len(c.zeros) == 8
-        assert all(z.order == 1 for z in c.zeros)
-        assert len(c.poles) == 4
-        assert all(p.order == 2 and p.residue == 0 for p in c.poles)
-        assert c.degree == 0
-        assert c.genus == 1
-        assert euler_check(s, cycles) == 0
+        s, doc, walk = census_of(make_toy_scene())
+        assert doc["sheet_count"] == 4
+        assert len(doc["zeros"]) == 8
+        assert all(z["order"] == 1 for z in doc["zeros"])
+        assert len(doc["poles"]) == 4
+        assert all(p["order"] == 2 and p["residue"] == 0 for p in doc["poles"])
+        assert doc["degree"] == 0
+        assert doc["genus"] == 1
+        assert doc["euler_characteristic"] == 0
+        assert cell_count_euler(s, walk) == 0
 
     def test_single_mirror_sphere(self):
-        s = build_surface(make_single_mirror_scene())
-        cycles = cone_cycles(s)
-        c = census(s, cycles)
-        assert (c.sheet_count, len(c.zeros), c.degree, c.genus) == (2, 2, -2, 0)
-        assert euler_check(s, cycles) == 2
+        s, doc, walk = census_of(make_single_mirror_scene())
+        assert (doc["sheet_count"], len(doc["zeros"]), doc["degree"], doc["genus"]) == (2, 2, -2, 0)
+        assert doc["euler_characteristic"] == cell_count_euler(s, walk) == 2
 
     def test_three_parallel_genus_two(self):
-        s = build_surface(three_parallel_scene())
-        cycles = cone_cycles(s)
-        c = census(s, cycles)
-        assert (c.sheet_count, len(c.zeros), c.degree, c.genus) == (2, 6, 2, 2)
-        assert euler_check(s, cycles) == -2
+        s, doc, walk = census_of(three_parallel_scene())
+        assert (doc["sheet_count"], len(doc["zeros"]), doc["degree"], doc["genus"]) == (2, 6, 2, 2)
+        assert doc["euler_characteristic"] == cell_count_euler(s, walk) == -2
 
     def test_two_parallel_is_also_a_torus(self):
-        s = build_surface(make_parallel_scene())
-        cycles = cone_cycles(s)
-        c = census(s, cycles)
-        assert (c.sheet_count, c.genus) == (2, 1)
-        assert euler_check(s, cycles) == 0
+        s, doc, walk = census_of(make_parallel_scene())
+        assert (doc["sheet_count"], doc["genus"]) == (2, 1)
+        assert doc["euler_characteristic"] == cell_count_euler(s, walk) == 0
 
     def test_degree_formula_on_random_scenes(self):
         rng = random.Random(60221023)
         for _ in range(100):
-            s = build_surface(random_scene(rng), group_cap=100000)
-            cycles = cone_cycles(s)
-            c = census(s, cycles)
-            assert c.genus >= 0
-            assert sum(z.order for z in c.zeros) - 2 * c.sheet_count == 2 * c.genus - 2
-            assert euler_check(s, cycles) == 2 - 2 * c.genus
-            assert len(c.zeros) == s.slit_count * s.sheet_count
+            s, doc, walk = census_of(random_scene(rng), group_cap=100000)
+            genus = doc["genus"]
+            assert genus >= 0
+            assert sum(z["order"] for z in doc["zeros"]) - 2 * doc["sheet_count"] == 2 * genus - 2
+            assert doc["degree"] == 2 * genus - 2
+            assert doc["euler_characteristic"] == cell_count_euler(s, walk) == 2 - 2 * genus
+            assert len(doc["zeros"]) == s.slit_count * s.sheet_count
+
+    def test_report_matches_the_oracles_on_random_scenes(self):
+        rng = random.Random(8128)
+        for _ in range(400):
+            s, doc, walk = census_of(random_scene(rng, max_den=30))
+            rows = doc["cycles"]
+            assert [(r["slit"], r["endpoint"], r["sheets"]) for r in rows] == walk
+            assert [(r["length"], r["cone_angle"]) for r in rows] == [
+                (len(c), TWO_PI * len(c)) for _, _, c in walk
+            ]
+            zeros = [(z["slit"], z["endpoint"], z["order"]) for z in doc["zeros"]]
+            assert zeros == [(k, e, len(c) - 1) for k, e, c in walk]
+            assert doc["poles"] == [
+                {"sheet_index": i, "order": 2, "residue": 0} for i in range(s.sheet_count)
+            ]
+            assert doc["euler_characteristic"] == cell_count_euler(s, walk)
+            assert doc["genus"] == 1 + s.sheet_count // 2 * (s.slit_count - 2)
+            assert len(doc["zeros"]) == s.slit_count * s.sheet_count
 
     def test_report_shape(self):
         s = build_surface(make_toy_scene())
-        cycles = cone_cycles(s)
-        c = census(s, cycles)
-        rep = census_report(s, cycles, c, euler_check(s, cycles))
+        rep = census_report(s, cone_cycles(s))
         assert rep["sheet_count"] == 4
         assert rep["genus"] == 1
         assert rep["euler_characteristic"] == 0
         assert len(rep["cycles"]) == 8
         assert len(rep["gluings"]) == 2
 
-    def test_inconsistent_surface_is_reported(self):
-        # four sheets glued along a single slit can come from no scene (one
-        # mirror generates a two-element group); the degree bookkeeping
-        # yields a negative genus and must fail loudly
-        from darksector.unfolding import CensusError, UnfoldedSurface
-
-        fake = UnfoldedSurface(
-            sheets=reflection_group({make_rational_turn(0, 1), make_rational_turn(1, 2)}),
-            gluings=((2, 3, 0, 1),),
-        )
-        cycles = cone_cycles(fake)
-        with pytest.raises(CensusError):
-            census(fake, cycles)
-
 
 class TestTotalDarkAngle:
     def test_toy_scene_three_full_turns(self):
         s = build_surface(make_toy_scene())
-        c = census(s, cone_cycles(s))
-        assert total_dark_angle(c, TWO_PI) == pytest.approx(6 * math.pi)
+        assert total_dark_angle(s.sheet_count, TWO_PI) == pytest.approx(6 * math.pi)
 
     def test_single_mirror_one_turn(self):
         s = build_surface(make_single_mirror_scene())
-        c = census(s, cone_cycles(s))
-        assert total_dark_angle(c, TWO_PI) == pytest.approx(2 * math.pi)
+        assert total_dark_angle(s.sheet_count, TWO_PI) == pytest.approx(2 * math.pi)
 
     def test_single_sheet_would_be_zero(self):
-        from darksector.unfolding import SurfaceCensus
+        assert total_dark_angle(1, TWO_PI) == 0.0
 
-        c = SurfaceCensus(sheet_count=1, zeros=(), poles=(), degree=-2, genus=0)
-        assert total_dark_angle(c, TWO_PI) == 0.0
+    def test_trapped_directions_are_dark_on_every_sheet(self):
+        # six sheets and a quarter turn trapped: every infinity misses the
+        # trapped quarter, 6 * 2pi - 7pi/4 in all, not 5 copies of 7pi/4
+        escape = TWO_PI - math.pi / 4
+        assert total_dark_angle(6, escape) == pytest.approx(6 * TWO_PI - escape)
+        assert total_dark_angle(6, escape) - 5 * escape == pytest.approx(6 * math.pi / 4)
