@@ -1,8 +1,9 @@
 """Command-line entry points and report emission.
 
-Exit codes: 0 success, 1 internal failure or an output path that cannot be
-written, 2 invalid scene or rejected option value, 3 parse error, 4 no dark
-sector certified (sectors command only).
+Exit codes: 0 success, 1 internal failure, an output path that cannot be
+written or a reflection group larger than ``--group-cap``, 2 invalid scene or
+rejected option value, 3 parse error, 4 no dark sector certified (sectors
+command only).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .scene import (
     validate_scene,
 )
 from .json_stream import write_json
-from .svg_render import render_svg
+from .svg_render import VIEWPORT_RADII, render_svg
 from .tracer import DEFAULT_BOUNCE_CAP, TraceResult, TraceStatus, exit_ray, trace
 from .unfolding import build_surface, census_report, cone_cycles
 
@@ -137,24 +138,13 @@ def _enclosing_circle(scene: Scene, margin: float) -> EnclosingCircle:
 
 
 def _drawable(circle: EnclosingCircle) -> EnclosingCircle:
-    """circle, if the SVG viewport around it, 6 radii wide, stays inside the
-    float range; otherwise the command ends with exit 2."""
-    if not math.isfinite(2.0 * (max(map(abs, circle.center)) + 3.0 * circle.radius)):
-        print(f"error: the SVG viewport, 6 radii wide around the enclosing circle "
-              f"(radius {circle.radius:.3g}), leaves the float range", file=sys.stderr)
+    """circle, if the SVG viewport around it stays inside the float range;
+    otherwise the command ends with exit 2."""
+    if not math.isfinite(2.0 * (max(map(abs, circle.center)) + VIEWPORT_RADII * circle.radius)):
+        print(f"error: the SVG viewport, {2 * VIEWPORT_RADII:g} radii wide around the enclosing "
+              f"circle (radius {circle.radius:.3g}), leaves the float range", file=sys.stderr)
         raise _Exit(EXIT_INVALID_SCENE)
     return circle
-
-
-def _trace_points(tr: TraceResult, circle: EnclosingCircle) -> list:
-    """The polyline that draws a trace: its path, then the point where an
-    escaped ray crosses ``circle`` or where a singular ray stopped."""
-    points = list(tr.path)
-    if tr.status is TraceStatus.ESCAPED:
-        points.append(exit_ray(tr, circle)[0])
-    elif tr.stop_point is not None:
-        points.append(tr.stop_point)
-    return points
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -175,8 +165,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     scene = _load_valid_scene(args.scene)
     circle = _enclosing_circle(scene, args.margin)
-    if args.svg:
-        _drawable(circle)
     tr = trace(scene, args.theta, cap=args.cap)
     doc = {
         "scene": scene_to_document(scene),
@@ -193,9 +181,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     }
     if tr.stop_point is not None:
         doc["stop_point"] = tr.stop_point
+    # drawn first: a viewport beyond the float range exits 2 before --out is written
+    svg = _draw(scene, doc, circle) if args.svg else None
     _emit_doc(doc, args.out)
-    if args.svg:
-        svg = render_svg(scene, circle, traces=[(_trace_points(tr, circle), 0)])
+    if svg is not None:
         _emit_svg(svg, args.svg)
     print(
         f"trace: {tr.status.value}, {tr.bounce_count} bounce(s), "
@@ -246,7 +235,6 @@ def _cmd_sectors(args: argparse.Namespace) -> int:
     unlit = unlit_arcs(d)
     probes = exit_probes(d) if unlit else []
 
-    sectors = []
     reports = []
     certified = False
     for i, arc in enumerate(unlit):
@@ -254,7 +242,6 @@ def _cmd_sectors(args: argparse.Namespace) -> int:
         verification = verify_darkness(
             sector, d, args.darkness_samples, probes, seed=args.seed + i
         )
-        sectors.append(sector)
         reports.append(sector_report(sector, arc, verification))
         certified = certified or verification.passed
 
@@ -273,8 +260,7 @@ def _cmd_sectors(args: argparse.Namespace) -> int:
     }
     _emit_doc(doc, args.out)
     if args.svg:
-        svg = render_svg(scene, d.circle, sectors=sectors)
-        _emit_svg(svg, args.svg)
+        _emit_svg(_draw(scene, doc, d.circle), args.svg)
     if certified:
         print(
             f"sectors: certified {len(reports)} dark sector(s); exit-direction map "
@@ -304,7 +290,7 @@ def _cmd_unfold(args: argparse.Namespace) -> int:
 
 
 def _points(value, where: str, count: int | None = None) -> list:
-    if not isinstance(value, list) or count not in (None, len(value)):
+    if not isinstance(value, (list, tuple)) or count not in (None, len(value)):
         raise SceneFormatError("expected a list of [x, y] pairs", where)
     return [_point(p, f"{where}[{j}]") for j, p in enumerate(value)]
 
@@ -316,16 +302,19 @@ def _field(obj, key: str, where: str, parse):
     return parse(obj[key], f"{where}.{key}")
 
 
-def _report_drawing(doc: dict, circle: EnclosingCircle):
-    """The circle, trajectory and dark sectors that a saved report draws,
-    with ``circle`` standing in for a circle the report does not carry.
-    Raises SceneFormatError naming the first malformed field."""
+def _draw(scene: Scene, doc: dict, circle: EnclosingCircle) -> str:
+    """The SVG of scene with the circle, trace and dark sectors that the
+    report ``doc`` carries, ``circle`` standing in for a circle it does not
+    carry.  Raises SceneFormatError naming the first malformed field; a
+    viewport beyond the float range then ends the command with exit 2."""
     circle_doc = doc.get("decomposition", doc).get("circle")
     if circle_doc:
         circle = EnclosingCircle(
             _field(circle_doc, "center", "circle", _point),
             _field(circle_doc, "radius", "circle", _number),
         )
+        if circle.radius <= 0.0:
+            raise SceneFormatError("expected a positive number", "circle.radius")
     sectors_doc = doc.get("sectors", [])
     if not isinstance(sectors_doc, list):
         raise SceneFormatError("expected a list", "sectors")
@@ -340,35 +329,35 @@ def _report_drawing(doc: dict, circle: EnclosingCircle):
         )
         for i, rep in enumerate(sectors_doc)
     ]
-    traces = [(_report_trace(doc, circle), 0)] if "path" in doc else []
-    return circle, traces, sectors
+    traces = [_report_trace(doc, circle)] if "path" in doc else []
+    return render_svg(scene, _drawable(circle), traces=traces, sectors=sectors)
 
 
 def _report_trace(doc: dict, circle: EnclosingCircle) -> list:
-    """The polyline of a saved trace report, as ``trace --svg`` drew it from
-    the same fields, which round-trip exactly."""
-    path = tuple(_points(doc["path"], "path"))
+    """The polyline that draws a trace report: its path, then the point
+    where an escaped ray crosses ``circle`` or where a singular ray stopped."""
+    points = _points(doc["path"], "path")
     try:
         status = TraceStatus(doc.get("status"))
     except ValueError:
         raise SceneFormatError("expected a trace status", "status") from None
+    exit_point = _point(doc.get("exit_point"), "exit_point")
+    exit_dir = _number(doc.get("exit_dir"), "exit_dir")
     stop = doc.get("stop_point")
-    tr = TraceResult(  # the itinerary and the exact direction are not drawn
-        status, (), path, _point(doc.get("exit_point"), "exit_point"),
-        _number(doc.get("exit_dir"), "exit_dir"), None, len(path) - 1,
-        None if stop is None else _point(stop, "stop_point"),
-    )
-    try:
-        return _trace_points(tr, circle)
-    except ValueError as e:  # an exit point outside the report's circle
-        raise SceneFormatError(str(e), "exit_point") from None
+    stop = None if stop is None else _point(stop, "stop_point")
+    if status is TraceStatus.ESCAPED:
+        tr = TraceResult(status, (), (), exit_point, exit_dir, None, 0)  # what exit_ray reads
+        try:
+            stop = exit_ray(tr, circle)[0]
+        except ValueError as e:  # an exit point outside the report's circle
+            raise SceneFormatError(str(e), "exit_point") from None
+    return points if stop is None else [*points, stop]
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
     if args.report is None:
         scene = _load_valid_scene(args.scene)
-        circle = _drawable(_enclosing_circle(scene, args.margin))
-        _emit_svg(render_svg(scene, circle), args.svg)
+        _emit_svg(_draw(scene, {}, _enclosing_circle(scene, args.margin)), args.svg)
         return EXIT_OK
     try:
         with open(args.report, "rb") as f:
@@ -377,20 +366,21 @@ def _cmd_render(args: argparse.Namespace) -> int:
         print(f"error: cannot read report: {e}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     try:
-        scene_doc = doc.get("decomposition", doc).get("scene", doc.get("scene"))
-        scene = scene_from_document(scene_doc)
-    except (AttributeError, SceneFormatError) as e:
-        print(f"error: report carries no usable scene: {e}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    try:
-        circle, traces, sectors = _report_drawing(
-            doc, _enclosing_circle(scene, args.margin)
-        )
+        if not isinstance(doc, dict):
+            raise SceneFormatError("expected a JSON object", "report")
+        source = doc.get("decomposition", doc)  # the part that carries scene and circle
+        if not isinstance(source, dict):
+            raise SceneFormatError("expected an object", "decomposition")
+        try:
+            scene = scene_from_document(source.get("scene", doc.get("scene")))
+        except SceneFormatError as e:
+            print(f"error: report carries no usable scene: {e}", file=sys.stderr)
+            return EXIT_PARSE_ERROR
+        svg = _draw(scene, doc, _enclosing_circle(scene, args.margin))
     except SceneFormatError as e:
         print(f"error: malformed report: {e}", file=sys.stderr)
         return EXIT_PARSE_ERROR
-    _drawable(circle)
-    _emit_svg(render_svg(scene, circle, traces=traces, sectors=sectors), args.svg)
+    _emit_svg(svg, args.svg)
     return EXIT_OK
 
 

@@ -11,20 +11,20 @@ import math
 from .dark_sector import DarkSector
 from .scene import EnclosingCircle, Scene, endpoints
 
-PALETTE = (
-    "#1f77b4",
-    "#d62728",
-    "#2ca02c",
-    "#9467bd",
-    "#ff7f0e",
-    "#17becf",
-    "#8c564b",
-    "#e377c2",
-)
+# half the viewport's width, in radii of the enclosing circle
+VIEWPORT_RADII = 3.0
+
+TRACE_COLOR = "#1f77b4"
 
 
 def _fmt(x: float) -> str:
     return f"{x:.9g}"
+
+
+def _d(points) -> str:
+    """SVG path data for the polyline through points; y flips so the
+    mathematical plane reads the usual way up."""
+    return "M " + " L ".join(f"{_fmt(x)} {_fmt(-y)}" for x, y in points)
 
 
 def render_svg(
@@ -35,91 +35,59 @@ def render_svg(
 ) -> str:
     """Build the SVG document as a string.
 
-    ``traces`` is a sequence of (points, color_index) polylines; ``sectors``
+    ``traces`` is a sequence of polylines, each a list of points; ``sectors``
     a sequence of DarkSector.  Output is byte-deterministic for equal inputs.
     """
     ox, oy = circle.center
     r = circle.radius
-    half = 3.0 * r
+    half = VIEWPORT_RADII * r
     stroke = r / 150.0
-
-    parts: list[str] = []
-    parts.append('<?xml version="1.0" encoding="UTF-8"?>')
-    parts.append(
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="{_fmt(ox - half)} {_fmt(-oy - half)} {_fmt(2 * half)} {_fmt(2 * half)}" '
-        'width="720" height="720">'
-    )
-    # y axis flips so the mathematical plane reads the usual way up
-    y = lambda v: -v  # noqa: E731
-
+        'width="720" height="720">',
+    ]
     for s in sectors:
-        fan = _fan_radius(s, circle)
-        parts.append(_sector_path(s, fan_radius=fan, y=y))
-        parts.append(_sector_edge(s, fan_radius=fan, y=y, stroke=stroke))
-
+        fan = _fan(s, circle)
+        parts += [
+            f'<path class="sector" d="{_d([s.apex, *fan])} Z" fill="#444444" '
+            'fill-opacity="0.25" stroke="none"/>',
+            f'<path class="sector-edge" d="{_d(fan)}" fill="none" stroke="#444444" '
+            f'stroke-width="{_fmt(stroke)}" stroke-dasharray="{_fmt(6 * stroke)} {_fmt(6 * stroke)}"/>',
+        ]
     parts.append(
-        f'<circle class="boundary-circle" cx="{_fmt(ox)}" cy="{_fmt(y(oy))}" '
+        f'<circle class="boundary-circle" cx="{_fmt(ox)}" cy="{_fmt(-oy)}" '
         f'r="{_fmt(r)}" fill="none" stroke="#999999" '
         f'stroke-width="{_fmt(stroke)}" stroke-dasharray="{_fmt(4 * stroke)} {_fmt(4 * stroke)}"/>'
     )
-
-    for idx, (points, color_index) in enumerate(traces):
-        color = PALETTE[color_index % len(PALETTE)]
-        d = "M " + " L ".join(f"{_fmt(px)} {_fmt(y(py))}" for px, py in points)
-        parts.append(
-            f'<path class="trace" d="{d}" fill="none" stroke="{color}" '
-            f'stroke-width="{_fmt(stroke)}"/>'
-        )
-
-    for m in scene.mirrors:
-        (ax, ay), (bx, by) = endpoints(m)
-        parts.append(
-            f'<path class="mirror" d="M {_fmt(ax)} {_fmt(y(ay))} L {_fmt(bx)} {_fmt(y(by))}" '
-            f'fill="none" stroke="#111111" stroke-width="{_fmt(3 * stroke)}" '
-            'stroke-linecap="round"/>'
-        )
-
+    parts += [
+        f'<path class="trace" d="{_d(points)}" fill="none" stroke="{TRACE_COLOR}" '
+        f'stroke-width="{_fmt(stroke)}"/>'
+        for points in traces
+    ]
+    parts += [
+        f'<path class="mirror" d="{_d(endpoints(m))}" fill="none" stroke="#111111" '
+        f'stroke-width="{_fmt(3 * stroke)}" stroke-linecap="round"/>'
+        for m in scene.mirrors
+    ]
     sx, sy = scene.source
     parts.append(
-        f'<circle class="source" cx="{_fmt(sx)}" cy="{_fmt(y(sy))}" '
+        f'<circle class="source" cx="{_fmt(sx)}" cy="{_fmt(-sy)}" '
         f'r="{_fmt(r / 70.0)}" fill="#d62728" stroke="none"/>'
     )
-
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def _fan_radius(s: DarkSector, circle: EnclosingCircle) -> float:
-    # keep the dashed truncation edge inside the 3x viewport when the apex
-    # itself is visible
-    d = math.hypot(s.apex[0] - circle.center[0], s.apex[1] - circle.center[1])
-    return max(1.2 * circle.radius, 2.8 * circle.radius - d)
-
-
-def _fan_points(s: DarkSector, fan_radius: float) -> list[tuple[float, float]]:
-    lo = s.dir_lo
-    span = s.interior_angle
-    steps = 8
-    out = []
-    for i in range(steps + 1):
-        t = lo + span * i / steps
-        out.append(
-            (s.apex[0] + fan_radius * math.cos(t), s.apex[1] + fan_radius * math.sin(t))
-        )
-    return out
-
-
-def _sector_path(s: DarkSector, fan_radius: float, y) -> str:
-    pts = [(s.apex[0], s.apex[1])] + _fan_points(s, fan_radius)
-    d = "M " + " L ".join(f"{_fmt(px)} {_fmt(y(py))}" for px, py in pts) + " Z"
-    return f'<path class="sector" d="{d}" fill="#444444" fill-opacity="0.25" stroke="none"/>'
-
-
-def _sector_edge(s: DarkSector, fan_radius: float, y, stroke: float) -> str:
-    pts = _fan_points(s, fan_radius)
-    d = "M " + " L ".join(f"{_fmt(px)} {_fmt(y(py))}" for px, py in pts)
-    return (
-        f'<path class="sector-edge" d="{d}" fill="none" stroke="#444444" '
-        f'stroke-width="{_fmt(stroke)}" stroke-dasharray="{_fmt(6 * stroke)} {_fmt(6 * stroke)}"/>'
-    )
+def _fan(s: DarkSector, circle: EnclosingCircle) -> list:
+    """Nine points on the arc about the apex that truncates sector s; when
+    the apex itself is visible, the arc stays inside the viewport."""
+    ax, ay = s.apex
+    lo, span = s.dir_lo, s.interior_angle
+    reach = math.hypot(ax - circle.center[0], ay - circle.center[1])
+    radius = max(1.2 * circle.radius, 2.8 * circle.radius - reach)
+    return [
+        (ax + radius * math.cos(t), ay + radius * math.sin(t))
+        for t in (lo + span * i / 8 for i in range(9))
+    ]

@@ -434,6 +434,13 @@ class TestUnfoldCommand:
         assert doc["genus"] == 1
         assert doc["euler_characteristic"] == 0
 
+    def test_group_over_the_cap_exits_one(self, capsys):
+        argv = ["unfold", "--scene", str(SCENES / "two_perpendicular.json"), "--group-cap", "2"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: reflection group of order 4 exceeds cap of 2 elements\n"
+
 
 class TestRenderCommand:
     def test_render_scene(self, toy_path, tmp_path):
@@ -490,17 +497,26 @@ class TestRenderCommand:
             (lambda doc: doc["path"].append([0.5]), "path[2]: expected a [x, y] pair"),
             (lambda doc: doc.update(sectors=[{"apex": [0, 0]}]), "sectors[0].dir_lo: missing"),
             (lambda doc: doc.update(sectors={}), "sectors: expected a list"),
+            (lambda doc: doc["circle"].update(radius=0.0),
+             "circle.radius: expected a positive number"),
+            (lambda doc: doc["circle"].update(radius=-3.0),
+             "circle.radius: expected a positive number"),
+            (lambda doc: [doc], "report: expected a JSON object"),
+            (lambda doc: doc.update(decomposition=[]), "decomposition: expected an object"),
         ],
         ids=["no-radius", "bad-status", "no-exit-dir", "short-exit-point",
              "exit-point-outside-the-circle", "short-center", "short-path-point", "no-dir-lo",
-             "sectors-not-a-list"],
+             "sectors-not-a-list", "zero-radius", "negative-radius", "report-not-an-object",
+             "decomposition-not-an-object"],
     )
     def test_malformed_report_exits_three(self, single_path, tmp_path, capsys, damage, field):
         report = tmp_path / "trace.json"
         main(["trace", "--scene", single_path, "--theta", str(3 * math.pi / 2),
               "--out", str(report)])
         doc = json.loads(report.read_text())
-        damage(doc)
+        replaced = damage(doc)
+        if isinstance(replaced, list):  # a damage that builds a new report
+            doc = replaced
         report.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["render", "--report", str(report), "--svg", str(tmp_path / "x.svg")]) == 3

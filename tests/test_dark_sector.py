@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import angles_close
+import darksector.dark_sector as dark_sector
+from conftest import angles_close, make_single_mirror_scene, make_six_mirror_trap_scene
 from darksector.arcs import Arc, arc_contains_arc
 from darksector.circle_map import decompose, unlit_arcs
 from darksector.dark_sector import (
@@ -20,7 +22,7 @@ from darksector.dark_sector import (
     shrink_below_pi,
     verify_darkness,
 )
-from darksector.scene import EnclosingCircle
+from darksector.scene import EnclosingCircle, enclosing_circle
 
 TWO_PI = 2.0 * math.pi
 
@@ -270,6 +272,34 @@ class TestVerifyDarkness:
         a = verify_darkness(s, d, 100, exit_probes(d), seed=9)
         b = verify_darkness(s, d, 100, exit_probes(d), seed=9)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "make_scene,seeds,eps_b,cap",
+        [(make_single_mirror_scene, 512, 1e-10, 50), (make_six_mirror_trap_scene, 128, 1e-4, 30)],
+        ids=["single_mirror", "six_mirror_trap"],
+    )
+    def test_exact_test_alone_gives_the_same_reports(self, monkeypatch, make_scene, seeds,
+                                                      eps_b, cap):
+        # with the float prefilter switched off, arc_contains_arc decides
+        # every sample point of check (i).  The certified sectors pass as
+        # before, and the same sectors moved onto the circle's center, where
+        # rays do reach, fail check (i) with the same bad points.
+        scene = make_scene()
+        d = decompose(scene, enclosing_circle(scene), seeds=seeds, eps_b=eps_b, cap=cap)
+        probes = exit_probes(d)
+        sectors = [build_sector(shrink_below_pi(a), d.circle) for a in unlit_arcs(d)]
+        moved = [dataclasses.replace(s, apex=d.circle.center) for s in sectors]
+
+        def reports(sectors):
+            return [verify_darkness(s, d, 200, probes, seed=i).to_dict()
+                    for i, s in enumerate(sectors)]
+
+        certified, refuted = reports(sectors), reports(moved)
+        assert all(r["direction_inclusion_ok"] for r in certified)
+        assert all(r["bad_points"] for r in refuted)
+        monkeypatch.setattr(dark_sector, "_clearly_inside", lambda *args: False)
+        assert reports(sectors) == certified
+        assert reports(moved) == refuted
 
 
 class TestRayEntersSector:

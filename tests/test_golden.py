@@ -14,7 +14,7 @@ import pytest
 from conftest import make_parallel_scene, make_six_mirror_trap_scene
 from darksector.cli import main
 from darksector.exact_angle import make_rational_turn
-from darksector.scene import Mirror, Scene, save_scene
+from darksector.scene import Mirror, Scene, load_scene, save_scene
 
 SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
@@ -175,3 +175,29 @@ def test_large_surface_unfold_bytes_are_pinned(tmp_path):
     scene_path.write_bytes(save_scene(make_five_mirror_scene()))
     want = ("bcd8b354ba1e6502e4b2bc5f403dc43db191cca4c1d8cce3a7229c3cf7623c86", None)
     _assert_pinned(["unfold"], False, scene_path, want, tmp_path)
+
+
+def _drawing_runs():
+    """(id, scene, command options, exit code) of every pinned run above
+    that also writes an SVG."""
+    for scene, command in sorted(GOLDEN):
+        args, draws_svg = COMMANDS[command]
+        if draws_svg:
+            yield f"{scene}-{command}", load_scene((SCENES / f"{scene}.json").read_bytes()), args, 0
+    yield "mixed_denominator-trace", make_mixed_denominator_scene(), MIXED["trace"][0], 0
+    for name, (make_scene, options, code, *_) in sorted(TRAPPED.items()):
+        yield f"{name}-sectors", make_scene(), ["sectors", "--seed", "0", *options], code
+
+
+@pytest.mark.parametrize(
+    "scene,args,code", [pytest.param(*run[1:], id=run[0]) for run in _drawing_runs()]
+)
+def test_render_report_redraws_the_svg(scene, args, code, tmp_path):
+    # an SVG is a function of its report: render --report draws the bytes
+    # that --svg wrote beside it
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_bytes(save_scene(scene))
+    out, svg, redrawn = (tmp_path / name for name in ("report.json", "run.svg", "report.svg"))
+    assert main([*args, "--scene", str(scene_path), "--out", str(out), "--svg", str(svg)]) == code
+    assert main(["render", "--report", str(out), "--svg", str(redrawn)]) == 0
+    assert redrawn.read_bytes() == svg.read_bytes()

@@ -1,8 +1,10 @@
 """Byte parity of the streaming report writer with ``json.dumps(doc, indent=2)``,
 the oracle it replaces."""
 
+import enum
 import json
 import math
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -117,6 +119,55 @@ def test_large_document_is_written_in_several_chunks():
     # at depth 2 (each line indented 4 more spaces) and its separator
     longest = max(len(json.dumps(c, indent=2).replace("\n", "\n    ")) for c in components)
     assert all(len(chunk) <= _FLUSH_AT + longest + len(",\n    ") for chunk in chunks[:-1])
+
+
+class Side(enum.IntEnum):
+    LEFT = 1
+    RIGHT = -1
+
+
+class Status(str, enum.Enum):
+    ESCAPED = "escaped"
+
+
+class Measure(float):
+    pass
+
+
+class Pair(NamedTuple):
+    x: float
+    y: float
+
+
+class Row(dict):
+    pass
+
+
+class Points(list):
+    pass
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"side": Side.LEFT, "status": Status.ESCAPED, "measure": Measure(0.1),
+         "point": Pair(1.0, -0.0)},
+        [Side.RIGHT, Status.ESCAPED, Measure(2.5e-300), Pair(Measure(1.5), Side.LEFT)],
+        Row(a=Points([Row(b=Side.LEFT), Points([Pair(0.0, 1.0)] * 2)]), c=Row()),
+        Points([Row(), Points(), Status.ESCAPED, Measure(math.inf), Measure(math.nan)]),
+        {Status.ESCAPED: [Side.LEFT, Side.LEFT], "pairs": [Pair(1, 1), (1, 1), Pair(1, 1)]},
+        Side.LEFT,
+        Status.ESCAPED,
+        Measure(1e22),
+        Pair(1, 2),
+    ],
+    ids=["dict-values", "list-items", "nested-subclasses", "empty-and-special",
+         "str-enum-key-and-pairs", "int-enum", "str-enum", "float", "named-tuple"],
+)
+def test_subclass_values_are_written_like_json_dumps(doc):
+    # values of subclasses of int, str, float, tuple, dict and list take the
+    # writer's slower path; each is written as json.dumps writes it
+    assert streamed(doc) == oracle(doc)
 
 
 @pytest.mark.parametrize("value", [object(), {1, 2}, b"bytes", 1j])

@@ -326,3 +326,31 @@ def test_unreadable_value_is_a_parse_error(case):
     data, message = UNREADABLE[case]
     with pytest.raises(SceneFormatError, match=message):
         load_scene(data)
+
+
+def _one_mirror(**mirror) -> dict:
+    """A one-mirror scene document with ``mirror`` in place of its mirror's fields."""
+    fields = {"anchor": [0, 0], "length": 1, "angle": {"num": 0, "den": 1}, **mirror}
+    return {"mirrors": [{k: v for k, v in fields.items() if v is not None}], "source": [0, 1]}
+
+
+# scene documents of the wrong shape; each is a parse error naming the field
+MISSHAPEN = {
+    "top-level-list": ([], "^top-level value must be an object$"),
+    "mirrors-not-a-list": ({"mirrors": {}, "source": [0, 1]}, "^mirrors: expected a list$"),
+    "mirror-not-an-object": ({"mirrors": [[0, 0]], "source": [0, 1]},
+                             "^mirrors\\[0\\]: expected an object$"),
+    "missing-angle": (_one_mirror(angle=None), "^mirrors\\[0\\]: missing field\\(s\\) \\['angle'\\]$"),
+    "angle-not-an-object": (_one_mirror(angle=0.5), "^mirrors\\[0\\].angle: expected an object"),
+    "non-integer-num": (_one_mirror(angle={"num": 0.5, "den": 1}),
+                        "^mirrors\\[0\\].angle.num: expected an integer$"),
+    "boolean-den": (_one_mirror(angle={"num": 1, "den": True}),
+                    "^mirrors\\[0\\].angle.den: expected an integer$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSHAPEN))
+def test_misshapen_document_is_a_parse_error(case):
+    doc, message = MISSHAPEN[case]
+    with pytest.raises(SceneFormatError, match=message):
+        load_scene(json.dumps(doc))

@@ -39,6 +39,20 @@ class TestFirstHit:
         assert isinstance(h, SingularStop)
         assert h.reason == "endpoint"
 
+    def test_grazing_hit_is_singular(self, single_mirror_scene):
+        # from far off to the left, the ray meets y = 0 near x = 0.5 at an
+        # angle of ~1e-10: too shallow to reflect, and clear of both endpoints
+        scene = Scene(mirrors=single_mirror_scene.mirrors, source=(-1000.0, 1e-7))
+        theta = math.atan2(-1e-7, 1000.5)
+        h = first_hit(scene.source, theta, scene)
+        assert isinstance(h, SingularStop)
+        assert h.reason == "grazing"
+        tr = trace(scene, theta)
+        assert tr.status is TraceStatus.SINGULAR
+        assert tr.bounce_count == 0
+        x, y = tr.stop_point
+        assert y == pytest.approx(0.0, abs=1e-9) and -1.0 < x < 1.0
+
     def test_hit_from_below_has_minus_side(self, single_mirror_scene):
         h = first_hit((0.0, -1.0), math.pi / 2, single_mirror_scene)
         assert isinstance(h, Hit)
