@@ -4,6 +4,10 @@ Exit codes: 0 success, 1 internal failure, an output path that cannot be
 written or a reflection group larger than ``--group-cap``, 2 invalid scene or
 rejected option value, 3 parse error, 4 no dark sector certified (sectors
 command only).
+
+A run writes at most one block to stderr, and only ``main`` writes it: the
+summary a finished command returns with its exit code, or the message of the
+``_Exit`` that ended it.  ``validate`` and ``render`` write none on success.
 """
 
 from __future__ import annotations
@@ -62,8 +66,8 @@ DEFAULT_DARKNESS_SAMPLES = 1000
 
 
 class _Exit(Exception):
-    """Ends the command with the exit code in ``args[0]``; the reason is
-    already on stderr."""
+    """Ends the command with the exit code ``args[0]`` and the stderr text
+    ``args[1]``."""
 
 
 def _emit(produce, path: str | None) -> None:
@@ -86,8 +90,7 @@ def _emit(produce, path: str | None) -> None:
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except OSError as e:
-        print(f"error: cannot write {path}: {e.strerror or e}", file=sys.stderr)
-        raise _Exit(EXIT_INTERNAL) from None
+        raise _Exit(EXIT_INTERNAL, f"error: cannot write {path}: {e.strerror or e}") from None
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
@@ -107,19 +110,17 @@ def _read_scene(path: str) -> Scene:
         with open(path, "rb") as f:
             return load_scene(f.read())
     except OSError as e:
-        print(f"error: cannot read scene file: {e}", file=sys.stderr)
+        raise _Exit(EXIT_PARSE_ERROR, f"error: cannot read scene file: {e}") from None
     except SceneFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-    raise _Exit(EXIT_PARSE_ERROR)
+        raise _Exit(EXIT_PARSE_ERROR, f"error: {e}") from None
 
 
 def _load_valid_scene(path: str) -> Scene:
     scene = _read_scene(path)
     violations = validate_scene(scene)
-    for v in violations:
-        print(f"invalid scene: [{v.code}] {v.detail}", file=sys.stderr)
     if violations:
-        raise _Exit(EXIT_INVALID_SCENE)
+        raise _Exit(EXIT_INVALID_SCENE, "\n".join(
+            f"invalid scene: [{v.code}] {v.detail}" for v in violations))
     return scene
 
 
@@ -128,12 +129,8 @@ def _enclosing_circle(scene: Scene, margin: float) -> EnclosingCircle:
     ends the command with exit 2."""
     circle = enclosing_circle(scene, margin=margin)
     if not math.isfinite(circle.radius):
-        print(
-            f"error: --margin {margin} makes the enclosing circle's radius "
-            "overflow the float range",
-            file=sys.stderr,
-        )
-        raise _Exit(EXIT_INVALID_SCENE)
+        raise _Exit(EXIT_INVALID_SCENE, f"error: --margin {margin} makes the enclosing circle's "
+                    "radius overflow the float range")
     return circle
 
 
@@ -141,13 +138,13 @@ def _drawable(circle: EnclosingCircle) -> EnclosingCircle:
     """circle, if the SVG viewport around it stays inside the float range;
     otherwise the command ends with exit 2."""
     if not math.isfinite(2.0 * (max(map(abs, circle.center)) + VIEWPORT_RADII * circle.radius)):
-        print(f"error: the SVG viewport, {2 * VIEWPORT_RADII:g} radii wide around the enclosing "
-              f"circle (radius {circle.radius:.3g}), leaves the float range", file=sys.stderr)
-        raise _Exit(EXIT_INVALID_SCENE)
+        raise _Exit(EXIT_INVALID_SCENE, f"error: the SVG viewport, {2 * VIEWPORT_RADII:g} radii "
+                    f"wide around the enclosing circle (radius {circle.radius:.3g}), leaves the "
+                    "float range")
     return circle
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace) -> tuple[int, str | None]:
     scene = _read_scene(args.scene)
     violations = validate_scene(scene)
     doc = {
@@ -159,10 +156,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         ],
     }
     _emit_doc(doc, args.out)
-    return EXIT_OK if not violations else EXIT_INVALID_SCENE
+    return (EXIT_INVALID_SCENE if violations else EXIT_OK), None
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
+def _cmd_trace(args: argparse.Namespace) -> tuple[int, str | None]:
     scene = _load_valid_scene(args.scene)
     circle = _enclosing_circle(scene, args.margin)
     tr = trace(scene, args.theta, cap=args.cap)
@@ -186,13 +183,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     _emit_doc(doc, args.out)
     if svg is not None:
         _emit_svg(svg, args.svg)
-    print(
-        f"trace: {tr.status.value}, {tr.bounce_count} bounce(s), "
-        f"exit direction {tr.exit_dir_numeric:.17g} rad "
-        f"(exact {tr.exit_dir_exact})",
-        file=sys.stderr,
-    )
-    return EXIT_OK
+    return EXIT_OK, (f"trace: {tr.status.value}, {tr.bounce_count} bounce(s), exit direction "
+                     f"{tr.exit_dir_numeric:.17g} rad (exact {tr.exit_dir_exact})")
 
 
 def _sector_circle(scene: Scene, args: argparse.Namespace) -> EnclosingCircle:
@@ -203,31 +195,23 @@ def _sector_circle(scene: Scene, args: argparse.Namespace) -> EnclosingCircle:
     radii = sample_reach(args.eps_b)
     # the samples' coordinates, and their offsets from the center, stay finite
     if not math.isfinite(2.0 * (max(map(abs, circle.center)) + radii * circle.radius)):
-        print(
-            f"error: scene too large for sectors: with --eps-b {args.eps_b:g} "
-            f"the darkness samples lie up to {radii:.3g} radii (radius "
-            f"{circle.radius:.3g}) from the enclosing circle's center, beyond "
-            "the float range",
-            file=sys.stderr,
-        )
-        raise _Exit(EXIT_INVALID_SCENE)
+        raise _Exit(EXIT_INVALID_SCENE, f"error: scene too large for sectors: with --eps-b "
+                    f"{args.eps_b:g} the darkness samples lie up to {radii:.3g} radii (radius "
+                    f"{circle.radius:.3g}) from the enclosing circle's center, beyond the "
+                    "float range")
     return circle
 
 
-def _cmd_map(args: argparse.Namespace) -> int:
+def _cmd_map(args: argparse.Namespace) -> tuple[int, str | None]:
     scene = _load_valid_scene(args.scene)
     circle = _enclosing_circle(scene, args.margin)
     d = decompose(scene, circle, seeds=args.samples, eps_b=args.eps_b, cap=args.cap)
     _emit_doc(decomposition_report(d), args.out)
-    print(
-        f"map: {len(d.components)} component(s), escape measure "
-        f"{d.escape_measure:.17g} of {2 * math.pi:.17g}",
-        file=sys.stderr,
-    )
-    return EXIT_OK
+    return EXIT_OK, (f"map: {len(d.components)} component(s), escape measure "
+                     f"{d.escape_measure:.17g} of {2 * math.pi:.17g}")
 
 
-def _cmd_sectors(args: argparse.Namespace) -> int:
+def _cmd_sectors(args: argparse.Namespace) -> tuple[int, str | None]:
     scene = _load_valid_scene(args.scene)
     circle = _sector_circle(scene, args)
     d = decompose(scene, circle, seeds=args.samples, eps_b=args.eps_b, cap=args.cap)
@@ -261,32 +245,23 @@ def _cmd_sectors(args: argparse.Namespace) -> int:
     _emit_doc(doc, args.out)
     if args.svg:
         _emit_svg(_draw(scene, doc, d.circle), args.svg)
-    if certified:
-        print(
-            f"sectors: certified {len(reports)} dark sector(s); exit-direction map "
-            f"{'injective' if injective else 'not injective'}",
-            file=sys.stderr,
-        )
-        return EXIT_OK
-    print("sectors: no dark sector certified", file=sys.stderr)
-    return EXIT_NO_SECTOR
+    if not certified:
+        return EXIT_NO_SECTOR, "sectors: no dark sector certified"
+    return EXIT_OK, (f"sectors: certified {len(reports)} dark sector(s); exit-direction map "
+                     f"{'injective' if injective else 'not injective'}")
 
 
-def _cmd_unfold(args: argparse.Namespace) -> int:
+def _cmd_unfold(args: argparse.Namespace) -> tuple[int, str | None]:
     scene = _load_valid_scene(args.scene)
     try:
         surface = build_surface(scene, group_cap=args.group_cap)
     except GroupOrderError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
+        raise _Exit(EXIT_INTERNAL, f"error: {e}") from None
     doc = census_report(surface, cone_cycles(surface))
     _emit_doc(doc, args.out)
-    print(
-        f"unfold: {doc['sheet_count']} sheet(s), {len(doc['zeros'])} zero(s), "
-        f"{len(doc['poles'])} pole(s), genus {doc['genus']}, chi {doc['euler_characteristic']}",
-        file=sys.stderr,
-    )
-    return EXIT_OK
+    return EXIT_OK, (f"unfold: {doc['sheet_count']} sheet(s), {len(doc['zeros'])} zero(s), "
+                     f"{len(doc['poles'])} pole(s), genus {doc['genus']}, "
+                     f"chi {doc['euler_characteristic']}")
 
 
 def _points(value, where: str, count: int | None = None) -> list:
@@ -354,17 +329,16 @@ def _report_trace(doc: dict, circle: EnclosingCircle) -> list:
     return points if stop is None else [*points, stop]
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
+def _cmd_render(args: argparse.Namespace) -> tuple[int, str | None]:
     if args.report is None:
         scene = _load_valid_scene(args.scene)
         _emit_svg(_draw(scene, {}, _enclosing_circle(scene, args.margin)), args.svg)
-        return EXIT_OK
+        return EXIT_OK, None
     try:
         with open(args.report, "rb") as f:
             doc = json.loads(f.read().decode("utf-8"))
     except (OSError, ValueError) as e:  # ValueError: not UTF-8, or not JSON
-        print(f"error: cannot read report: {e}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+        raise _Exit(EXIT_PARSE_ERROR, f"error: cannot read report: {e}") from None
     try:
         if not isinstance(doc, dict):
             raise SceneFormatError("expected a JSON object", "report")
@@ -374,14 +348,12 @@ def _cmd_render(args: argparse.Namespace) -> int:
         try:
             scene = scene_from_document(source.get("scene", doc.get("scene")))
         except SceneFormatError as e:
-            print(f"error: report carries no usable scene: {e}", file=sys.stderr)
-            return EXIT_PARSE_ERROR
+            raise _Exit(EXIT_PARSE_ERROR, f"error: report carries no usable scene: {e}") from None
         svg = _draw(scene, doc, _enclosing_circle(scene, args.margin))
     except SceneFormatError as e:
-        print(f"error: malformed report: {e}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
+        raise _Exit(EXIT_PARSE_ERROR, f"error: malformed report: {e}") from None
     _emit_svg(svg, args.svg)
-    return EXIT_OK
+    return EXIT_OK, None
 
 
 def _checked(convert, ok, message: str):
@@ -478,12 +450,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: "list[str] | None" = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code, message = args.handler(args)
     except _Exit as e:
-        return e.args[0]
+        code, message = e.args
     except Exception as e:  # pragma: no cover - defensive catch-all
-        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
-        return EXIT_INTERNAL
+        code, message = EXIT_INTERNAL, f"internal error: {type(e).__name__}: {e}"
+    if message is not None:
+        print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -140,7 +140,7 @@ def trace(scene: Scene, theta0: float, cap: int = DEFAULT_BOUNCE_CAP) -> TraceRe
         raise ValueError("bounce cap must be >= 1")
     geos = scene.geometry
     cos, sin = math.cos, math.sin
-    theta = wrap_angle(theta0)
+    theta = theta0  # wrapped on reflection; the first leg leaves along theta0 as given
     k = 0  # exact exit direction offset, in units of pi / scene.angle_unit
     ox, oy = pos = scene.source
     path = [pos]
@@ -175,7 +175,7 @@ def trace(scene: Scene, theta0: float, cap: int = DEFAULT_BOUNCE_CAP) -> TraceRe
         tuple(itinerary),
         tuple(path),
         pos,
-        theta,
+        wrap_angle(theta),
         GroupElement(-1 if n % 2 else 1, k % (2 * unit), unit),
         n,
         stop_point,

@@ -754,3 +754,121 @@ class TestWrittenFiles:
         assert f"error: cannot write {path}: " in err
         assert "internal error" not in err and ".darksector-" not in err
         assert not list(tmp_path.glob(".darksector-*"))
+
+
+def _scene_bytes(*mirrors, source=(0.0, 1.0)) -> bytes:
+    return save_scene(Scene(mirrors=tuple(Mirror(*m) for m in mirrors), source=source))
+
+
+_HORIZONTAL = make_rational_turn(0, 1)
+_TOY = save_scene(make_toy_scene())
+# every failure path of the command layer: (files written into the run's
+# directory, argv, exit code, the whole stderr text); "{tmp}" stands for
+# the directory
+FAILURES = {
+    "unwritable-out": (
+        {"toy.json": _TOY},
+        ["validate", "--scene", "{tmp}/toy.json", "--out", "{tmp}/absent/out.json"],
+        1, "error: cannot write {tmp}/absent/out.json: No such file or directory\n",
+    ),
+    "missing-scene": (
+        {}, ["trace", "--scene", "{tmp}/absent.json", "--theta", "1"],
+        3, "error: cannot read scene file: [Errno 2] No such file or directory: "
+           "'{tmp}/absent.json'\n",
+    ),
+    "scene-not-json": (
+        {"bad.json": b"{not json"}, ["validate", "--scene", "{tmp}/bad.json"],
+        3, "error: invalid JSON: Expecting property name enclosed in double quotes "
+           "(line 1, column 2)\n",
+    ),
+    "two-violations": (
+        {"two.json": _scene_bytes(((-1.0, 0.0), 2.0, _HORIZONTAL),
+                                  ((0.0, -1.0), 2.0, make_rational_turn(1, 2)),
+                                  source=(0.5, 0.0))},
+        ["map", "--scene", "{tmp}/two.json"],
+        2, "invalid scene: [mirrors-intersect] mirrors 1 and 2 are at distance 6.123e-17\n"
+           "invalid scene: [source-on-mirror] source is at distance 0.000e+00 from mirror 1\n",
+    ),
+    "margin-overflow": (
+        {"toy.json": _TOY}, ["map", "--scene", "{tmp}/toy.json", "--margin", "1.5e308"],
+        2, "error: --margin 1.5e+308 makes the enclosing circle's radius overflow the float "
+           "range\n",
+    ),
+    "sectors-too-large": (
+        {"far.json": _scene_bytes(((-1.0, 0.0), 2.0, _HORIZONTAL),
+                                  ((1e299, 0.0), 1.0, _HORIZONTAL))},
+        ["sectors", "--scene", "{tmp}/far.json", "--samples", "8"],
+        2, "error: scene too large for sectors: with --eps-b 1e-10 the darkness samples lie up "
+           "to 1e+10 radii (radius 6.25e+298) from the enclosing circle's center, beyond the "
+           "float range\n",
+    ),
+    "viewport-beyond-the-float-range": (
+        {"far.json": _scene_bytes(((-1.0, 0.0), 2.0, _HORIZONTAL),
+                                  ((1e308, 0.0), 1.0, make_rational_turn(1, 2)))},
+        ["render", "--scene", "{tmp}/far.json", "--svg", "{tmp}/out.svg"],
+        2, "error: the SVG viewport, 6 radii wide around the enclosing circle (radius "
+           "6.25e+307), leaves the float range\n",
+    ),
+    "unfold-over-the-group-cap": (
+        {"toy.json": _TOY}, ["unfold", "--scene", "{tmp}/toy.json", "--group-cap", "3"],
+        1, "error: reflection group of order 4 exceeds cap of 3 elements\n",
+    ),
+    "missing-report": (
+        {}, ["render", "--report", "{tmp}/absent.json"],
+        3, "error: cannot read report: [Errno 2] No such file or directory: "
+           "'{tmp}/absent.json'\n",
+    ),
+    "report-not-json": (
+        {"report.json": b"{not json"}, ["render", "--report", "{tmp}/report.json"],
+        3, "error: cannot read report: Expecting property name enclosed in double quotes: "
+           "line 1 column 2 (char 1)\n",
+    ),
+    "report-not-utf8": (
+        {"report.json": b'{"scene": "\xff"}'}, ["render", "--report", "{tmp}/report.json"],
+        3, "error: cannot read report: 'utf-8' codec can't decode byte 0xff in position 11: "
+           "invalid start byte\n",
+    ),
+    "malformed-report": (
+        {"report.json": b'{"scene": ' + _TOY + b', "circle": {"center": [0, 0]}}'},
+        ["render", "--report", "{tmp}/report.json"],
+        3, "error: malformed report: circle.radius: missing field\n",
+    ),
+    "report-without-a-scene": (
+        {"report.json": b'{"path": []}'}, ["render", "--report", "{tmp}/report.json"],
+        3, "error: report carries no usable scene: top-level value must be an object\n",
+    ),
+}
+
+
+class TestFailureMessages:
+    @pytest.mark.parametrize("name", list(FAILURES))
+    def test_failure_writes_one_message_and_its_exit_code(self, tmp_path, capsys, name):
+        files, argv, code, err = FAILURES[name]
+        for file, data in files.items():
+            (tmp_path / file).write_bytes(data)
+        tmp = str(tmp_path)
+        assert main([a.replace("{tmp}", tmp) for a in argv]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == err.replace("{tmp}", tmp)
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["validate", "--scene", "{tmp}/toy.json"], 0),
+            (["validate", "--scene", "{tmp}/two.json"], 2),
+            (["render", "--scene", "{tmp}/toy.json"], 0),
+            (["render", "--report", "{tmp}/report.json"], 0),
+        ],
+        ids=["validate", "validate-invalid", "render-scene", "render-report"],
+    )
+    def test_validate_and_render_write_no_stderr(self, tmp_path, capsys, argv, code):
+        # validate reports violations in its document; render has no summary
+        (tmp_path / "toy.json").write_bytes(_TOY)
+        (tmp_path / "two.json").write_bytes(FAILURES["two-violations"][0]["two.json"])
+        tmp = str(tmp_path)
+        assert main(["trace", "--scene", f"{tmp}/toy.json", "--theta", "1",
+                     "--out", f"{tmp}/report.json"]) == 0
+        capsys.readouterr()
+        assert main([a.replace("{tmp}", tmp) for a in argv]) == code
+        assert capsys.readouterr().err == ""

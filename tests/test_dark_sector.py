@@ -11,6 +11,7 @@ from conftest import angles_close, make_single_mirror_scene, make_six_mirror_tra
 from darksector.arcs import Arc, arc_contains_arc
 from darksector.circle_map import decompose, unlit_arcs
 from darksector.dark_sector import (
+    DarkSector,
     INSIDE_MARGIN,
     MAX_SECTOR_MEASURE,
     _clearly_inside,
@@ -310,3 +311,10 @@ class TestRayEntersSector:
         assert ray_enters_sector((0.0, -5.0), math.pi / 2, s)
         assert not ray_enters_sector((0.0, -5.0), 3 * math.pi / 2, s)
         assert not ray_enters_sector((10.0, 0.0), 0.0, s)
+
+    def test_ray_parallel_to_an_edge(self):
+        # the ray runs along the direction of the pi/4 edge: inside that
+        # edge's half-plane for every t, or for none
+        s = DarkSector((0.0, 0.0), math.pi / 4, 3 * math.pi / 4, ((0.0, 0.0), (0.0, 0.0)))
+        assert ray_enters_sector((0.0, 5.0), math.pi / 4, s)
+        assert not ray_enters_sector((5.0, 0.0), math.pi / 4, s)

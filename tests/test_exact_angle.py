@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import compose
@@ -57,6 +57,19 @@ class TestMakeRationalTurn:
         assert make_rational_turn(t.num, t.den) == t
         # value preserved mod 2
         assert (Fraction(num, den) - t.fraction) % 2 == 0
+
+    @pytest.mark.parametrize(
+        "num,den,message",
+        [
+            (1, 0, "denominator must be positive, got 0"),
+            (2, 4, "2/4 is not reduced"),
+            (5, 2, "5/2 is not normalized modulo 2"),
+        ],
+        ids=["zero-denominator", "not-reduced", "not-normalized"],
+    )
+    def test_constructor_rejects_a_non_canonical_pair(self, num, den, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            RationalTurn(num, den)
 
 
 class TestGroupElement:
@@ -143,9 +156,11 @@ class TestGroupLaws:
 
 def numeric_orbit_size(mirror_angles, theta=0.7234018873):
     """Independent oracle: close {theta} under the numeric reflection maps
-    theta -> 2*r*pi - theta and count distinct values."""
+    theta -> 2*r*pi - theta and count distinct values.  Values count as
+    distinct when more than 1e-9 apart around the circle, so one orbit
+    point whose rounding key drifts to a neighbour is not counted twice."""
     maps = [2 * math.pi * f for f in mirror_angles]
-    orbit = {round(theta, 9)}
+    orbit = {round(theta, 9): theta}
     frontier = [theta]
     while frontier:
         t = frontier.pop()
@@ -153,9 +168,11 @@ def numeric_orbit_size(mirror_angles, theta=0.7234018873):
             nt = wrap_angle(c - t)
             key = round(nt, 9)
             if key not in orbit:
-                orbit.add(key)
+                orbit[key] = nt
                 frontier.append(nt)
-    return len(orbit)
+    points = sorted(orbit.values())
+    gaps = [b - a for a, b in zip(points, points[1:])] + [points[0] + 2 * math.pi - points[-1]]
+    return sum(gap > 1e-9 for gap in gaps)
 
 
 class TestGenerateGroup:
@@ -188,6 +205,8 @@ class TestGenerateGroup:
             max_size=3,
         )
     )
+    # 1,980 elements; one orbit point rounds to two different 9-digit keys
+    @example({make_rational_turn(8, 9), make_rational_turn(2, 11), make_rational_turn(11, 10)})
     def test_orbit_size_matches_numeric_oracle(self, angles):
         g = reflection_group(angles, cap=100000)
         assert len(g) == numeric_orbit_size([a.fraction for a in angles])

@@ -1,7 +1,8 @@
 """Byte-level regression gate for the CLI reports and SVGs.
 
-Each case runs one command on a scene and pins the SHA-256 of the ``--out``
-JSON and, for the commands that draw one, of the ``--svg``.  A refactor that
+Each case runs one command on a scene and pins its exit code, its whole
+stderr text, the SHA-256 of the ``--out`` JSON and, for the commands that
+draw one, of the ``--svg``.  A refactor that
 is meant to keep behaviour must keep these digests; a change that is meant to
 alter the output must update them deliberately.
 """
@@ -62,27 +63,53 @@ GOLDEN = {
 }
 
 
+# (scene, command) -> the whole stderr text of the run
+SUMMARY = {
+    ("single_mirror", "trace"):
+        "trace: escaped, 1 bounce(s), exit direction 2.0831853071795861 rad (exact -θ)\n",
+    ("single_mirror", "map"):
+        "map: 2 component(s), escape measure 6.2831853051680735 of 6.2831853071795862\n",
+    ("single_mirror", "sectors"):
+        "sectors: certified 1 dark sector(s); exit-direction map not injective\n",
+    ("single_mirror", "unfold"): "unfold: 2 sheet(s), 2 zero(s), 2 pole(s), genus 0, chi 2\n",
+    ("two_perpendicular", "trace"):
+        "trace: escaped, 1 bounce(s), exit direction 2.0831853071795861 rad (exact -θ)\n",
+    ("two_perpendicular", "map"):
+        "map: 5 component(s), escape measure 6.2831853028822664 of 6.2831853071795862\n",
+    ("two_perpendicular", "sectors"):
+        "sectors: certified 3 dark sector(s); exit-direction map not injective\n",
+    ("two_perpendicular", "unfold"):
+        "unfold: 4 sheet(s), 8 zero(s), 4 pole(s), genus 1, chi 0\n",
+}
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _assert_pinned(args, draws_svg, scene_path, want, tmp_path):
+def _assert_pinned(args, draws_svg, scene_path, want, tmp_path, capsys, code=0):
+    """Run args on the scene with --out (and --svg when it draws) and check
+    the exit code, the stderr text and the digests in ``want``, which is
+    (stderr, sha256 of --out, sha256 of --svg or None)."""
     out = tmp_path / "report.json"
     svg = tmp_path / "render.svg"
     argv = [*args, "--scene", str(scene_path), "--out", str(out)]
     if draws_svg:
         argv += ["--svg", str(svg)]
-    assert main(argv) == 0
-    want_out, want_svg = want
+    capsys.readouterr()
+    assert main(argv) == code
+    want_err, want_out, want_svg = want
+    assert capsys.readouterr().err == want_err
     assert _sha256(out) == want_out
     if want_svg is not None:
         assert _sha256(svg) == want_svg
 
 
 @pytest.mark.parametrize("scene,command", sorted(GOLDEN))
-def test_report_bytes_are_pinned(scene, command, tmp_path):
+def test_report_bytes_are_pinned(scene, command, tmp_path, capsys):
     args, draws_svg = COMMANDS[command]
-    _assert_pinned(args, draws_svg, SCENES / f"{scene}.json", GOLDEN[(scene, command)], tmp_path)
+    want = (SUMMARY[(scene, command)], *GOLDEN[(scene, command)])
+    _assert_pinned(args, draws_svg, SCENES / f"{scene}.json", want, tmp_path, capsys)
 
 
 def make_mixed_denominator_scene() -> Scene:
@@ -112,19 +139,28 @@ MIXED = {
                "b63ecb99135cc9400d3887ad276ae211b8e923bd3aa9f69690cf6c84efa8a06b", None),
 }
 
+MIXED_SUMMARY = {
+    "trace": "trace: escaped, 9 bounce(s), exit direction 4.0359877559829869 rad "
+             "(exact -θ + 5/3·π)\n",
+    "map": "map: 38 component(s), escape measure 6.2831852824014076 of 6.2831853071795862\n",
+    "unfold": "unfold: 24 sheet(s), 96 zero(s), 24 pole(s), genus 25, chi -48\n",
+}
+
 
 @pytest.mark.parametrize("command", sorted(MIXED))
-def test_mixed_denominator_bytes_are_pinned(command, tmp_path):
+def test_mixed_denominator_bytes_are_pinned(command, tmp_path, capsys):
     args, draws_svg, want_out, want_svg = MIXED[command]
     scene_path = tmp_path / "scene.json"
     scene_path.write_bytes(save_scene(make_mixed_denominator_scene()))
-    _assert_pinned(args, draws_svg, scene_path, (want_out, want_svg), tmp_path)
+    want = (MIXED_SUMMARY[command], want_out, want_svg)
+    _assert_pinned(args, draws_svg, scene_path, want, tmp_path, capsys)
 
 
 # Multi-bounce scenes whose traces run to the bounce cap.  The channel run is
 # injective with 242 components and no unlit arc (exit 4); the six-mirror run
 # is not injective and certifies 11 unlit arcs (exit 0).
 # name -> (scene, sectors options, exit code, sha256 of --out, sha256 of --svg)
+# and, in TRAPPED_SUMMARY, the stderr text
 TRAPPED = {
     "channel": (
         make_parallel_scene,
@@ -143,18 +179,20 @@ TRAPPED = {
 }
 
 
+TRAPPED_SUMMARY = {
+    "channel": "sectors: no dark sector certified\n",
+    "six_mirror_trap": "sectors: certified 11 dark sector(s); exit-direction map not injective\n",
+}
+
+
 @pytest.mark.parametrize("name", sorted(TRAPPED))
-def test_trapped_scene_sectors_bytes_are_pinned(name, tmp_path):
+def test_trapped_scene_sectors_bytes_are_pinned(name, tmp_path, capsys):
     make_scene, options, code, want_out, want_svg = TRAPPED[name]
     scene_path = tmp_path / "scene.json"
     scene_path.write_bytes(save_scene(make_scene()))
-    out = tmp_path / "report.json"
-    svg = tmp_path / "render.svg"
-    argv = ["sectors", "--seed", "0", "--scene", str(scene_path), *options,
-            "--out", str(out), "--svg", str(svg)]
-    assert main(argv) == code
-    assert _sha256(out) == want_out
-    assert _sha256(svg) == want_svg
+    want = (TRAPPED_SUMMARY[name], want_out, want_svg)
+    _assert_pinned(["sectors", "--seed", "0", *options], True, scene_path, want, tmp_path, capsys,
+                   code)
 
 
 def make_five_mirror_scene() -> Scene:
@@ -170,11 +208,12 @@ def make_five_mirror_scene() -> Scene:
     )
 
 
-def test_large_surface_unfold_bytes_are_pinned(tmp_path):
+def test_large_surface_unfold_bytes_are_pinned(tmp_path, capsys):
     scene_path = tmp_path / "scene.json"
     scene_path.write_bytes(save_scene(make_five_mirror_scene()))
-    want = ("bcd8b354ba1e6502e4b2bc5f403dc43db191cca4c1d8cce3a7229c3cf7623c86", None)
-    _assert_pinned(["unfold"], False, scene_path, want, tmp_path)
+    want = ("unfold: 120 sheet(s), 600 zero(s), 120 pole(s), genus 181, chi -360\n",
+            "bcd8b354ba1e6502e4b2bc5f403dc43db191cca4c1d8cce3a7229c3cf7623c86", None)
+    _assert_pinned(["unfold"], False, scene_path, want, tmp_path, capsys)
 
 
 def _drawing_runs():

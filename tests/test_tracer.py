@@ -53,6 +53,18 @@ class TestFirstHit:
         x, y = tr.stop_point
         assert y == pytest.approx(0.0, abs=1e-9) and -1.0 < x < 1.0
 
+    def test_trace_leaves_along_the_launch_direction_as_given(self, single_mirror_scene):
+        # theta < 0 here; wrapping it into [0, 2pi) first moves its sine by
+        # 5e-6 relative, which at this grazing angle moves the stop point
+        # along the mirror from 0.5 to ~0.495
+        scene = Scene(mirrors=single_mirror_scene.mirrors, source=(-1000.0, 1e-7))
+        theta = math.atan2(-1e-7, 1000.5)
+        assert theta < 0.0
+        tr = trace(scene, theta)
+        assert tr.stop_point == first_hit(scene.source, theta, scene).point
+        assert tr.stop_point == pytest.approx((0.5, 0.0), abs=1e-12)
+        assert tr.exit_dir_numeric == wrap_angle(theta)
+
     def test_hit_from_below_has_minus_side(self, single_mirror_scene):
         h = first_hit((0.0, -1.0), math.pi / 2, single_mirror_scene)
         assert isinstance(h, Hit)
@@ -117,18 +129,19 @@ def outcome(tr):
 
 def trace_by_first_hit(scene, theta0, cap):
     """``outcome(trace(scene, theta0, cap))``, stepped by hand from the
-    source with ``first_hit``."""
-    theta = wrap_angle(theta0)
+    source with ``first_hit``, which takes theta0 as given."""
+    theta = theta0
     pos = scene.source
     path, itinerary, last = [pos], [], None
     while True:
         res = first_hit(pos, theta, scene, exclude_index=last)
+        exit_dir = wrap_angle(theta)
         if res is None:
-            return TraceStatus.ESCAPED, tuple(itinerary), tuple(path), theta, None
+            return TraceStatus.ESCAPED, tuple(itinerary), tuple(path), exit_dir, None
         if isinstance(res, SingularStop):
-            return TraceStatus.SINGULAR, tuple(itinerary), tuple(path), theta, res.point
+            return TraceStatus.SINGULAR, tuple(itinerary), tuple(path), exit_dir, res.point
         if len(itinerary) == cap:
-            return TraceStatus.BOUNCE_CAP_EXCEEDED, tuple(itinerary), tuple(path), theta, None
+            return TraceStatus.BOUNCE_CAP_EXCEEDED, tuple(itinerary), tuple(path), exit_dir, None
         itinerary.append((res.mirror_index, res.side))
         path.append(res.point)
         theta = wrap_angle(scene.geometry[res.mirror_index - 1].two_angle - theta)
