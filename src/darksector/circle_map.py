@@ -109,7 +109,7 @@ def decompose(
     """
     if seeds < 8:
         raise ValueError("need at least 8 seed directions")
-    if eps_b <= 0:
+    if not eps_b > 0:  # NaN too: it would bisect down to adjacent floats
         raise ValueError("eps_b must be positive")
 
     spacing = TWO_PI / seeds

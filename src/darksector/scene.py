@@ -55,8 +55,9 @@ def endpoints(m: Mirror) -> tuple[Point, Point]:
 
 
 class MirrorGeometry(NamedTuple):
-    """Per-mirror constants of the ray tracer's intersection test, in the
-    order its per-bounce loop unpacks them."""
+    """Per-mirror constants of the ray tracer.  The scan of a leg reads
+    only the anchor, e and slack, through :attr:`Scene.scan_rows`; the rest
+    is read, unpacked in this order, once per hit."""
 
     index: int  # 1-based position in Scene.mirrors
     ax: float
@@ -72,6 +73,10 @@ class MirrorGeometry(NamedTuple):
     # the itinerary entries (index, side) of a hit from the left-normal side
     # and from the other, shared by every trace
     lips: tuple[tuple[int, int], tuple[int, int]]
+
+
+# A mirror as the tracer's scan tests it; see Scene.scan_rows.
+ScanRow = tuple[float, float, float, float, float, float, MirrorGeometry]
 
 
 @dataclass(frozen=True)
@@ -112,6 +117,19 @@ class Scene:
                 )
             )
         return tuple(geos)
+
+    @cached_property
+    def scan_rows(self) -> tuple[tuple[ScanRow, ...], ...]:
+        """The mirrors a leg must test, indexed by the 1-based mirror the
+        leg leaves: entry i lists every mirror but i, in scene order, and
+        entry 0, for the leg from the source, lists them all.  Each row is
+        ``(ax, ay, ex, ey, -slack, 1.0 + slack, geometry)``, the segment
+        and the bounds of u that count as a hit, so the tracer's scan needs
+        no index test and unpacks no field it does not use."""
+        rows = [(g.ax, g.ay, g.ex, g.ey, -g.slack, 1.0 + g.slack, g) for g in self.geometry]
+        return (tuple(rows),) + tuple(
+            tuple(rows[:i] + rows[i + 1 :]) for i in range(len(rows))
+        )
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,17 @@ exactly, as the integer offset k of the isometry theta -> s*theta + k*pi/L
 (L the scene's angle unit; a reflection in a mirror at angle a*pi maps k to
 2aL - k and flips s), so the exit direction of an escaped ray can be
 cross-checked against the exact group action on the launch direction.
+
+:func:`trace` is one loop that calls no Python function per leg.  A leg
+scans the rows of :attr:`Scene.scan_rows` for the mirror it leaves, each
+``(ax, ay, ex, ey, -slack, 1.0 + slack, geometry)``: every other mirror in
+scene order, the bounds of the segment parameter u that count as a hit,
+and the mirror's full geometry, unpacked only for the nearest hit.  The
+loop's float expressions are those of :func:`first_hit`, operand for
+operand, and none may be rewritten into an algebraically equal form
+(multiplied through, or reflecting (dx, dy) in place of cos/sin of the
+wrapped angle): the circle map bisects on itinerary keys, so one rounding
+flipped near a boundary moves its arcs and the report bytes.
 """
 
 from __future__ import annotations
@@ -14,8 +25,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .exact_angle import GroupElement, wrap_angle
-from .scene import EPS_SINGULAR, EnclosingCircle, MirrorGeometry, Point, Scene
+from .exact_angle import TWO_PI, GroupElement, wrap_angle
+from .scene import EPS_SINGULAR, EnclosingCircle, MirrorGeometry, Point, ScanRow, Scene
 
 # Minimum advance along the ray before a hit counts; scene.MIN_SEPARATION,
 # the clearance validation demands, stays above it.  EPS_SINGULAR, the
@@ -57,19 +68,15 @@ def _nearest_hit(
     oy: float,
     dx: float,
     dy: float,
-    geos: "tuple[MirrorGeometry, ...]",
-    exclude: int | None,
+    rows: "tuple[ScanRow, ...]",
 ) -> "tuple[float, float, MirrorGeometry, float] | None":
     """The nearest intersection of the ray (ox, oy) + t (dx, dy), t > 0,
-    with a mirror other than ``exclude``: ``(t, u, row, denom)`` with u the
-    hit's position along the segment (0 at the anchor, 1 at the far end),
-    or None when the ray meets no mirror."""
+    with a mirror of ``rows`` (an entry of :attr:`Scene.scan_rows`):
+    ``(t, u, row, denom)`` with u the hit's position along the segment (0 at
+    the anchor, 1 at the far end), or None when the ray meets no mirror."""
     best_t = math.inf
     best = None
-    for row in geos:
-        index, ax, ay, ex, ey, slack, _, _, _, _, _, _ = row
-        if index == exclude:
-            continue
+    for ax, ay, ex, ey, lo, hi, row in rows:
         denom = dx * ey - dy * ex
         if denom == 0.0:
             continue
@@ -79,7 +86,7 @@ def _nearest_hit(
         if t <= EPS_ADVANCE or t >= best_t:
             continue
         u = (wx * dy - wy * dx) / denom
-        if u < -slack or u > 1.0 + slack:
+        if u < lo or u > hi:
             continue
         best_t = t
         best = (t, u, row, denom)
@@ -110,7 +117,7 @@ def first_hit(
     """
     ox, oy = origin
     dx, dy = math.cos(theta), math.sin(theta)
-    hit = _nearest_hit(ox, oy, dx, dy, scene.geometry, exclude_index)
+    hit = _nearest_hit(ox, oy, dx, dy, scene.scan_rows[exclude_index or 0])
     if hit is None:
         return None
     t, u, row, denom = hit
@@ -138,25 +145,47 @@ def trace(scene: Scene, theta0: float, cap: int = DEFAULT_BOUNCE_CAP) -> TraceRe
     singular, or would exceed ``cap`` reflections."""
     if cap < 1:
         raise ValueError("bounce cap must be >= 1")
-    geos = scene.geometry
-    cos, sin = math.cos, math.sin
+    if not math.isfinite(theta0):
+        raise ValueError(f"launch direction must be finite, got {theta0}")
+    scan_rows = scene.scan_rows
+    rows = scan_rows[0]
+    cos, sin, inf = math.cos, math.sin, math.inf
+    eps_advance, eps_singular, two_pi = EPS_ADVANCE, EPS_SINGULAR, TWO_PI
     theta = theta0  # wrapped on reflection; the first leg leaves along theta0 as given
     k = 0  # exact exit direction offset, in units of pi / scene.angle_unit
     ox, oy = pos = scene.source
     path = [pos]
     itinerary: list[tuple[int, int]] = []
-    last: int | None = None
     stop_point = None
     while True:
         dx, dy = cos(theta), sin(theta)
-        hit = _nearest_hit(ox, oy, dx, dy, geos, last)
+        # the nearest hit, as in _nearest_hit
+        best_t = inf
+        hit = None
+        for ax, ay, ex, ey, lo, hi, row in rows:
+            denom = dx * ey - dy * ex
+            if denom == 0.0:
+                continue
+            wx = ax - ox
+            wy = ay - oy
+            t = (wx * ey - wy * ex) / denom
+            if t <= eps_advance or t >= best_t:
+                continue
+            u = (wx * dy - wy * dx) / denom
+            if u < lo or u > hi:
+                continue
+            best_t, best_u, best_denom, hit = t, u, denom, row
         if hit is None:
             status = TraceStatus.ESCAPED
             break
-        t, u, row, denom = hit
-        index, _, _, _, _, _, length, nx, ny, two_angle, two_angle_k, lips = row
-        point = (ox + t * dx, oy + t * dy)
-        if _singular_reason(u, length, denom) is not None:
+        index, _, _, _, _, _, length, nx, ny, two_angle, two_angle_k, lips = hit
+        point = (ox + best_t * dx, oy + best_t * dy)
+        # as in _singular_reason
+        if (
+            abs(best_denom) / length < eps_singular
+            or best_u * length < eps_singular
+            or (1.0 - best_u) * length < eps_singular
+        ):
             status, stop_point = TraceStatus.SINGULAR, point
             break
         if len(itinerary) == cap:
@@ -164,10 +193,11 @@ def trace(scene: Scene, theta0: float, cap: int = DEFAULT_BOUNCE_CAP) -> TraceRe
             break
         itinerary.append(lips[0] if (dx * nx + dy * ny) < 0.0 else lips[1])
         path.append(point)
-        theta = wrap_angle(two_angle - theta)
+        r = (two_angle - theta) % two_pi  # wrap_angle, inlined
+        theta = r if r < two_pi else 0.0
         k = two_angle_k - k
         ox, oy = pos = point
-        last = index
+        rows = scan_rows[index]
     n = len(itinerary)
     unit = scene.angle_unit
     return TraceResult(

@@ -57,6 +57,14 @@ class TestDecomposeIdentityCase:
         with pytest.raises(ValueError):
             decompose(scene, circle, seeds=64, eps_b=0.0)
 
+    @pytest.mark.parametrize("eps_b", [math.nan, -math.inf, -1e-9])
+    def test_eps_b_must_be_a_positive_number(self, single_mirror_scene, eps_b):
+        # a NaN tolerance passes an ``eps_b <= 0`` guard, then bisects to
+        # adjacent floats and turns every unlit arc into the full circle
+        circle = enclosing_circle(single_mirror_scene)
+        with pytest.raises(ValueError, match="eps_b"):
+            decompose(single_mirror_scene, circle, seeds=256, eps_b=eps_b)
+
 
 class TestDecomposeSingleMirror:
     def test_two_components(self, single_mirror_scene, single_mirror_circle):

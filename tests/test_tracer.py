@@ -1,11 +1,18 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import angles_close, compose, make_parallel_scene
+from conftest import (
+    angles_close,
+    compose,
+    make_parallel_scene,
+    make_single_mirror_scene,
+    make_six_mirror_trap_scene,
+)
 from darksector.exact_angle import (
     GroupElement,
     apply,
@@ -117,6 +124,12 @@ class TestTrace:
         with pytest.raises(ValueError):
             trace(single_mirror_scene, 0.0, cap=0)
 
+    @pytest.mark.parametrize("theta0", [math.nan, math.inf, -math.inf])
+    def test_launch_direction_must_be_finite(self, parallel_scene, theta0):
+        # a NaN direction used to "hit" mirror 2 at (nan, nan) and escape
+        with pytest.raises(ValueError, match="launch direction"):
+            trace(parallel_scene, theta0, 5)
+
     def test_deterministic(self, toy_scene):
         a = trace(toy_scene, 4.0, cap=100)
         b = trace(toy_scene, 4.0, cap=100)
@@ -124,7 +137,8 @@ class TestTrace:
 
 
 def outcome(tr):
-    return tr.status, tr.itinerary, tr.path, tr.exit_dir_numeric, tr.stop_point
+    return (tr.status, tr.itinerary, tr.path, tr.exit_point, tr.exit_dir_numeric,
+            tr.exit_dir_exact, tr.bounce_count, tr.stop_point)
 
 
 def trace_by_first_hit(scene, theta0, cap):
@@ -133,19 +147,43 @@ def trace_by_first_hit(scene, theta0, cap):
     theta = theta0
     pos = scene.source
     path, itinerary, last = [pos], [], None
+    unit = scene.angle_unit
+    g = GroupElement(1, 0, unit)
     while True:
         res = first_hit(pos, theta, scene, exclude_index=last)
-        exit_dir = wrap_angle(theta)
+        status, stop_point = None, None
         if res is None:
-            return TraceStatus.ESCAPED, tuple(itinerary), tuple(path), exit_dir, None
-        if isinstance(res, SingularStop):
-            return TraceStatus.SINGULAR, tuple(itinerary), tuple(path), exit_dir, res.point
-        if len(itinerary) == cap:
-            return TraceStatus.BOUNCE_CAP_EXCEEDED, tuple(itinerary), tuple(path), exit_dir, None
+            status = TraceStatus.ESCAPED
+        elif isinstance(res, SingularStop):
+            status, stop_point = TraceStatus.SINGULAR, res.point
+        elif len(itinerary) == cap:
+            status = TraceStatus.BOUNCE_CAP_EXCEEDED
+        if status is not None:
+            return (status, tuple(itinerary), tuple(path), pos, wrap_angle(theta), g,
+                    len(itinerary), stop_point)
         itinerary.append((res.mirror_index, res.side))
         path.append(res.point)
-        theta = wrap_angle(scene.geometry[res.mirror_index - 1].two_angle - theta)
+        geo = scene.geometry[res.mirror_index - 1]
+        theta = wrap_angle(geo.two_angle - theta)
+        g = compose(GroupElement(-1, geo.two_angle_k, unit), g)
         pos, last = res.point, res.mirror_index
+
+
+def launch_directions(scene, rng, n, band):
+    """n directions from the source: a quarter within 1e-9 of one aimed at
+    a mirror tip, half in ``band`` (centre, half-width), the rest uniform."""
+    sx, sy = scene.source
+    centre, half_width = band
+    out = []
+    for i in range(n):
+        if i % 4 == 0:
+            tx, ty = rng.choice(endpoints(rng.choice(scene.mirrors)))
+            out.append(math.atan2(ty - sy, tx - sx) + rng.uniform(-1e-9, 1e-9))
+        elif i % 4 == 1:
+            out.append(rng.uniform(0.0, TWO_PI))
+        else:
+            out.append(centre + rng.uniform(-half_width, half_width))
+    return out
 
 
 class TestTraceMatchesFirstHit:
@@ -178,6 +216,61 @@ class TestTraceMatchesFirstHit:
             theta0 = math.pi / 2 + rng.uniform(-0.2, 0.2)
             tr = trace(parallel_scene, theta0, 150)
             assert outcome(tr) == trace_by_first_hit(parallel_scene, theta0, 150)
+
+    @pytest.mark.parametrize(
+        "scene, cap, band",
+        [
+            (make_parallel_scene(), 400, (math.pi / 2, 0.01)),
+            (make_six_mirror_trap_scene(), 100, (2.6185, 0.003)),
+        ],
+        ids=["channel", "six_mirror_trap"],
+    )
+    def test_trapped_scenes(self, scene, cap, band):
+        # the scenes and caps of the benchmark's trapped jobs; each band
+        # straddles the edge of a trapped arc, where long escapes and
+        # trapped rays mix
+        statuses = set()
+        for theta0 in launch_directions(scene, random.Random(cap), 200, band):
+            tr = trace(scene, theta0, cap)
+            assert outcome(tr) == trace_by_first_hit(scene, theta0, cap)
+            statuses.add(tr.status)
+        assert statuses == set(TraceStatus)
+
+
+class TestScanRows:
+    @pytest.mark.parametrize(
+        "scene",
+        [make_single_mirror_scene(), make_parallel_scene(), make_six_mirror_trap_scene()],
+        ids=["single_mirror", "channel", "six_mirror_trap"],
+    )
+    def test_each_leg_scans_every_other_mirror_once_in_scene_order(self, scene):
+        rows = scene.scan_rows
+        geos = scene.geometry
+        assert len(rows) == len(geos) + 1
+        for i, leg in enumerate(rows):
+            assert [row[6] for row in leg] == [g for g in geos if g.index != i]
+            for ax, ay, ex, ey, lo, hi, g in leg:
+                assert (ax, ay, ex, ey, lo, hi) == (g.ax, g.ay, g.ex, g.ey, -g.slack, 1.0 + g.slack)
+
+
+class TestNoCallPerBounce:
+    def test_python_calls_do_not_grow_with_the_bounces(self, parallel_scene):
+        # a ray straight up the channel is trapped at any cap; a Python-level
+        # helper called per leg would add its calls once per bounce
+        theta0 = math.pi / 2 + 1e-3
+        trace(parallel_scene, theta0, 1)  # fill the scene's cached geometry
+
+        def calls(cap):
+            events = []
+            sys.setprofile(lambda frame, event, arg: events.append(event))
+            try:
+                tr = trace(parallel_scene, theta0, cap)
+            finally:
+                sys.setprofile(None)
+            assert tr.status is TraceStatus.BOUNCE_CAP_EXCEEDED and tr.bounce_count == cap
+            return events.count("call")
+
+        assert calls(10) == calls(200)
 
 
 class TestSharedItineraryEntries:
