@@ -113,10 +113,6 @@ def arc_difference(arcs_a, arcs_b) -> list[Arc]:
     return _to_arcs(out)
 
 
-def arcs_total_measure(arcs) -> float:
-    return sum(hi - lo for lo, hi in _union_pieces(arcs))
-
-
 def arc_intersection_measure(a: Arc, b: Arc) -> float:
     total = 0.0
     for alo, ahi in _pieces(a):
@@ -126,8 +122,3 @@ def arc_intersection_measure(a: Arc, b: Arc) -> float:
                 total += hi - lo
     return total
 
-
-def arc_contains_arc(outer: Arc, inner: Arc, tol: float = 0.0) -> bool:
-    """True when inner lies inside outer up to a measure of tol."""
-    uncovered = arcs_total_measure(arc_difference([inner], [outer]))
-    return uncovered <= tol

@@ -13,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .arcs import (
-    Arc,
-    _pieces,
-    angle_distance,
-    arc_difference,
-    arc_intersection_measure,
-)
+from .arcs import Arc, _pieces, angle_distance, arc_difference
 from .exact_angle import TWO_PI, GroupElement, apply, inverse, wrap_angle
 from .scene import EnclosingCircle, Scene, scene_to_document
 from .tracer import DEFAULT_BOUNCE_CAP, TraceStatus, trace
@@ -168,15 +162,30 @@ def is_injective(d: Decomposition) -> tuple[bool, tuple[float, float] | None]:
 
     On a positive-measure overlap of two image arcs the overlap midpoint is
     pulled back through both isometries, yielding launch directions
-    theta1 != theta2 with equal exit directions.  Only the pairs whose image
-    arcs overlap are tested, in ascending index order; every other pair has
-    intersection measure 0.
+    theta1 != theta2 with equal exit directions.
+
+    One sort-and-sweep over the images' linear pieces finds every overlap
+    span: a piece overlaps an earlier-starting one exactly when it starts
+    before that one ends.  The pairs are then tested in ascending index
+    order, each on its widest span (the later one on a tie).
     """
     comps = d.components
-    for i, j in _overlapping_pairs([c.image for c in comps]):
-        if arc_intersection_measure(comps[i].image, comps[j].image) <= MIN_OVERLAP:
+    pieces = sorted((lo, hi, i) for i, c in enumerate(comps) for lo, hi in _pieces(c.image))
+    spans: dict[tuple[int, int], list[tuple[float, float]]] = {}
+    active: list[tuple[float, int]] = []  # (end, index) of the pieces still open
+    for lo, hi, i in pieces:
+        active = [(end, j) for end, j in active if end > lo]
+        # the pieces of one arc are disjoint, so j != i
+        for end, j in active:
+            spans.setdefault((j, i) if j < i else (i, j), []).append((lo, min(hi, end)))
+        active.append((hi, i))
+    for (i, j), found in sorted(spans.items()):
+        # latest start first: max keeps the later of two equal spans, and
+        # the sum rounds as arc_intersection_measure's does
+        found.reverse()
+        if sum(hi - lo for lo, hi in found) <= MIN_OVERLAP:
             continue
-        lo, hi = _widest_overlap(comps[i].image, comps[j].image)
+        lo, hi = max(found, key=lambda span: span[1] - span[0])
         for frac in (0.5, 0.25, 0.75):
             phi = wrap_angle(lo + frac * (hi - lo))
             t1 = apply(inverse(comps[i].isometry), phi)
@@ -184,35 +193,6 @@ def is_injective(d: Decomposition) -> tuple[bool, tuple[float, float] | None]:
             if angle_distance(t1, t2) > 1e-9:
                 return False, (t1, t2)
     return True, None
-
-
-def _overlapping_pairs(arcs: list[Arc]) -> list[tuple[int, int]]:
-    """The index pairs i < j, ascending, of arcs that share a linear piece
-    of positive length.
-
-    Sort-and-sweep over the pieces: a piece overlaps an earlier-starting one
-    exactly when it starts before that one ends.
-    """
-    pieces = sorted((lo, hi, i) for i, a in enumerate(arcs) for lo, hi in _pieces(a))
-    pairs: set[tuple[int, int]] = set()
-    active: list[tuple[float, int]] = []  # (end, index) of the pieces still open
-    for lo, hi, i in pieces:
-        active = [(end, j) for end, j in active if end > lo]
-        # the pieces of one arc are disjoint, so j != i
-        for _, j in active:
-            pairs.add((j, i) if j < i else (i, j))
-        active.append((hi, i))
-    return sorted(pairs)
-
-
-def _widest_overlap(a: Arc, b: Arc) -> tuple[float, float] | None:
-    best = None
-    for alo, ahi in _pieces(a):
-        for blo, bhi in _pieces(b):
-            lo, hi = max(alo, blo), min(ahi, bhi)
-            if hi > lo and (best is None or hi - lo > best[1] - best[0]):
-                best = (lo, hi)
-    return best
 
 
 def unlit_arcs(d: Decomposition) -> list[Arc]:

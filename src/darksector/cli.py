@@ -53,7 +53,7 @@ from .scene import (
 )
 from .json_stream import write_json
 from .svg_render import VIEWPORT_RADII, render_svg
-from .tracer import DEFAULT_BOUNCE_CAP, TraceResult, TraceStatus, exit_ray, trace
+from .tracer import DEFAULT_BOUNCE_CAP, TraceStatus, exit_ray, trace
 from .unfolding import build_surface, census_report, cone_cycles
 
 EXIT_OK = 0
@@ -321,9 +321,8 @@ def _report_trace(doc: dict, circle: EnclosingCircle) -> list:
     stop = doc.get("stop_point")
     stop = None if stop is None else _point(stop, "stop_point")
     if status is TraceStatus.ESCAPED:
-        tr = TraceResult(status, (), (), exit_point, exit_dir, None, 0)  # what exit_ray reads
         try:
-            stop = exit_ray(tr, circle)[0]
+            stop = exit_ray(exit_point, exit_dir, circle)
         except ValueError as e:  # an exit point outside the report's circle
             raise SceneFormatError(str(e), "exit_point") from None
     return points if stop is None else [*points, stop]

@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .arcs import Arc, arc_contains_arc, arc_intersection_measure
+from .arcs import Arc, arc_intersection_measure
 from .circle_map import Decomposition
 from .exact_angle import TWO_PI, wrap_angle
 from .scene import EnclosingCircle, Point
@@ -25,10 +25,6 @@ MAX_SECTOR_MEASURE = math.pi - 1e-6
 
 # A ray meets a sector only along a stretch of its parameter longer than this.
 ENTRY_MARGIN = 1e-9
-
-# Check (i) decides a point without the arc algebra when its direction arc
-# clears both ends of the dark arc by more than this.
-INSIDE_MARGIN = 1e-9
 
 # Check (i) samples radii from the apex log-uniformly over [1, 10**SAMPLE_DECADES]*R.
 SAMPLE_DECADES = 6
@@ -103,25 +99,20 @@ def sample_reach(eps_b: float) -> float:
     return 1.0 / math.sin(eps_b) + 10.0**SAMPLE_DECADES
 
 
-def direction_arc(p: Point, circle: EnclosingCircle) -> Arc:
-    """Directions of all rays that leave the circle and pass through p.
+def _uncovered(start: float, measure: float, psi: float, half: float) -> float:
+    """The measure of the directions (psi - half, psi + half) that lie
+    outside the dark arc from ``start`` of ``measure`` < 2*pi.
 
-    Requires p strictly outside the circle; the arc is centered on the
-    direction from the circle's center to p with half-width asin(R/d).
+    Measured from start, the span runs from o to o + 2*half, and the dark
+    arc covers [0, measure] and, one turn on, [2*pi, 2*pi + measure]; the
+    span is shorter than pi, so it meets no other copy.
     """
-    psi, half = _direction_span(p, circle)
-    return Arc(psi - half, psi + half)
-
-
-def _clearly_inside(dark: Arc, psi: float, half: float) -> bool:
-    """Whether the arc (psi - half, psi + half) lies inside ``dark`` with
-    more than ``INSIDE_MARGIN`` to spare at both ends.
-
-    Plain float arithmetic, sound only thanks to that margin: False means
-    "not decided here", and the caller asks ``arc_contains_arc``.
-    """
-    offset = (psi - half - dark.start) % TWO_PI
-    return INSIDE_MARGIN < offset and offset + 2.0 * half < dark.measure - INSIDE_MARGIN
+    o = (psi - half - start) % TWO_PI
+    end = o + 2.0 * half
+    covered = min(end, measure) - o if o < measure else 0.0
+    if end > TWO_PI:
+        covered += min(end - TWO_PI, measure)
+    return 2.0 * half - covered
 
 
 def ray_enters_sector(origin: Point, theta: float, s: DarkSector) -> bool:
@@ -199,7 +190,8 @@ def exit_probes(d: Decomposition) -> list[tuple[float, Point, float]]:
             theta = wrap_angle(theta_s)
             tr = trace(d.scene, theta, d.params.cap)
             if tr.status is TraceStatus.ESCAPED:
-                probes.append((theta, *exit_ray(tr, d.circle)))
+                direction = tr.exit_dir_numeric
+                probes.append((theta, exit_ray(tr.exit_point, direction, d.circle), direction))
     return probes
 
 
@@ -216,13 +208,12 @@ def verify_darkness(
     the radius of ``d.circle``) the directions of rays leaving that circle
     and reaching them stay inside the dark arc; (ii) the dark
     arc is disjoint from every image arc; (iii) exit rays traced at component
-    extremes and midpoints never enter the sector.  Check (i) passes a
-    point on plain float arithmetic when its direction arc clears both ends
-    of the dark arc by more than ``INSIDE_MARGIN``; ``arc_contains_arc``
-    decides every other point.  Check (iii) reads ``probes``, the
-    ``exit_probes(d)`` traced once per decomposition and shared by every
-    sector verified against it.  A failure flags an upstream resolution
-    problem, not a broken construction.
+    extremes and midpoints never enter the sector.  Check (i) fails a point
+    when more than 1e-12 of its direction span lies outside the dark arc, a
+    measure taken in closed form on plain floats.  Check (iii) reads
+    ``probes``, the ``exit_probes(d)`` traced once per decomposition and
+    shared by every sector verified against it.  A failure flags an
+    upstream resolution problem, not a broken construction.
     """
     circle = d.circle
     dark = Arc(s.dir_lo, s.dir_hi)
@@ -234,9 +225,7 @@ def verify_darkness(
         theta = s.dir_lo + rng.random() * measure
         r = circle.radius * 10.0 ** (SAMPLE_DECADES * rng.random())
         p = (s.apex[0] + r * math.cos(theta), s.apex[1] + r * math.sin(theta))
-        if _clearly_inside(dark, *_direction_span(p, circle)):
-            continue
-        if not arc_contains_arc(dark, direction_arc(p, circle), tol=1e-12):
+        if _uncovered(dark.start, measure, *_direction_span(p, circle)) > 1e-12:
             bad_points.append(p)
 
     overlapping = sum(

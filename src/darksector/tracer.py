@@ -212,14 +212,13 @@ def trace(scene: Scene, theta0: float, cap: int = DEFAULT_BOUNCE_CAP) -> TraceRe
     )
 
 
-def exit_ray(tr: TraceResult, circle: EnclosingCircle) -> tuple[Point, float]:
-    """Where the final straight portion of an escaped trace crosses the
-    enclosing circle, together with its direction."""
-    if tr.status is not TraceStatus.ESCAPED:
-        raise ValueError("exit_ray requires an escaped trace")
-    ox, oy = tr.exit_point
+def exit_ray(point: Point, direction: float, circle: EnclosingCircle) -> Point:
+    """Where the ray from ``point``, inside ``circle``, in ``direction``
+    crosses the circle: for an escaped trace, from its exit point along its
+    numeric exit direction."""
+    ox, oy = point
     cx, cy = circle.center
-    dx, dy = math.cos(tr.exit_dir_numeric), math.sin(tr.exit_dir_numeric)
+    dx, dy = math.cos(direction), math.sin(direction)
     fx, fy = ox - cx, oy - cy
     b = dx * fx + dy * fy
     c = fx * fx + fy * fy - circle.radius * circle.radius
@@ -227,4 +226,4 @@ def exit_ray(tr: TraceResult, circle: EnclosingCircle) -> tuple[Point, float]:
     if disc < 0 or c >= 0:
         raise ValueError("trace exit point is not inside the circle")
     t = -b + math.sqrt(disc)
-    return (ox + t * dx, oy + t * dy), tr.exit_dir_numeric
+    return (ox + t * dx, oy + t * dy)

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from darksector.arcs import Arc, _union_pieces, arc_difference
+from darksector.dark_sector import _direction_span
 from darksector.exact_angle import GroupElement, make_rational_turn
-from darksector.scene import EnclosingCircle, Mirror, Scene
+from darksector.scene import EnclosingCircle, Mirror, Point, Scene
 from darksector.scenegen import random_scene
 
 
@@ -133,3 +135,23 @@ def cell_count_euler(surface, cycles) -> int:
     lip_pairs = sum(len(perm) for perm in surface.gluings)  # 2*n*m lips / 2
     spine_edges = surface.slit_count * m
     return vertices - (lip_pairs + spine_edges) + m
+
+
+def arcs_total_measure(arcs) -> float:
+    """The measure of the union of arcs, from the interval form."""
+    return sum(hi - lo for lo, hi in _union_pieces(arcs))
+
+
+def arc_contains_arc(outer: Arc, inner: Arc, tol: float = 0.0) -> bool:
+    """Oracle for darkness check (i), in the arc algebra: True when inner
+    lies inside outer up to a measure of tol."""
+    uncovered = arcs_total_measure(arc_difference([inner], [outer]))
+    return uncovered <= tol
+
+
+def direction_arc(p: Point, circle: EnclosingCircle) -> Arc:
+    """Directions of all rays that leave the circle and pass through p,
+    which must lie strictly outside it: the arc centered on the direction
+    from the circle's center to p, of half-width asin(R/d)."""
+    psi, half = _direction_span(p, circle)
+    return Arc(psi - half, psi + half)

@@ -4,15 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import in_arc
-from darksector.arcs import (
-    Arc,
-    angle_distance,
-    arc_contains_arc,
-    arc_difference,
-    arc_intersection_measure,
-    arcs_total_measure,
-)
+from conftest import arc_contains_arc, arcs_total_measure, in_arc
+from darksector.arcs import Arc, angle_distance, arc_difference, arc_intersection_measure
 
 TWO_PI = 2.0 * math.pi
 angles = st.floats(0.0, TWO_PI, exclude_max=True, allow_nan=False)

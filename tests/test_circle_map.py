@@ -4,13 +4,12 @@ import random
 import pytest
 
 from conftest import angles_close, in_arc, make_box_scene, make_toy_scene
-from darksector.arcs import Arc, angle_distance, arc_intersection_measure
+from darksector.arcs import Arc, _pieces, angle_distance, arc_intersection_measure
 from darksector.circle_map import (
     Decomposition,
     DecompositionParams,
     MapComponent,
     _image_of,
-    _widest_overlap,
     decompose,
     decomposition_report,
     is_injective,
@@ -161,6 +160,18 @@ class TestInjectivity:
         assert witness is not None
 
 
+def widest_overlap(a, b):
+    """The widest span shared by a linear piece of a and one of b; of
+    equal spans, the first found."""
+    best = None
+    for alo, ahi in _pieces(a):
+        for blo, bhi in _pieces(b):
+            lo, hi = max(alo, blo), min(ahi, bhi)
+            if hi > lo and (best is None or hi - lo > best[1] - best[0]):
+                best = (lo, hi)
+    return best
+
+
 def brute_force_is_injective(d, tol=1e-9):
     """Reference for ``is_injective``: the same test on every component pair."""
     comps = d.components
@@ -168,10 +179,7 @@ def brute_force_is_injective(d, tol=1e-9):
         for j in range(i + 1, len(comps)):
             if arc_intersection_measure(comps[i].image, comps[j].image) <= tol:
                 continue
-            overlap = _widest_overlap(comps[i].image, comps[j].image)
-            if overlap is None:
-                continue
-            lo, hi = overlap
+            lo, hi = widest_overlap(comps[i].image, comps[j].image)
             for frac in (0.5, 0.25, 0.75):
                 phi = wrap_angle(lo + frac * (hi - lo))
                 t1 = apply(inverse(comps[i].isometry), phi)
@@ -179,6 +187,63 @@ def brute_force_is_injective(d, tol=1e-9):
                 if angle_distance(t1, t2) > 1e-9:
                     return False, (t1, t2)
     return True, None
+
+
+def hand_built(parts) -> Decomposition:
+    """A decomposition whose components are the given (image, isometry)
+    pairs, in that order, each launched on its own image arc."""
+    return Decomposition(
+        scene=Scene(mirrors=(), source=(0.0, 0.0)),
+        circle=EnclosingCircle((0.0, 0.0), 1.0),
+        params=DecompositionParams(seeds=64, eps_b=1e-6, cap=10),
+        components=tuple(
+            MapComponent(arc=image, itinerary=(), isometry=iso, image=image)
+            for image, iso in parts
+        ),
+        singular_directions=(),
+        trapped_arcs=(),
+        escape_measure=0.0,
+    )
+
+
+def pulled_back(g1, g2, phi):
+    return apply(inverse(g1), phi), apply(inverse(g2), phi)
+
+
+class TestInjectivityWitness:
+    """Which overlap the witness comes from, pinned on hand-built images."""
+
+    g1, g2, g3, g4 = (GroupElement(1, 0, 6), GroupElement(1, 1, 6),
+                      GroupElement(-1, 5, 6), GroupElement(-1, 0, 6))
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["wrapping_second", "wrapping_first"])
+    def test_equal_spans_give_the_later_one(self, swap):
+        # Arc(0.5, 3.5) and the wrapping Arc(3.0, 1.0) overlap in (3.0, 3.5)
+        # and (0.5, 1.0), both exactly 0.5 wide
+        parts = [(Arc(0.5, 3.5), self.g1), (Arc(3.0, 1.0), self.g2)]
+        if swap:
+            parts.reverse()
+        (_, a), (_, b) = parts
+        assert is_injective(hand_built(parts)) == (False, pulled_back(a, b, 3.25))
+
+    def test_equal_spans_of_two_wrapping_images(self):
+        # both images wrap through 0: split there, they overlap in the
+        # pieces (6.0, 2pi), (2.0, 2.5) and (0.0, 0.5); the last two tie
+        parts = [(Arc(2.0, 0.5), self.g1), (Arc(6.0, 2.5), self.g3)]
+        got = is_injective(hand_built(parts))
+        assert got == (False, pulled_back(self.g1, self.g3, 2.25))
+
+    def test_the_lowest_overlapping_pair_gives_the_witness(self):
+        parts = [
+            (Arc(4.0, 5.0), self.g1),
+            (Arc(5.0 - 1e-10, 6.0), self.g2),  # (0, 1): overlap below MIN_OVERLAP
+            (Arc(4.2, 4.8), self.g1),  # (0, 2): same isometry, no witness
+            (Arc(1.0, 2.0), self.g2),
+            (Arc(1.5, 2.5), self.g3),  # (3, 4): the first overlap by angle
+            (Arc(4.5, 5.5), self.g4),  # (0, 5): the witness, from (4.5, 5.0)
+        ]
+        got = is_injective(hand_built(parts))
+        assert got == (False, pulled_back(self.g1, self.g4, 4.75))
 
 
 class TestInjectivitySweep:
@@ -200,21 +265,12 @@ class TestInjectivitySweep:
         ]
         injective_seen = 0
         for trial in range(200):
-            comps = []
+            parts = []
             for _ in range(rng.randint(2, 40)):
                 start = rng.uniform(0.0, TWO_PI)
                 image = Arc(start, start + rng.uniform(1e-3, 2.5))
-                iso = rng.choice(isometries[: 1 + trial % len(isometries)])
-                comps.append(MapComponent(arc=image, itinerary=(), isometry=iso, image=image))
-            d = Decomposition(
-                scene=Scene(mirrors=(), source=(0.0, 0.0)),
-                circle=EnclosingCircle((0.0, 0.0), 1.0),
-                params=DecompositionParams(seeds=64, eps_b=1e-6, cap=10),
-                components=tuple(comps),
-                singular_directions=(),
-                trapped_arcs=(),
-                escape_measure=0.0,
-            )
+                parts.append((image, rng.choice(isometries[: 1 + trial % len(isometries)])))
+            d = hand_built(parts)
             got = is_injective(d)
             assert got == brute_force_is_injective(d)
             injective_seen += got[0]

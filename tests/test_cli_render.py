@@ -370,18 +370,10 @@ class TestSectorsCommand:
         ids=["six_mirror_trap", "single_mirror", "two_perpendicular"],
     )
     def test_check_i_decides_points_without_the_arc_algebra(
-        self, tmp_path, monkeypatch, scene_path, options, points
+        self, tmp_path, scene_path, options, points
     ):
-        # check (i) hands a sampled point to the exact arc test only within
-        # INSIDE_MARGIN of the dark arc's ends, which none of these meets
-        fallbacks = []
-        original = dark_sector.arc_contains_arc
-
-        def counting_arc_contains_arc(*args, **kwargs):
-            fallbacks.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(dark_sector, "arc_contains_arc", counting_arc_contains_arc)
+        # check (i) measures each sampled point's uncovered directions in
+        # closed form, and every point of these certified sectors passes
         if scene_path is None:
             scene_path = write_scene(tmp_path, make_six_mirror_trap_scene())
         out = tmp_path / "sectors.json"
@@ -389,7 +381,6 @@ class TestSectorsCommand:
         sectors = json.loads(out.read_text())["sectors"]
         assert sum(s["verification"]["sample_count"] for s in sectors) == points
         assert all(s["verification"]["direction_inclusion_ok"] for s in sectors)
-        assert fallbacks == []
 
     @pytest.mark.parametrize(
         "far_x,code",

@@ -6,18 +6,23 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import darksector.dark_sector as dark_sector
-from conftest import angles_close, make_single_mirror_scene, make_six_mirror_trap_scene
-from darksector.arcs import Arc, arc_contains_arc
+from conftest import (
+    angles_close,
+    arc_contains_arc,
+    arcs_total_measure,
+    direction_arc,
+    make_single_mirror_scene,
+    make_six_mirror_trap_scene,
+)
+from darksector.arcs import Arc, arc_difference
 from darksector.circle_map import decompose, unlit_arcs
 from darksector.dark_sector import (
-    DarkSector,
-    INSIDE_MARGIN,
     MAX_SECTOR_MEASURE,
-    _clearly_inside,
+    SAMPLE_DECADES,
+    DarkSector,
     _direction_span,
+    _uncovered,
     build_sector,
-    direction_arc,
     exit_probes,
     ray_enters_sector,
     shrink_below_pi,
@@ -34,6 +39,21 @@ def contains(s, p):
     clo = math.cos(s.dir_lo) * vy - math.sin(s.dir_lo) * vx
     chi = math.cos(s.dir_hi) * vy - math.sin(s.dir_hi) * vx
     return clo > 0.0 and chi < 0.0
+
+
+def oracle_bad_points(s, circle, n, seed):
+    """Check (i)'s bad points as the arc algebra finds them, on the points
+    verify_darkness draws."""
+    dark = Arc(s.dir_lo, s.dir_hi)
+    rng = random.Random(seed)
+    bad = []
+    for _ in range(n):
+        theta = s.dir_lo + rng.random() * dark.measure
+        r = circle.radius * 10.0 ** (SAMPLE_DECADES * rng.random())
+        p = (s.apex[0] + r * math.cos(theta), s.apex[1] + r * math.sin(theta))
+        if not arc_contains_arc(dark, direction_arc(p, circle), tol=1e-12):
+            bad.append(p)
+    return bad
 
 
 @pytest.fixture
@@ -188,11 +208,10 @@ class TestDirectionArc:
         assert lo_gap <= 1e-2 and hi_gap <= 1e-2
 
 
-class TestInsidePrefilter:
-    """Check (i) skips the exact arc test only for points whose direction
-    arc clears the dark arc by more than INSIDE_MARGIN at both ends."""
+class TestCheckI:
+    """Check (i)'s closed-form measure against the arc algebra's."""
 
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=600, deadline=None)
     @given(
         # dark arcs anywhere, often wrapping through 0
         lo=st.one_of(st.floats(0.0, TWO_PI, exclude_max=True),
@@ -205,18 +224,27 @@ class TestInsidePrefilter:
                                "near_hi_edge", "near_circle"]),
         u=st.floats(0.0, 1.0),
         v=st.floats(0.0, 1.0),
+        # the sector's own arc, or one of up to a hair under a full turn that
+        # shares its low or its high end, as a hand-built sector may have
+        wide=st.sampled_from(["none", "from_lo", "to_hi"]),
+        wide_measure=st.floats(math.pi, TWO_PI - 1e-9),
     )
-    def test_inside_means_inside_with_the_margin_to_spare(
-        self, lo, width, center, radius, where, u, v
+    def test_verdict_matches_the_arc_algebra_oracle(
+        self, lo, width, center, radius, where, u, v, wide, wide_measure
     ):
         circle = EnclosingCircle(center, radius)
         s = build_sector(Arc(lo, lo + width), circle)
-        dark = Arc(s.dir_lo, s.dir_hi)  # as verify_darkness forms it
+        own = Arc(s.dir_lo, s.dir_hi)  # as verify_darkness forms it
+        dark = {
+            "none": own,
+            "from_lo": Arc(s.dir_lo, s.dir_lo + wide_measure),
+            "to_hi": Arc(s.dir_hi - wide_measure, s.dir_hi),
+        }[wide]
         # a point drawn like verify_darkness's samples, on an edge ray, a
         # hair inside an edge, or just outside the circle
-        r = radius * 10.0 ** (6.0 * v)
+        r = radius * 10.0 ** (SAMPLE_DECADES * v)
         theta = {
-            "sector": s.dir_lo + u * dark.measure,
+            "sector": s.dir_lo + u * own.measure,
             "lo_edge": s.dir_lo,
             "hi_edge": s.dir_hi,
             "near_lo_edge": s.dir_lo + 10.0 ** (-13.0 + 5.0 * u),
@@ -231,13 +259,9 @@ class TestInsidePrefilter:
             psi, half = _direction_span(p, circle)
         except ValueError:  # rounding put the point on or inside the circle
             assume(False)
-        if not _clearly_inside(dark, psi, half):
-            return
-        # the exact test, which decides every other point, agrees ...
-        assert arc_contains_arc(dark, direction_arc(p, circle), tol=1e-12)
-        # ... and would still agree with the direction arc widened
-        slack = 0.5 * INSIDE_MARGIN
-        assert arc_contains_arc(dark, Arc(psi - half - slack, psi + half + slack))
+        oracle = arcs_total_measure(arc_difference([direction_arc(p, circle)], [dark]))
+        assume(abs(oracle - 1e-12) > 1e-14)  # too close to the bound to call
+        assert (_uncovered(dark.start, dark.measure, psi, half) > 1e-12) == (oracle > 1e-12)
 
 
 class TestVerifyDarkness:
@@ -279,28 +303,22 @@ class TestVerifyDarkness:
         [(make_single_mirror_scene, 512, 1e-10, 50), (make_six_mirror_trap_scene, 128, 1e-4, 30)],
         ids=["single_mirror", "six_mirror_trap"],
     )
-    def test_exact_test_alone_gives_the_same_reports(self, monkeypatch, make_scene, seeds,
-                                                      eps_b, cap):
-        # with the float prefilter switched off, arc_contains_arc decides
-        # every sample point of check (i).  The certified sectors pass as
-        # before, and the same sectors moved onto the circle's center, where
-        # rays do reach, fail check (i) with the same bad points.
+    def test_bad_points_are_the_oracles(self, make_scene, seeds, eps_b, cap):
+        # the certified sectors pass check (i), and the same sectors moved
+        # onto the circle's center, where rays do reach, fail it at exactly
+        # the sample points where the arc algebra finds their direction arcs
+        # leaving the dark arc
         scene = make_scene()
         d = decompose(scene, enclosing_circle(scene), seeds=seeds, eps_b=eps_b, cap=cap)
         probes = exit_probes(d)
         sectors = [build_sector(shrink_below_pi(a), d.circle) for a in unlit_arcs(d)]
         moved = [dataclasses.replace(s, apex=d.circle.center) for s in sectors]
-
-        def reports(sectors):
-            return [verify_darkness(s, d, 200, probes, seed=i).to_dict()
-                    for i, s in enumerate(sectors)]
-
-        certified, refuted = reports(sectors), reports(moved)
-        assert all(r["direction_inclusion_ok"] for r in certified)
-        assert all(r["bad_points"] for r in refuted)
-        monkeypatch.setattr(dark_sector, "_clearly_inside", lambda *args: False)
-        assert reports(sectors) == certified
-        assert reports(moved) == refuted
+        for i, s in enumerate(sectors):
+            assert verify_darkness(s, d, 200, probes, seed=i).direction_inclusion_ok
+        for i, s in enumerate(moved):
+            bad_points = verify_darkness(s, d, 200, probes, seed=i).bad_points
+            assert bad_points
+            assert bad_points == oracle_bad_points(s, d.circle, 200, seed=i)
 
 
 class TestRayEntersSector:

@@ -1,6 +1,7 @@
 """The README's example session and library sketch run as written, and
-every name the package exports has a use outside the tests."""
+every public name of the package has a use outside the tests."""
 
+import ast
 import json
 import re
 import shlex
@@ -53,9 +54,30 @@ def test_library_sketch_runs(monkeypatch):
     exec(compile(library_sketch(), "README.md", "exec"), {})
 
 
+def loaded_names(text: str) -> "list[str]":
+    """Every name that code in text reads, bare or as an attribute."""
+    return [node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+
+
+def public_definitions(text: str) -> "list[str]":
+    """The public names a module defines at its top level."""
+    names = []
+    for node in ast.parse(text).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
 def test_every_export_is_used():
-    # used: by another module of the package, by the README sketch, or by
-    # the acceptance criteria
+    # an export is used by another module of the package, by the README
+    # sketch, or by the acceptance criteria; every other public name of a
+    # module is read, beyond its definition, by code of the package, the
+    # sketch, the acceptance criteria or perfbench
     package = ROOT / "src" / "darksector"
     modules = {p.stem: p.read_text(encoding="utf-8") for p in package.glob("*.py")}
     del modules["__init__"]
@@ -68,3 +90,8 @@ def test_every_export_is_used():
         if not any(re.search(rf"\b{name}\b", text) for text in texts):
             unused.append(name)
     assert unused == []
+    bench = [p.read_text(encoding="utf-8") for p in (ROOT / "perfbench").glob("*.py")]
+    read = {name for text in [*modules.values(), *readers, *bench] for name in loaded_names(text)}
+    unread = [f"{stem}.{name}" for stem, text in sorted(modules.items())
+              for name in public_definitions(text) if name not in read]
+    assert unread == []

@@ -294,25 +294,25 @@ class TestSharedItineraryEntries:
 class TestExitRay:
     def test_after_one_bounce(self, single_mirror_scene, single_mirror_circle):
         tr = trace(single_mirror_scene, 3 * math.pi / 2, cap=10)
-        point, direction = exit_ray(tr, single_mirror_circle)
+        assert tr.exit_dir_numeric == pytest.approx(math.pi / 2)
+        point = exit_ray(tr.exit_point, tr.exit_dir_numeric, single_mirror_circle)
         # straight up from (0,0): crosses the circle centered (0, 0.5) of
         # radius 2 at (0, 2.5)
         assert point[0] == pytest.approx(0.0, abs=1e-12)
         assert point[1] == pytest.approx(2.5)
-        assert direction == pytest.approx(math.pi / 2)
 
     def test_direct_escape(self, single_mirror_scene, single_mirror_circle):
         tr = trace(single_mirror_scene, 0.0, cap=10)
-        point, direction = exit_ray(tr, single_mirror_circle)
+        assert tr.exit_dir_numeric == 0.0
+        point = exit_ray(tr.exit_point, tr.exit_dir_numeric, single_mirror_circle)
         # from (0,1) heading right: x solves x^2 + 0.25 = 4
         assert point[0] == pytest.approx(math.sqrt(3.75))
         assert point[1] == pytest.approx(1.0)
-        assert direction == 0.0
 
-    def test_rejects_non_escaped(self, single_mirror_scene, single_mirror_circle):
-        tr = trace(single_mirror_scene, 7 * math.pi / 4, cap=10)
-        with pytest.raises(ValueError):
-            exit_ray(tr, single_mirror_circle)
+    @pytest.mark.parametrize("point", [(0.0, 2.5), (3.0, 3.0)], ids=["on", "outside"])
+    def test_rejects_a_point_not_inside_the_circle(self, single_mirror_circle, point):
+        with pytest.raises(ValueError, match="not inside the circle"):
+            exit_ray(point, 0.0, single_mirror_circle)
 
 
 class TestTraceProperties:
@@ -359,7 +359,7 @@ class TestTraceProperties:
                 # the final portion leaves the circle exactly once: the exit
                 # point is inside, so the line-circle equation has one
                 # positive root
-                exit_ray(tr, circle)
+                exit_ray(tr.exit_point, tr.exit_dir_numeric, circle)
 
     def test_time_reversal(self):
         rng = random.Random(2024)
@@ -370,7 +370,7 @@ class TestTraceProperties:
             tr = trace(scene, rng.uniform(0.0, TWO_PI), cap=200)
             if tr.status is not TraceStatus.ESCAPED or tr.bounce_count == 0:
                 continue
-            start, _ = exit_ray(tr, circle)
+            start = exit_ray(tr.exit_point, tr.exit_dir_numeric, circle)
             back = trace(
                 Scene(mirrors=scene.mirrors, source=start),
                 tr.exit_dir_numeric + math.pi,
