@@ -107,39 +107,37 @@ def decompose(
         raise ValueError("eps_b must be positive")
 
     spacing = TWO_PI / seeds
-    samples = [_sample(scene, i * spacing, cap) for i in range(seeds)]
+    # the ring closes with a shifted copy of seed 0
+    ring = [_sample(scene, i * spacing, cap) for i in range(seeds)]
+    ring.append(ring[0]._replace(theta=ring[0].theta + TWO_PI))
 
-    # Circular adjacency: close the ring with a shifted copy of seed 0.
-    ring = samples + [samples[0]._replace(theta=samples[0].theta + TWO_PI)]
-    pending = [(a, b) for a, b in zip(ring, ring[1:]) if a.key != b.key]
+    # Brackets, pairs of neighbouring samples with different keys, are refined
+    # in ring order, left half first, so they stop in angle order.  A stopped
+    # bracket is a pair of neighbours in the final sampling: it starts a run
+    # at its midpoint, and its right sample, the run's first, stands for it.
+    starts = []
+    pending = [(a, b) for a, b in zip(ring, ring[1:]) if a.key != b.key][::-1]
     while pending:
         a, b = pending.pop()
         theta = 0.5 * (a.theta + b.theta)
         # between adjacent floats the midpoint rounds to one of them, and
         # sampling it would push the same pair back forever
         if b.theta - a.theta <= eps_b or theta == a.theta or theta == b.theta:
+            starts.append((b, wrap_angle(a.theta + 0.5 * (b.theta - a.theta))))
             continue
         mid = _sample(scene, theta, cap)
-        samples.append(mid)
-        if mid.key != a.key:
-            pending.append((a, mid))
         if mid.key != b.key:
             pending.append((mid, b))
-    samples.sort(key=lambda s: s.theta)
-
-    # Each neighbouring pair with different keys, (samples[-1], samples[0])
-    # included, starts a run at the midpoint of the pair; the run's first
-    # sample stands for all of it.  One key all round is one full-circle run.
-    starts = [
-        (b, wrap_angle(a.theta + 0.5 * ((b.theta - a.theta) % TWO_PI)))
-        for a, b in zip(samples[-1:] + samples, samples)
-        if a.key != b.key
-    ]
+        if mid.key != a.key:
+            pending.append((a, mid))
+    # each run ends where the next starts; no bracket is one full-circle run
     runs = [
         (s, Arc(lo, hi)) for (s, lo), (_, hi) in zip(starts, starts[1:] + starts[:1])
-    ] or [(samples[0], Arc(0.0, 0.0))]
+    ] or [(ring[0], Arc(0.0, 0.0))]
     # trace derives the exact isometry from the itinerary alone, so the first
-    # sample's isometry is the run's; singular runs only give their boundaries
+    # sample's isometry is the run's; singular runs only give their boundaries.
+    # The starts are in angle order but the last may wrap to 0.0, when the
+    # last bracket ends one ulp below 2*pi, so the outputs are sorted.
     components = sorted(
         (MapComponent(arc, s.key[1], s.isometry, _image_of(arc, s.isometry))
          for s, arc in runs if s.key[0] is TraceStatus.ESCAPED),

@@ -40,22 +40,6 @@ _SCALARS = {
 }
 
 
-def _subclass_text(o) -> str | None:
-    """The text of an instance of a subclass of str, int or float, None for
-    a list, tuple or dict.  Raises TypeError for a value json.dumps cannot
-    encode either."""
-    # tested in json's order (bool cannot be subclassed)
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return _float(o)
-    if isinstance(o, (list, tuple, dict)):
-        return None
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-
-
 class _Level(dict):
     """The strings of a container at one depth: ``inner`` opens an item,
     ``sep`` separates two, ``close`` precedes the closing bracket.  The dict
@@ -70,10 +54,7 @@ class _Level(dict):
         self.pairs: dict = {}
 
     def __missing__(self, k) -> str:
-        # json.dumps would also turn number, bool and None keys into strings;
-        # every report key is a str
-        if not isinstance(k, str):
-            raise TypeError(f"keys must be str, not {type(k).__name__}")
+        # encode_basestring_ascii raises TypeError for a key that is not a str
         text = self[k] = self.inner + encode_basestring_ascii(k) + ": "
         return text
 
@@ -105,17 +86,15 @@ class _Writer:
         kind = type(o)
         if kind is not dict and kind is not list and kind is not tuple:
             scalar = scalars.get(kind)
-            if scalar is not None:
-                return scalar(o)
-            text = _subclass_text(o)
-            if text is not None:
-                return text
+            if scalar is None:
+                raise TypeError(f"Object of type {kind.__name__} is not a plain JSON value")
+            return scalar(o)
         if not o:
-            return "{}" if isinstance(o, dict) else "[]"
+            return "{}" if kind is dict else "[]"
         level = self.levels[depth]
         items = []
         append = items.append
-        if isinstance(o, dict):
+        if kind is dict:
             for k, v in o.items():
                 scalar = scalars.get(type(v))
                 append(level[k] + (scalar(v) if scalar is not None else self.text(v, depth + 1)))
@@ -139,11 +118,12 @@ class _Writer:
     def value(self, o, depth: int) -> None:
         """Write o: a dict key by key, a list item by item, each item in
         one ``text`` call, anything else in one text."""
-        if not o or not isinstance(o, (list, tuple, dict)):
+        kind = type(o)
+        if not o or (kind is not dict and kind is not list and kind is not tuple):
             self.add(self.text(o, depth))
             return
         level = self.levels[depth]
-        if isinstance(o, dict):
+        if kind is dict:
             self.add("{")
             comma = ""
             for k, v in o.items():
@@ -166,8 +146,10 @@ class _Writer:
 
 def write_json(doc, write) -> None:
     """Pass ``write`` the text of ``json.dumps(doc, indent=2) + "\\n"`` in
-    chunks.  Dict keys must be str; a value of a type json.dumps cannot
-    encode raises TypeError, possibly after earlier chunks were written."""
+    chunks.  doc holds plain JSON values only: dict, list, tuple, str, int,
+    float, bool and None, each of exactly that type, and str keys.  Anything
+    else, a subclass such as an IntEnum or a NamedTuple too, raises
+    TypeError, possibly after earlier chunks were written."""
     w = _Writer(write)
     w.value(doc, 0)
     w.parts.append("\n")

@@ -4,10 +4,18 @@ import random
 import pytest
 
 from darksector.arcs import Arc, _union_pieces, arc_difference
+from darksector.circle_map import (
+    Decomposition,
+    DecompositionParams,
+    MapComponent,
+    _image_of,
+    _sample,
+)
 from darksector.dark_sector import _direction_span
-from darksector.exact_angle import GroupElement, make_rational_turn
+from darksector.exact_angle import TWO_PI, GroupElement, make_rational_turn, wrap_angle
 from darksector.scene import EnclosingCircle, Mirror, Point, Scene
 from darksector.scenegen import random_scene
+from darksector.tracer import TraceStatus
 
 
 def make_single_mirror_scene() -> Scene:
@@ -155,3 +163,48 @@ def direction_arc(p: Point, circle: EnclosingCircle) -> Arc:
     from the circle's center to p, of half-width asin(R/d)."""
     psi, half = _direction_span(p, circle)
     return Arc(psi - half, psi + half)
+
+
+def reference_decompose(scene, circle, seeds, eps_b, cap) -> Decomposition:
+    """Oracle for ``decompose``: keep every sample, sort them all, and start
+    a run at the midpoint of each pair of sorted neighbours with different
+    keys, the wrap-around pair (last, first) included."""
+    spacing = TWO_PI / seeds
+    samples = [_sample(scene, i * spacing, cap) for i in range(seeds)]
+    ring = samples + [samples[0]._replace(theta=samples[0].theta + TWO_PI)]
+    pending = [(a, b) for a, b in zip(ring, ring[1:]) if a.key != b.key]
+    while pending:
+        a, b = pending.pop()
+        theta = 0.5 * (a.theta + b.theta)
+        if b.theta - a.theta <= eps_b or theta == a.theta or theta == b.theta:
+            continue
+        mid = _sample(scene, theta, cap)
+        samples.append(mid)
+        if mid.key != a.key:
+            pending.append((a, mid))
+        if mid.key != b.key:
+            pending.append((mid, b))
+    samples.sort(key=lambda s: s.theta)
+    starts = [
+        (b, wrap_angle(a.theta + 0.5 * ((b.theta - a.theta) % TWO_PI)))
+        for a, b in zip(samples[-1:] + samples, samples)
+        if a.key != b.key
+    ]
+    runs = [
+        (s, Arc(lo, hi)) for (s, lo), (_, hi) in zip(starts, starts[1:] + starts[:1])
+    ] or [(samples[0], Arc(0.0, 0.0))]
+    components = sorted(
+        (MapComponent(arc, s.key[1], s.isometry, _image_of(arc, s.isometry))
+         for s, arc in runs if s.key[0] is TraceStatus.ESCAPED),
+        key=lambda c: c.arc.start,
+    )
+    trapped = [arc for s, arc in runs if s.key[0] is TraceStatus.BOUNCE_CAP_EXCEEDED]
+    return Decomposition(
+        scene=scene,
+        circle=circle,
+        params=DecompositionParams(seeds=seeds, eps_b=eps_b, cap=cap),
+        components=tuple(components),
+        singular_directions=tuple(sorted(lo for _, lo in starts)),
+        trapped_arcs=tuple(sorted(trapped, key=lambda a: a.start)),
+        escape_measure=sum(c.arc.measure for c in components),
+    )

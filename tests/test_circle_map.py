@@ -1,11 +1,23 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
-from conftest import angles_close, in_arc, make_box_scene, make_toy_scene
+from conftest import (
+    angles_close,
+    in_arc,
+    make_box_scene,
+    make_parallel_scene,
+    make_six_mirror_trap_scene,
+    make_toy_scene,
+    reference_decompose,
+)
 from darksector.arcs import Arc, _pieces, angle_distance, arc_intersection_measure
 from darksector.circle_map import (
+    DEFAULT_EPS_B,
+    DEFAULT_SEEDS,
     Decomposition,
     DecompositionParams,
     MapComponent,
@@ -19,12 +31,14 @@ from darksector.exact_angle import (
     GroupElement,
     apply,
     inverse,
+    make_rational_turn,
     reflection_group,
     wrap_angle,
 )
-from darksector.scene import EnclosingCircle, Scene, enclosing_circle
+from darksector.scene import EnclosingCircle, Mirror, Scene, enclosing_circle, load_scene
 from darksector.scenegen import random_scene
-from darksector.tracer import TraceStatus, trace
+from darksector.tracer import DEFAULT_BOUNCE_CAP, TraceStatus, trace
+from test_golden import make_mixed_denominator_scene
 
 TWO_PI = 2.0 * math.pi
 
@@ -365,6 +379,62 @@ class TestRefinement:
                 off = (tr.exit_dir_numeric - c.image.start) % TWO_PI
                 assert off <= c.image.measure + 1e-9
                 checked += 1
+
+
+def report_text(decomposer, scene, seeds, eps_b, cap) -> str:
+    d = decomposer(scene, enclosing_circle(scene), seeds=seeds, eps_b=eps_b, cap=cap)
+    return json.dumps(decomposition_report(d))
+
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
+MAP_DEFAULTS = (DEFAULT_SEEDS, DEFAULT_EPS_B, DEFAULT_BOUNCE_CAP)
+# scene maker -> (seeds, eps_b, cap): the bundled scenes at the defaults of
+# ``map``, the trapped scenes at their benchmark parameters
+SAMPLER_CASES = {
+    "single_mirror": (lambda: load_scene((SCENES / "single_mirror.json").read_bytes()),
+                      MAP_DEFAULTS),
+    "two_perpendicular": (lambda: load_scene((SCENES / "two_perpendicular.json").read_bytes()),
+                          MAP_DEFAULTS),
+    "channel": (make_parallel_scene, (256, 1e-5, 400)),
+    "six_mirror_trap": (make_six_mirror_trap_scene, (1024, 1e-6, 100)),
+    "mixed_denominator": (make_mixed_denominator_scene, MAP_DEFAULTS),
+}
+
+
+class TestSamplerOracle:
+    """``decompose`` records each run start where its bisection stops; the
+    oracle keeps every sample, sorts them and rescans the neighbours.  Both
+    must give the same report text."""
+
+    @pytest.mark.parametrize("name", sorted(SAMPLER_CASES))
+    def test_matches_the_oracle_on_fixed_scenes(self, name):
+        make_scene, params = SAMPLER_CASES[name]
+        scene = make_scene()
+        assert report_text(decompose, scene, *params) == report_text(
+            reference_decompose, scene, *params)
+
+    def test_matches_the_oracle_on_random_scenes(self):
+        rng = random.Random(16)
+        for i in range(300):
+            scene = random_scene(rng)
+            params = ((8, 16, 64, 256)[i % 4], (1e-4, 1e-8, 1e-12, 1e-15, 1e-17)[i % 5],
+                      (3, 12, 40)[i % 3])
+            assert report_text(decompose, scene, *params) == report_text(
+                reference_decompose, scene, *params), (i, params)
+
+    def test_a_run_start_that_wraps_to_zero(self):
+        # the mirror subtends ~1e-6 rad just above theta = 0, so the last
+        # bracket, (seed 7, seed 0 at 2*pi), is refined down to adjacent
+        # floats and its run start rounds to 2*pi and wraps to 0.0: the last
+        # start in bracket order is the first in angle order
+        scene = Scene(
+            mirrors=(Mirror(anchor=(1e6, 0.0), length=1.0, angle=make_rational_turn(1, 2)),),
+            source=(0.0, 0.0),
+        )
+        d = decompose(scene, enclosing_circle(scene), seeds=8, eps_b=1e-17, cap=5)
+        assert d.singular_directions[0] == 0.0
+        assert report_text(decompose, scene, 8, 1e-17, 5) == report_text(
+            reference_decompose, scene, 8, 1e-17, 5)
 
 
 class TestReport:

@@ -828,6 +828,18 @@ FAILURES = {
         {"report.json": b'{"path": []}'}, ["render", "--report", "{tmp}/report.json"],
         3, "error: report carries no usable scene: top-level value must be an object\n",
     ),
+    "report-path-not-a-list": (
+        {"report.json": b'{"scene": ' + _TOY + b', "path": 5}'},
+        ["render", "--report", "{tmp}/report.json"],
+        3, "error: malformed report: path: expected a list of [x, y] pairs\n",
+    ),
+    "sector-with-one-tangent-point": (
+        {"report.json": b'{"scene": ' + _TOY + b', "sectors": [{"apex": [0, 0], "dir_lo": 0, '
+                        b'"dir_hi": 1, "tangent_points": [[1, 0]]}]}'},
+        ["render", "--report", "{tmp}/report.json"],
+        3, "error: malformed report: sectors[0].tangent_points: expected a list of "
+           "[x, y] pairs\n",
+    ),
 }
 
 

@@ -1,0 +1,163 @@
+"""Byte parity of the darksector CLI between two source trees.
+
+    python3 tools/parity.py --against REF [--seeds 1 5] [--tiny]
+
+checks REF out with ``git worktree add --detach`` into a temporary
+directory, runs every job of the benchmark workloads (``trapped``,
+``random_sectors`` and ``unfold_census``, at each seed) in REF's tree and in
+this one, and compares, job by job, the exit code, the whole stderr text and
+the SHA-256 of the ``--out`` report and of the ``--svg``.  The worktree is
+removed afterwards.
+
+Each job's scene is written once, by ``perfbench/bench_scenes.setup`` of this
+tree, and both trees read the same file.  Each tree runs all its jobs
+through ``darksector.cli.main`` in one fresh process that imports only that
+tree's ``src/``.  On a difference the tool prints the first differing job,
+both stderr texts and a diff of the two reports, and exits 1; otherwise it
+prints one summary line and exits 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import hashlib
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("trapped", "random_sectors", "unfold_census")
+# lines of a report shown around its first difference
+DIFF_WINDOW = 40
+
+# Run in a fresh ``python -I`` (no PYTHONPATH, no script directory on the
+# path): import darksector from the tree's src/ given as argv[1], run each
+# argv read from stdin, and print [exit code, stderr] per job as JSON.
+_RUNNER = r"""
+import contextlib, io, json, sys, traceback
+from pathlib import Path
+src = Path(sys.argv[1]).resolve()
+sys.path.insert(0, str(src))
+import darksector
+from darksector.cli import main
+if src not in Path(darksector.__file__).resolve().parents:
+    sys.exit(f"imported darksector from {darksector.__file__}, not from {src}")
+results = []
+for argv in json.load(sys.stdin):
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        except Exception as e:  # a crashed job is reported, the others still run
+            code = f"raised {type(e).__name__}: {e}"
+            err.write(traceback.format_exc().replace(str(src), "src"))
+    results.append([code, err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def _jobs(seeds, tiny: bool, scene_dir: Path) -> list[tuple[str, list[str], list[str]]]:
+    """(label, argv, output paths) of every job.  The output paths are
+    relative, so both trees run the same argv, each in its own directory."""
+    for path in (ROOT / "src", ROOT / "perfbench"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    from bench_scenes import setup
+
+    jobs = []
+    for workload in WORKLOADS:
+        for seed in seeds:
+            group = f"{workload}-{seed}"
+            for job in setup(workload, seed, scene_dir / group, tiny=tiny):
+                argv = job.argv(Path(group))
+                outputs = [argv[argv.index(flag) + 1]
+                           for flag in ("--out", "--svg") if flag in argv]
+                jobs.append((f"{workload} seed {seed} job {job.name}", argv, outputs))
+    return jobs
+
+
+def _sha256(path: Path) -> str | None:
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+
+
+def _run_tree(tree: Path, jobs, work: Path) -> list[tuple]:
+    """Run every job in one fresh process on tree's src/, inside ``work``:
+    (exit code, stderr, sha256 of each output or None) per job."""
+    for _, _, outputs in jobs:
+        for out in outputs:
+            (work / out).parent.mkdir(parents=True, exist_ok=True)
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", _RUNNER, str(tree / "src")],
+        input=json.dumps([argv for _, argv, _ in jobs]),
+        capture_output=True, text=True, cwd=work, check=False,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"the jobs of {tree} did not run: {proc.stderr.strip()}")
+    return [(code, stderr, [_sha256(work / out) for out in outputs])
+            for (_, _, outputs), (code, stderr) in zip(jobs, json.loads(proc.stdout))]
+
+
+def _report_diff(a: Path, b: Path, names: tuple[str, str]) -> list[str]:
+    """A unified diff of the two reports around their first differing line."""
+    la, lb = ([] if not p.exists() else p.read_text("utf-8", "replace").splitlines()
+              for p in (a, b))
+    first = next((i for i, (x, y) in enumerate(zip(la, lb)) if x != y), min(len(la), len(lb)))
+    lo = max(first - 3, 0)
+    return list(difflib.unified_diff(
+        la[lo:first + DIFF_WINDOW], lb[lo:first + DIFF_WINDOW],
+        f"{names[0]} (from line {lo + 1})", f"{names[1]} (from line {lo + 1})", lineterm="",
+    ))
+
+
+def compare(tree_a: Path, tree_b: Path, seeds=(1, 5), tiny: bool = False,
+            names: tuple[str, str] | None = None) -> int:
+    """Run every job in both source trees and compare them: 0 when all are
+    identical, 1 after writing the first difference."""
+    names = names or (str(tree_a), str(tree_b))
+    with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
+        work = (Path(tmp) / "a", Path(tmp) / "b")
+        jobs = _jobs(seeds, tiny, Path(tmp) / "scenes")
+        for w in work:
+            w.mkdir()
+        runs = [_run_tree(tree, jobs, w) for tree, w in zip((tree_a, tree_b), work)]
+        for (label, _, outputs), a, b in zip(jobs, *runs):
+            if a == b:
+                continue
+            print(f"parity: first difference in {label}")
+            for name, (code, stderr, digests) in zip(names, (a, b)):
+                print(f"--- {name}: exit code {code}, sha256 {dict(zip(outputs, digests))}")
+                print(f"stderr:\n{stderr}")
+            print("\n".join(_report_diff(work[0] / outputs[0], work[1] / outputs[0], names)))
+            return 1
+    print(f"parity: {len(jobs)} jobs identical ({', '.join(WORKLOADS)} at seed(s) "
+          f"{', '.join(map(str, seeds))}{', tiny' if tiny else ''}): "
+          f"{names[0]} and {names[1]}")
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", required=True, metavar="REF",
+                        help="git ref whose tree the working tree is compared with")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 5],
+                        help="workload seeds (default: 1 5)")
+    parser.add_argument("--tiny", action="store_true",
+                        help="the smoke-test size of every workload")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="parity-ref-") as tmp:
+        ref_tree = Path(tmp) / "tree"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
+                        str(ref_tree), args.against], check=True)
+        try:
+            return compare(ref_tree, ROOT, args.seeds, args.tiny, (args.against, "working tree"))
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
+                            str(ref_tree)], check=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
