@@ -94,8 +94,9 @@ def decompose(
     Maximal runs of equal (status, itinerary) keys become components (escaped)
     or trapped arcs (bounce cap exceeded); the localized boundaries between
     runs are reported as singular directions.  Components narrower than the
-    seed spacing can be missed; the measure bookkeeping stays honest because
-    only resolved arcs are counted.
+    seed spacing can be missed, inside a neighbouring run; the image of a
+    missed component is never subtracted, so an arc of ``unlit_arcs`` can
+    hold its exit directions (ROADMAP item 2).
 
     Near a trapped band the escape set accumulates infinitely many shrinking
     components, so refinement cost grows as eps_b shrinks; prefer a coarser

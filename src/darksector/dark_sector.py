@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .arcs import Arc, arc_intersection_measure
 from .circle_map import Decomposition
@@ -22,9 +22,6 @@ from .tracer import TraceStatus, exit_ray, trace
 # Wide unlit arcs are shrunk symmetrically to just under a half turn, since
 # the tangent construction needs an opening angle below pi.
 MAX_SECTOR_MEASURE = math.pi - 1e-6
-
-# A ray meets a sector only along a stretch of its parameter longer than this.
-ENTRY_MARGIN = 1e-9
 
 # Check (i) samples radii from the apex log-uniformly over [1, 10**SAMPLE_DECADES]*R.
 SAMPLE_DECADES = 6
@@ -115,31 +112,6 @@ def _uncovered(start: float, measure: float, psi: float, half: float) -> float:
     return 2.0 * half - covered
 
 
-def ray_enters_sector(origin: Point, theta: float, s: DarkSector) -> bool:
-    """Whether the ray from origin in direction theta meets the open sector."""
-    dx, dy = math.cos(theta), math.sin(theta)
-    vx, vy = origin[0] - s.apex[0], origin[1] - s.apex[1]
-
-    def halfplane_interval(ux: float, uy: float, want_positive: bool):
-        # cross(u, v + t*d) > 0 (or < 0), affine in t
-        c0 = ux * vy - uy * vx
-        c1 = ux * dy - uy * dx
-        if not want_positive:
-            c0, c1 = -c0, -c1
-        if c1 == 0.0:
-            return (-math.inf, math.inf) if c0 > 0.0 else None
-        root = -c0 / c1
-        return (root, math.inf) if c1 > 0.0 else (-math.inf, root)
-
-    i1 = halfplane_interval(math.cos(s.dir_lo), math.sin(s.dir_lo), True)
-    i2 = halfplane_interval(math.cos(s.dir_hi), math.sin(s.dir_hi), False)
-    if i1 is None or i2 is None:
-        return False
-    lo = max(i1[0], i2[0], 0.0)
-    hi = min(i1[1], i2[1])
-    return hi - lo > ENTRY_MARGIN
-
-
 @dataclass
 class DarknessReport:
     """Outcome of the three independent darkness checks."""
@@ -148,9 +120,9 @@ class DarknessReport:
     direction_inclusion_ok: bool
     image_disjoint_ok: bool
     exit_rays_ok: bool
-    bad_points: list[Point] = field(default_factory=list)
-    overlapping_images: int = 0
-    offending_rays: list[float] = field(default_factory=list)
+    bad_points: list[Point]
+    overlapping_images: int
+    offending_rays: list[float]
 
     @property
     def passed(self) -> bool:
@@ -169,14 +141,14 @@ class DarknessReport:
         }
 
 
-def exit_probes(d: Decomposition) -> list[tuple[float, Point, float]]:
-    """The exit rays of darkness check (iii) as (launch direction, point
-    where the ray leaves ``d.circle``, exit direction): for each component
-    in order, the escaped rays launched just inside its start, at its
-    midpoint and just inside its end.
+def exit_probes(d: Decomposition) -> list[tuple[float, float]]:
+    """The exit rays of darkness check (iii) as (launch direction, exit
+    direction): for each component in order, the escaped rays launched just
+    inside its start, at its midpoint and just inside its end.
 
     They depend on the decomposition alone, so one list serves every sector
-    checked against it.
+    checked against it.  Raises ValueError if a ray leaves the mirrors at a
+    point not strictly inside ``d.circle``.
     """
     probes = []
     for comp in d.components:
@@ -191,7 +163,8 @@ def exit_probes(d: Decomposition) -> list[tuple[float, Point, float]]:
             tr = trace(d.scene, theta, d.params.cap)
             if tr.status is TraceStatus.ESCAPED:
                 direction = tr.exit_dir_numeric
-                probes.append((theta, exit_ray(tr.exit_point, direction, d.circle), direction))
+                exit_ray(tr.exit_point, direction, d.circle)  # raises if not inside
+                probes.append((theta, direction))
     return probes
 
 
@@ -199,21 +172,28 @@ def verify_darkness(
     s: DarkSector,
     d: Decomposition,
     n: int,
-    probes: list[tuple[float, Point, float]],
+    probes: list[tuple[float, float]],
     seed: int = 0,
 ) -> DarknessReport:
     """Re-check darkness of a sector against the decomposition it came from.
 
     (i) for n sampled sector points (log-uniform radii over [1, 1e6]*R, R
     the radius of ``d.circle``) the directions of rays leaving that circle
-    and reaching them stay inside the dark arc; (ii) the dark
-    arc is disjoint from every image arc; (iii) exit rays traced at component
+    and reaching them stay inside the dark arc; (ii) the dark arc is
+    disjoint from every image arc; (iii) exit rays traced at component
     extremes and midpoints never enter the sector.  Check (i) fails a point
     when more than 1e-12 of its direction span lies outside the dark arc, a
-    measure taken in closed form on plain floats.  Check (iii) reads
-    ``probes``, the ``exit_probes(d)`` traced once per decomposition and
-    shared by every sector verified against it.  A failure flags an
+    measure taken in closed form on plain floats.  A failure flags an
     upstream resolution problem, not a broken construction.
+
+    Check (iii) reads ``probes``, the ``exit_probes(d)`` traced once per
+    decomposition and shared by every sector verified against it.  With
+    ``s`` built by ``build_sector`` on ``d.circle`` and every exit point
+    inside ``d.circle`` (``exit_probes`` checks this), a probe's ray enters
+    the open sector exactly when its exit direction lies in the open dark
+    arc: rays from the disk reach sector points only in directions of the
+    closed arc (what check (i) samples), and a ray from inside the disk with
+    a direction strictly inside the arc ends up inside the cone.
     """
     circle = d.circle
     dark = Arc(s.dir_lo, s.dir_hi)
@@ -232,10 +212,8 @@ def verify_darkness(
         1 for c in d.components if arc_intersection_measure(dark, c.image) > 1e-12
     )
 
-    offending: list[float] = []
-    for theta, point, direction in probes:
-        if ray_enters_sector(point, direction, s):
-            offending.append(theta)
+    offending = [theta for theta, direction in probes
+                 if 0.0 < (direction - dark.start) % TWO_PI < measure]
 
     return DarknessReport(
         sample_count=n,

@@ -11,11 +11,15 @@ from darksector.circle_map import (
     _image_of,
     _sample,
 )
-from darksector.dark_sector import _direction_span
+from darksector.dark_sector import DarkSector, _direction_span
 from darksector.exact_angle import TWO_PI, GroupElement, make_rational_turn, wrap_angle
 from darksector.scene import EnclosingCircle, Mirror, Point, Scene
 from darksector.scenegen import random_scene
 from darksector.tracer import TraceStatus
+
+
+# A ray meets a sector only along a stretch of its parameter longer than this.
+ENTRY_MARGIN = 1e-9
 
 
 def make_single_mirror_scene() -> Scene:
@@ -163,6 +167,32 @@ def direction_arc(p: Point, circle: EnclosingCircle) -> Arc:
     from the circle's center to p, of half-width asin(R/d)."""
     psi, half = _direction_span(p, circle)
     return Arc(psi - half, psi + half)
+
+
+def ray_enters_sector(origin: Point, theta: float, s: DarkSector) -> bool:
+    """Oracle for darkness check (iii), in the half-plane algebra: whether
+    the ray from origin in direction theta meets the open sector."""
+    dx, dy = math.cos(theta), math.sin(theta)
+    vx, vy = origin[0] - s.apex[0], origin[1] - s.apex[1]
+
+    def halfplane_interval(ux: float, uy: float, want_positive: bool):
+        # cross(u, v + t*d) > 0 (or < 0), affine in t
+        c0 = ux * vy - uy * vx
+        c1 = ux * dy - uy * dx
+        if not want_positive:
+            c0, c1 = -c0, -c1
+        if c1 == 0.0:
+            return (-math.inf, math.inf) if c0 > 0.0 else None
+        root = -c0 / c1
+        return (root, math.inf) if c1 > 0.0 else (-math.inf, root)
+
+    i1 = halfplane_interval(math.cos(s.dir_lo), math.sin(s.dir_lo), True)
+    i2 = halfplane_interval(math.cos(s.dir_hi), math.sin(s.dir_hi), False)
+    if i1 is None or i2 is None:
+        return False
+    lo = max(i1[0], i2[0], 0.0)
+    hi = min(i1[1], i2[1])
+    return hi - lo > ENTRY_MARGIN
 
 
 def reference_decompose(scene, circle, seeds, eps_b, cap) -> Decomposition:
