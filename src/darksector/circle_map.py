@@ -6,17 +6,20 @@ isometry of the launch direction.  This module samples the circle, refines
 itinerary boundaries by bisection, and derives the per-arc isometries, their
 image arcs, an injectivity test, and the unlit arcs (escape directions that
 no exit ray attains).
+
+A sample costs its trace and little else, under the tracer's hot-path rule:
+a plain tuple ``(theta, key, isometry)``, no NamedTuple constructor frame,
+and statuses tested against the tracer's module constants, not the Enum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .arcs import Arc, _pieces, angle_distance, arc_difference
 from .exact_angle import TWO_PI, GroupElement, apply, inverse, wrap_angle
 from .scene import EnclosingCircle, Scene, scene_to_document
-from .tracer import DEFAULT_BOUNCE_CAP, TraceStatus, trace
+from .tracer import BOUNCE_CAP_EXCEEDED, DEFAULT_BOUNCE_CAP, ESCAPED, trace
 
 DEFAULT_SEEDS = 4096
 DEFAULT_EPS_B = 1e-10
@@ -53,23 +56,19 @@ class Decomposition:
     escape_measure: float
 
 
-class _Sample(NamedTuple):
-    theta: float  # may exceed 2*pi during circular refinement; trace wraps it
-    key: tuple  # (TraceStatus,) or (TraceStatus, itinerary)
-    isometry: GroupElement | None
-
-
-def _sample(scene: Scene, theta: float, cap: int) -> "_Sample":
+def _sample(scene: Scene, theta: float, cap: int) -> tuple:
+    """``(theta, key, isometry)``: theta may exceed 2*pi during circular
+    refinement (trace wraps it); the key is ``(status,)`` or ``(status,
+    itinerary)``; the isometry is an escaped trace's, else None."""
     tr = trace(scene, theta, cap)
     status = tr.status
     # Trapped traces are keyed by status alone: their cap-length itineraries
     # are pairwise distinct at any resolution, so refining between two
     # trapped samples can never terminate in a component and would cost
     # cap-bounce traces all the way down to eps_b.
-    if status is TraceStatus.BOUNCE_CAP_EXCEEDED:
-        return _Sample(theta, (status,), None)
-    iso = tr.exit_dir_exact if status is TraceStatus.ESCAPED else None
-    return _Sample(theta, (status, tr.itinerary), iso)
+    if status is BOUNCE_CAP_EXCEEDED:
+        return theta, (status,), None
+    return theta, (status, tr.itinerary), tr.exit_dir_exact if status is ESCAPED else None
 
 
 def _image_of(arc: Arc, g: GroupElement) -> Arc:
@@ -110,26 +109,27 @@ def decompose(
     spacing = TWO_PI / seeds
     # the ring closes with a shifted copy of seed 0
     ring = [_sample(scene, i * spacing, cap) for i in range(seeds)]
-    ring.append(ring[0]._replace(theta=ring[0].theta + TWO_PI))
+    ring.append((TWO_PI, *ring[0][1:]))
 
     # Brackets, pairs of neighbouring samples with different keys, are refined
     # in ring order, left half first, so they stop in angle order.  A stopped
     # bracket is a pair of neighbours in the final sampling: it starts a run
     # at its midpoint, and its right sample, the run's first, stands for it.
     starts = []
-    pending = [(a, b) for a, b in zip(ring, ring[1:]) if a.key != b.key][::-1]
+    pending = [(a, b) for a, b in zip(ring, ring[1:]) if a[1] != b[1]][::-1]
     while pending:
         a, b = pending.pop()
-        theta = 0.5 * (a.theta + b.theta)
+        ta, tb = a[0], b[0]
+        theta = 0.5 * (ta + tb)
         # between adjacent floats the midpoint rounds to one of them, and
         # sampling it would push the same pair back forever
-        if b.theta - a.theta <= eps_b or theta == a.theta or theta == b.theta:
-            starts.append((b, wrap_angle(a.theta + 0.5 * (b.theta - a.theta))))
+        if tb - ta <= eps_b or theta == ta or theta == tb:
+            starts.append((b, wrap_angle(ta + 0.5 * (tb - ta))))
             continue
         mid = _sample(scene, theta, cap)
-        if mid.key != b.key:
+        if mid[1] != b[1]:
             pending.append((mid, b))
-        if mid.key != a.key:
+        if mid[1] != a[1]:
             pending.append((a, mid))
     # each run ends where the next starts; no bracket is one full-circle run
     runs = [
@@ -140,11 +140,11 @@ def decompose(
     # The starts are in angle order but the last may wrap to 0.0, when the
     # last bracket ends one ulp below 2*pi, so the outputs are sorted.
     components = sorted(
-        (MapComponent(arc, s.key[1], s.isometry, _image_of(arc, s.isometry))
-         for s, arc in runs if s.key[0] is TraceStatus.ESCAPED),
+        (MapComponent(arc, key[1], iso, _image_of(arc, iso))
+         for (_, key, iso), arc in runs if key[0] is ESCAPED),
         key=lambda c: c.arc.start,
     )
-    trapped = [arc for s, arc in runs if s.key[0] is TraceStatus.BOUNCE_CAP_EXCEEDED]
+    trapped = [arc for (_, key, _), arc in runs if key[0] is BOUNCE_CAP_EXCEEDED]
     return Decomposition(
         scene=scene,
         circle=circle,

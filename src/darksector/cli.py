@@ -336,7 +336,7 @@ def _cmd_render(args: argparse.Namespace) -> tuple[int, str | None]:
     try:
         with open(args.report, "rb") as f:
             doc = json.loads(f.read().decode("utf-8"))
-    except (OSError, ValueError) as e:  # ValueError: not UTF-8, or not JSON
+    except (OSError, ValueError, RecursionError) as e:  # not UTF-8, not JSON, too deep
         raise _Exit(EXIT_PARSE_ERROR, f"error: cannot read report: {e}") from None
     try:
         if not isinstance(doc, dict):

@@ -17,7 +17,7 @@ from .arcs import Arc, arc_intersection_measure
 from .circle_map import Decomposition
 from .exact_angle import TWO_PI, wrap_angle
 from .scene import EnclosingCircle, Point
-from .tracer import TraceStatus, exit_ray, trace
+from .tracer import ESCAPED, exit_ray, trace
 
 # Wide unlit arcs are shrunk symmetrically to just under a half turn, since
 # the tangent construction needs an opening angle below pi.
@@ -72,16 +72,6 @@ def build_sector(arc: Arc, circle: EnclosingCircle) -> DarkSector:
     s = (rx * u2[1] - ry * u2[0]) / det
     apex = (t1[0] + s * u1[0], t1[1] + s * u1[1])
     return DarkSector(apex=apex, dir_lo=lo, dir_hi=hi, tangent_points=(t1, t2))
-
-
-def _direction_span(p: Point, circle: EnclosingCircle) -> tuple[float, float]:
-    """(psi, half): the direction from the circle's center to p, and
-    asin(R/d) with d the distance between them."""
-    dx, dy = p[0] - circle.center[0], p[1] - circle.center[1]
-    d = math.hypot(dx, dy)
-    if d <= circle.radius:
-        raise ValueError("point must lie strictly outside the circle")
-    return math.atan2(dy, dx), math.asin(circle.radius / d)
 
 
 def sample_reach(eps_b: float) -> float:
@@ -161,7 +151,7 @@ def exit_probes(d: Decomposition) -> list[tuple[float, float]]:
         ):
             theta = wrap_angle(theta_s)
             tr = trace(d.scene, theta, d.params.cap)
-            if tr.status is TraceStatus.ESCAPED:
+            if tr.status is ESCAPED:
                 direction = tr.exit_dir_numeric
                 exit_ray(tr.exit_point, direction, d.circle)  # raises if not inside
                 probes.append((theta, direction))
@@ -195,17 +185,26 @@ def verify_darkness(
     closed arc (what check (i) samples), and a ray from inside the disk with
     a direction strictly inside the arc ends up inside the cone.
     """
-    circle = d.circle
     dark = Arc(s.dir_lo, s.dir_hi)
-    measure = dark.measure
-    rng = random.Random(seed)
+    start, measure = dark.start, dark.measure
 
+    # one Python call per point, _uncovered: every lookup is hoisted
+    random_ = random.Random(seed).random
+    cos, sin, atan2, asin, hypot = math.cos, math.sin, math.atan2, math.asin, math.hypot
+    lo, (ax, ay), decades = s.dir_lo, s.apex, SAMPLE_DECADES
+    (cx, cy), radius = d.circle.center, d.circle.radius
     bad_points: list[Point] = []
     for _ in range(n):
-        theta = s.dir_lo + rng.random() * measure
-        r = circle.radius * 10.0 ** (SAMPLE_DECADES * rng.random())
-        p = (s.apex[0] + r * math.cos(theta), s.apex[1] + r * math.sin(theta))
-        if _uncovered(dark.start, measure, *_direction_span(p, circle)) > 1e-12:
+        theta = lo + random_() * measure
+        r = radius * 10.0 ** (decades * random_())
+        p = (ax + r * cos(theta), ay + r * sin(theta))
+        # the direction span of p: the direction psi from the center to p,
+        # and the half-width asin(R/dist)
+        dx, dy = p[0] - cx, p[1] - cy
+        dist = hypot(dx, dy)
+        if dist <= radius:
+            raise ValueError("point must lie strictly outside the circle")
+        if _uncovered(start, measure, atan2(dy, dx), asin(radius / dist)) > 1e-12:
             bad_points.append(p)
 
     overlapping = sum(

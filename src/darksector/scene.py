@@ -385,6 +385,8 @@ def load_scene(data: "bytes | str") -> Scene:
         ) from None
     except ValueError as e:  # not UTF-8, or an integer with too many digits
         raise SceneFormatError(f"unreadable document: {e}") from None
+    except RecursionError as e:  # arrays or objects nested too deeply
+        raise SceneFormatError(f"invalid JSON: {e}") from None
     return scene_from_document(doc)
 
 

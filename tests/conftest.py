@@ -1,5 +1,6 @@
 import math
 import random
+from typing import NamedTuple
 
 import pytest
 
@@ -9,13 +10,12 @@ from darksector.circle_map import (
     DecompositionParams,
     MapComponent,
     _image_of,
-    _sample,
 )
-from darksector.dark_sector import DarkSector, _direction_span
+from darksector.dark_sector import DarkSector
 from darksector.exact_angle import TWO_PI, GroupElement, make_rational_turn, wrap_angle
 from darksector.scene import EnclosingCircle, Mirror, Point, Scene
 from darksector.scenegen import random_scene
-from darksector.tracer import TraceStatus
+from darksector.tracer import TraceStatus, trace
 
 
 # A ray meets a sector only along a stretch of its parameter longer than this.
@@ -161,11 +161,22 @@ def arc_contains_arc(outer: Arc, inner: Arc, tol: float = 0.0) -> bool:
     return uncovered <= tol
 
 
+def direction_span(p: Point, circle: EnclosingCircle) -> tuple[float, float]:
+    """(psi, half): the direction from the circle's center to p, and
+    asin(R/d) with d the distance between them, as check (i) of
+    ``verify_darkness`` computes them for its sample points."""
+    dx, dy = p[0] - circle.center[0], p[1] - circle.center[1]
+    d = math.hypot(dx, dy)
+    if d <= circle.radius:
+        raise ValueError("point must lie strictly outside the circle")
+    return math.atan2(dy, dx), math.asin(circle.radius / d)
+
+
 def direction_arc(p: Point, circle: EnclosingCircle) -> Arc:
     """Directions of all rays that leave the circle and pass through p,
     which must lie strictly outside it: the arc centered on the direction
     from the circle's center to p, of half-width asin(R/d)."""
-    psi, half = _direction_span(p, circle)
+    psi, half = direction_span(p, circle)
     return Arc(psi - half, psi + half)
 
 
@@ -195,10 +206,28 @@ def ray_enters_sector(origin: Point, theta: float, s: DarkSector) -> bool:
     return hi - lo > ENTRY_MARGIN
 
 
+class _Sample(NamedTuple):
+    theta: float
+    key: tuple
+    isometry: GroupElement | None
+
+
+def _sample(scene, theta: float, cap: int) -> _Sample:
+    """A launch direction keyed from its trace alone: ``(status,)`` when
+    trapped, else ``(status, itinerary)``, with an escaped trace's exact exit
+    isometry."""
+    tr = trace(scene, theta, cap)
+    if tr.status is TraceStatus.BOUNCE_CAP_EXCEEDED:
+        return _Sample(theta, (tr.status,), None)
+    iso = tr.exit_dir_exact if tr.status is TraceStatus.ESCAPED else None
+    return _Sample(theta, (tr.status, tr.itinerary), iso)
+
+
 def reference_decompose(scene, circle, seeds, eps_b, cap) -> Decomposition:
     """Oracle for ``decompose``: keep every sample, sort them all, and start
     a run at the midpoint of each pair of sorted neighbours with different
-    keys, the wrap-around pair (last, first) included."""
+    keys, the wrap-around pair (last, first) included.  It samples through
+    ``trace`` with a sampler of its own."""
     spacing = TWO_PI / seeds
     samples = [_sample(scene, i * spacing, cap) for i in range(seeds)]
     ring = samples + [samples[0]._replace(theta=samples[0].theta + TWO_PI)]

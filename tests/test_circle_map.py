@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -435,6 +437,45 @@ class TestSamplerOracle:
         assert d.singular_directions[0] == 0.0
         assert report_text(decompose, scene, 8, 1e-17, 5) == report_text(
             reference_decompose, scene, 8, 1e-17, 5)
+
+
+class TestCallsPerSample:
+    def test_python_calls_besides_the_traces_do_not_grow_with_the_seeds(
+        self, single_mirror_scene, single_mirror_circle
+    ):
+        # the single mirror's two components are found at either seed count,
+        # so the calls per component stay the same; a Python-level frame
+        # made per sample, besides its trace and one sampling helper, would
+        # add its calls once per extra seed
+        code_of_trace = trace.__code__
+        single_mirror_decomposition(single_mirror_scene, single_mirror_circle)
+
+        def calls(seeds):
+            codes = []
+            samplers = set()
+
+            def profile(frame, event, arg):
+                if event == "call":
+                    codes.append(frame.f_code)
+                    if frame.f_code is code_of_trace:
+                        samplers.add(frame.f_back.f_code)
+
+            # a collection would run the gc callbacks other libraries register
+            gc.disable()
+            sys.setprofile(profile)
+            try:
+                d = single_mirror_decomposition(single_mirror_scene, single_mirror_circle,
+                                                seeds=seeds)
+            finally:
+                sys.setprofile(None)
+                gc.enable()
+            assert len(samplers) == 1
+            assert {c.itinerary for c in d.components} == {(), ((1, 1),)}
+            traces = codes.count(code_of_trace)
+            assert traces >= seeds
+            return len(codes) - traces - codes.count(samplers.pop())
+
+        assert calls(256) == calls(4096)
 
 
 class TestReport:

@@ -772,6 +772,11 @@ FAILURES = {
         3, "error: invalid JSON: Expecting property name enclosed in double quotes "
            "(line 1, column 2)\n",
     ),
+    "scene-nested-too-deeply": (
+        {"deep.json": b"[" * 200_000}, ["validate", "--scene", "{tmp}/deep.json"],
+        3, "error: invalid JSON: maximum recursion depth exceeded while decoding a JSON "
+           "array from a unicode string\n",
+    ),
     "two-violations": (
         {"two.json": _scene_bytes(((-1.0, 0.0), 2.0, _HORIZONTAL),
                                   ((0.0, -1.0), 2.0, make_rational_turn(1, 2)),
@@ -813,6 +818,11 @@ FAILURES = {
         {"report.json": b"{not json"}, ["render", "--report", "{tmp}/report.json"],
         3, "error: cannot read report: Expecting property name enclosed in double quotes: "
            "line 1 column 2 (char 1)\n",
+    ),
+    "report-nested-too-deeply": (
+        {"report.json": b"[" * 200_000}, ["render", "--report", "{tmp}/report.json"],
+        3, "error: cannot read report: maximum recursion depth exceeded while decoding a "
+           "JSON array from a unicode string\n",
     ),
     "report-not-utf8": (
         {"report.json": b'{"scene": "\xff"}'}, ["render", "--report", "{tmp}/report.json"],

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import json
 import math
 import random
+import sys
 import types
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from conftest import (
     arc_contains_arc,
     arcs_total_measure,
     direction_arc,
+    direction_span,
     make_single_mirror_scene,
     make_six_mirror_trap_scene,
     ray_enters_sector,
@@ -25,7 +28,6 @@ from darksector.dark_sector import (
     MAX_SECTOR_MEASURE,
     SAMPLE_DECADES,
     DarkSector,
-    _direction_span,
     _uncovered,
     build_sector,
     exit_probes,
@@ -263,7 +265,7 @@ class TestCheckI:
         else:
             p = (s.apex[0] + r * math.cos(theta), s.apex[1] + r * math.sin(theta))
         try:
-            psi, half = _direction_span(p, circle)
+            psi, half = direction_span(p, circle)
         except ValueError:  # rounding put the point on or inside the circle
             assume(False)
         oracle = arcs_total_measure(arc_difference([direction_arc(p, circle)], [dark]))
@@ -280,6 +282,27 @@ class TestVerifyDarkness:
         assert report.direction_inclusion_ok
         assert report.image_disjoint_ok
         assert report.exit_rays_ok
+
+    def test_check_i_makes_at_most_one_python_call_per_point(
+        self, single_mirror_pipeline, single_mirror_circle
+    ):
+        d, unlit = single_mirror_pipeline
+        s = build_sector(shrink_below_pi(unlit[0]), single_mirror_circle)
+        probes = exit_probes(d)
+
+        def calls(n):
+            events = []
+            # a collection would run the gc callbacks other libraries register
+            gc.disable()
+            sys.setprofile(lambda frame, event, arg: events.append(event))
+            try:
+                assert verify_darkness(s, d, n, probes, seed=5).passed
+            finally:
+                sys.setprofile(None)
+                gc.enable()
+            return events.count("call")
+
+        assert calls(1000) - calls(100) <= 900
 
     def test_corrupted_arc_fails_disjointness(self, single_mirror_pipeline, single_mirror_circle):
         d, _ = single_mirror_pipeline

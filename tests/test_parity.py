@@ -28,6 +28,8 @@ def test_copies_of_one_tree_are_identical(trees, capsys):
     # trapped: 2 jobs, random_sectors: 5, unfold_census: 10, at 2 seeds
     assert capsys.readouterr().out == ("parity: 34 jobs identical (trapped, random_sectors, "
                                        "unfold_census at seed(s) 1, 5, tiny): a and b\n")
+    # the runs compile no bytecode into either tree
+    assert [p for tree in trees for p in tree.rglob("__pycache__")] == []
 
 
 def test_one_changed_byte_names_the_first_differing_job(trees, capsys):

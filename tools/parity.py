@@ -33,9 +33,11 @@ WORKLOADS = ("trapped", "random_sectors", "unfold_census")
 # lines of a report shown around its first difference
 DIFF_WINDOW = 40
 
-# Run in a fresh ``python -I`` (no PYTHONPATH, no script directory on the
-# path): import darksector from the tree's src/ given as argv[1], run each
-# argv read from stdin, and print [exit code, stderr] per job as JSON.
+# Run in a fresh ``python -I -B`` (no PYTHONPATH, no script directory on the
+# path, and no __pycache__ written into either tree, which would change how
+# fast it imports afterwards): import darksector from the tree's src/ given
+# as argv[1], run each argv read from stdin, and print [exit code, stderr]
+# per job as JSON.
 _RUNNER = r"""
 import contextlib, io, json, sys, traceback
 from pathlib import Path
@@ -91,7 +93,7 @@ def _run_tree(tree: Path, jobs, work: Path) -> list[tuple]:
         for out in outputs:
             (work / out).parent.mkdir(parents=True, exist_ok=True)
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", _RUNNER, str(tree / "src")],
+        [sys.executable, "-I", "-B", "-c", _RUNNER, str(tree / "src")],
         input=json.dumps([argv for _, argv, _ in jobs]),
         capture_output=True, text=True, cwd=work, check=False,
     )
