@@ -74,9 +74,14 @@ def _emit(produce, path: str | None) -> None:
     """Call ``produce(write)``, with ``write`` taking text chunks for path,
     or for stdout when no path is given.  The file appears at path only
     once complete; a path that cannot be written ends the command with
-    exit 1 and leaves any file already there unchanged."""
+    exit 1 and leaves any file already there unchanged, and so does a
+    stdout that cannot be written, such as a pipe closed early."""
     if not path:
-        produce(sys.stdout.write)
+        try:
+            produce(sys.stdout.write)
+            sys.stdout.flush()
+        except OSError as e:
+            raise _Exit(EXIT_INTERNAL, f"error: cannot write stdout: {e.strerror or e}") from None
         return
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None

@@ -55,16 +55,11 @@ def endpoints(m: Mirror) -> tuple[Point, Point]:
 
 
 class MirrorGeometry(NamedTuple):
-    """Per-mirror constants of the ray tracer.  The scan of a leg reads
-    only the anchor, e and slack, through :attr:`Scene.scan_rows`; the rest
-    is read, unpacked in this order, once per hit."""
+    """Per-mirror constants the ray tracer reads for a hit, unpacked in
+    this order once per hit.  The constants a leg's scan tests, the segment
+    and its bounds of u, are stored in :attr:`Scene.scan_rows` alone."""
 
     index: int  # 1-based position in Scene.mirrors
-    ax: float
-    ay: float
-    ex: float  # b - a, not normalized
-    ey: float
-    slack: float  # EPS_SINGULAR / length: the endpoint margin in units of u
     length: float
     nx: float  # unit left normal of the segment direction
     ny: float
@@ -94,20 +89,13 @@ class Scene:
 
     @cached_property
     def geometry(self) -> tuple[MirrorGeometry, ...]:
-        """The tracer's per-mirror constants, computed once per scene."""
+        """The constants the tracer reads for a hit, computed once per scene."""
         geos = []
         for i, m in enumerate(self.mirrors, start=1):
-            (ax, ay), (bx, by) = endpoints(m)
             t = m.angle.radians()
             geos.append(
                 MirrorGeometry(
                     index=i,
-                    ax=ax,
-                    ay=ay,
-                    ex=bx - ax,
-                    ey=by - ay,
-                    # a zero-length mirror is never hit (its e is (0, 0))
-                    slack=EPS_SINGULAR / m.length if m.length else math.inf,
                     length=m.length,
                     nx=-math.sin(t),
                     ny=math.cos(t),
@@ -123,10 +111,17 @@ class Scene:
         """The mirrors a leg must test, indexed by the 1-based mirror the
         leg leaves: entry i lists every mirror but i, in scene order, and
         entry 0, for the leg from the source, lists them all.  Each row is
-        ``(ax, ay, ex, ey, -slack, 1.0 + slack, geometry)``, the segment
-        and the bounds of u that count as a hit, so the tracer's scan needs
-        no index test and unpacks no field it does not use."""
-        rows = [(g.ax, g.ay, g.ex, g.ey, -g.slack, 1.0 + g.slack, g) for g in self.geometry]
+        ``(ax, ay, ex, ey, -slack, 1.0 + slack, geometry)``: the anchor,
+        e = b - a (not normalized), the bounds of u that count as a hit
+        (slack = EPS_SINGULAR / length, the endpoint margin in units of u)
+        and the mirror's :attr:`geometry`, so the tracer's scan needs no
+        index test and unpacks no field it does not use."""
+        rows = []
+        for m, g in zip(self.mirrors, self.geometry):
+            (ax, ay), (bx, by) = endpoints(m)
+            # a zero-length mirror is never hit (its e is (0, 0))
+            slack = EPS_SINGULAR / m.length if m.length else math.inf
+            rows.append((ax, ay, bx - ax, by - ay, -slack, 1.0 + slack, g))
         return (tuple(rows),) + tuple(
             tuple(rows[:i] + rows[i + 1 :]) for i in range(len(rows))
         )
@@ -284,7 +279,8 @@ def enclosing_circle(s: Scene, margin: float = DEFAULT_CIRCLE_MARGIN) -> Enclosi
 #   {"mirrors": [{"anchor": [x, y], "length": L,
 #                 "angle": {"num": p, "den": q}}, ...],
 #    "source": [x, y]}
-# Unknown fields are rejected; angles are exact rationals in units of pi.
+# Unknown and repeated fields are rejected; angles are exact rationals in
+# units of pi.
 # ---------------------------------------------------------------------------
 
 
@@ -373,12 +369,25 @@ def scene_to_document(s: Scene) -> dict:
     }
 
 
+def _unique_fields(pairs: list) -> dict:
+    """A JSON object's fields as a dict; a field given twice is rejected,
+    not read for its last value."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise SceneFormatError(f"repeated field {key!r}")
+        doc[key] = value
+    return doc
+
+
 def load_scene(data: "bytes | str") -> Scene:
     """Parse a scene document; raises SceneFormatError with field diagnostics."""
     try:
         if isinstance(data, bytes):
             data = data.decode("utf-8")
-        doc = json.loads(data)
+        doc = json.loads(data, object_pairs_hook=_unique_fields)
+    except SceneFormatError:
+        raise
     except json.JSONDecodeError as e:
         raise SceneFormatError(
             f"invalid JSON: {e.msg} (line {e.lineno}, column {e.colno})"

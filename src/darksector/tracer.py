@@ -10,12 +10,13 @@ cross-checked against the exact group action on the launch direction.
 scans the rows of :attr:`Scene.scan_rows` for the mirror it leaves, each
 ``(ax, ay, ex, ey, -slack, 1.0 + slack, geometry)``: every other mirror in
 scene order, the bounds of the segment parameter u that count as a hit,
-and the mirror's full geometry, unpacked only for the nearest hit.  The
-loop's float expressions are those of :func:`first_hit`, operand for
-operand, and none may be rewritten into an algebraically equal form
-(multiplied through, or reflecting (dx, dy) in place of cos/sin of the
-wrapped angle): the circle map bisects on itinerary keys, so one rounding
-flipped near a boundary moves its arcs and the report bytes.
+and the mirror's ``MirrorGeometry``, unpacked only for the nearest hit.
+:func:`first_hit` is the same scan for one leg and the reference the loop
+must match: the loop's float expressions are its own, operand for operand,
+and none may be rewritten into an algebraically equal form (multiplied
+through, or reflecting (dx, dy) in place of cos/sin of the wrapped angle):
+the circle map bisects on itinerary keys, so one rounding flipped near a
+boundary moves its arcs and the report bytes.
 
 The hot-path rule: the circle map traces hundreds of thousands of samples a
 run, so no Python frame but trace's own runs per trace.  Its results are
@@ -33,12 +34,12 @@ from enum import Enum
 from typing import NamedTuple
 
 from .exact_angle import TWO_PI, GroupElement
-from .scene import EPS_SINGULAR, EnclosingCircle, MirrorGeometry, Point, ScanRow, Scene
+from .scene import EPS_SINGULAR, EnclosingCircle, Point, Scene
 
 # Minimum advance along the ray before a hit counts; scene.MIN_SEPARATION,
 # the clearance validation demands, stays above it.  EPS_SINGULAR, the
 # radius around segment endpoints (or grazing angle) below which a hit is
-# singular, lives with the per-mirror geometry that precomputes it.
+# singular, lives with the scan rows that precompute it.
 EPS_ADVANCE = 1e-9
 
 DEFAULT_BOUNCE_CAP = 10_000
@@ -75,45 +76,6 @@ class SingularStop:
     reason: str  # "endpoint" or "grazing"
 
 
-def _nearest_hit(
-    ox: float,
-    oy: float,
-    dx: float,
-    dy: float,
-    rows: "tuple[ScanRow, ...]",
-) -> "tuple[float, float, MirrorGeometry, float] | None":
-    """The nearest intersection of the ray (ox, oy) + t (dx, dy), t > 0,
-    with a mirror of ``rows`` (an entry of :attr:`Scene.scan_rows`):
-    ``(t, u, row, denom)`` with u the hit's position along the segment (0 at
-    the anchor, 1 at the far end), or None when the ray meets no mirror."""
-    best_t = math.inf
-    best = None
-    for ax, ay, ex, ey, lo, hi, row in rows:
-        denom = dx * ey - dy * ex
-        if denom == 0.0:
-            continue
-        wx = ax - ox
-        wy = ay - oy
-        t = (wx * ey - wy * ex) / denom
-        if t <= EPS_ADVANCE or t >= best_t:
-            continue
-        u = (wx * dy - wy * dx) / denom
-        if u < lo or u > hi:
-            continue
-        best_t = t
-        best = (t, u, row, denom)
-    return best
-
-
-def _singular_reason(u: float, length: float, denom: float) -> str | None:
-    """Why a hit at segment position u is unusable, or None for a regular hit."""
-    if abs(denom) / length < EPS_SINGULAR:
-        return "grazing"
-    if u * length < EPS_SINGULAR or (1.0 - u) * length < EPS_SINGULAR:
-        return "endpoint"
-    return None
-
-
 def first_hit(
     origin: Point,
     theta: float,
@@ -123,22 +85,39 @@ def first_hit(
     """Nearest mirror intersection of the ray from origin in direction theta.
 
     Returns None when the ray escapes, a SingularStop when the nearest
-    intersection is within EPS_SINGULAR of a segment endpoint or the ray is
-    nearly parallel to the hit mirror.  ``exclude_index`` skips the mirror
-    the ray just left.
+    intersection is nearly parallel to the hit mirror ("grazing") or within
+    EPS_SINGULAR of a segment endpoint ("endpoint").  ``exclude_index``
+    skips the mirror the ray just left.  This is the reference scan, one
+    leg at a time, that :func:`trace`'s loop must match float for float.
     """
     ox, oy = origin
     dx, dy = math.cos(theta), math.sin(theta)
-    hit = _nearest_hit(ox, oy, dx, dy, scene.scan_rows[exclude_index or 0])
+    best_t = math.inf
+    hit = None
+    for ax, ay, ex, ey, lo, hi, row in scene.scan_rows[exclude_index or 0]:
+        denom = dx * ey - dy * ex
+        if denom == 0.0:
+            continue
+        wx = ax - ox
+        wy = ay - oy
+        t = (wx * ey - wy * ex) / denom
+        if t <= EPS_ADVANCE or t >= best_t:
+            continue
+        # u: the hit's position along the segment, 0 at the anchor, 1 at the far end
+        u = (wx * dy - wy * dx) / denom
+        if u < lo or u > hi:
+            continue
+        best_t, best_u, best_denom, hit = t, u, denom, row
     if hit is None:
         return None
-    t, u, row, denom = hit
-    point = (ox + t * dx, oy + t * dy)
-    reason = _singular_reason(u, row.length, denom)
-    if reason is not None:
-        return SingularStop(row.index, point, t, reason)
-    side = 1 if (dx * row.nx + dy * row.ny) < 0.0 else -1
-    return Hit(row.index, side, point, t)
+    point = (ox + best_t * dx, oy + best_t * dy)
+    length = hit.length
+    if abs(best_denom) / length < EPS_SINGULAR:
+        return SingularStop(hit.index, point, best_t, "grazing")
+    if best_u * length < EPS_SINGULAR or (1.0 - best_u) * length < EPS_SINGULAR:
+        return SingularStop(hit.index, point, best_t, "endpoint")
+    side = 1 if (dx * hit.nx + dy * hit.ny) < 0.0 else -1
+    return Hit(hit.index, side, point, best_t)
 
 
 class TraceResult(NamedTuple):
@@ -154,7 +133,8 @@ class TraceResult(NamedTuple):
 
 def trace(scene: Scene, theta0: float, cap: int = DEFAULT_BOUNCE_CAP) -> TraceResult:
     """Follow a ray from the source, reflecting until it escapes, turns
-    singular, or would exceed ``cap`` reflections."""
+    singular, or would exceed ``cap`` reflections.  Each leg is the scan of
+    :func:`first_hit`, the reference this loop must match, inlined."""
     if cap < 1:
         raise ValueError("bounce cap must be >= 1")
     if not math.isfinite(theta0):
@@ -171,7 +151,7 @@ def trace(scene: Scene, theta0: float, cap: int = DEFAULT_BOUNCE_CAP) -> TraceRe
     stop_point = None
     for n in range(cap + 1):  # n reflections so far; every pass ends or reflects
         dx, dy = cos(theta), sin(theta)
-        # the nearest hit, as in _nearest_hit
+        # the nearest hit, as in first_hit
         best_t = inf
         hit = None
         for ax, ay, ex, ey, lo, hi, row in rows:
@@ -190,9 +170,9 @@ def trace(scene: Scene, theta0: float, cap: int = DEFAULT_BOUNCE_CAP) -> TraceRe
         if hit is None:
             status = ESCAPED
             break
-        index, _, _, _, _, _, length, nx, ny, two_angle, two_angle_k, lips = hit
+        index, length, nx, ny, two_angle, two_angle_k, lips = hit
         point = (ox + best_t * dx, oy + best_t * dy)
-        # as in _singular_reason
+        # the singular test, as in first_hit
         if (
             abs(best_denom) / length < eps_singular
             or best_u * length < eps_singular

@@ -32,15 +32,17 @@ def write_scene(tmp_path, scene, name="scene.json"):
     return str(path)
 
 
-def run_darksector(*args: str, timeout: float = 60) -> subprocess.CompletedProcess:
+def run_darksector(*args: str, timeout: float = 60,
+                   stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     """``python -m darksector *args`` in a fresh process, killed after
-    ``timeout`` seconds."""
+    ``timeout`` seconds; stdout is captured unless ``stdout`` says where
+    it goes."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run(
         [sys.executable, "-m", "darksector", *args],
-        capture_output=True, text=True, env=env, timeout=timeout,
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=timeout,
     )
 
 
@@ -733,6 +735,28 @@ class TestWrittenFiles:
         assert main([command, "--scene", toy_path]) == 0
         assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a report of ~1 kB, written only when stdout is flushed
+            ["unfold", "--scene", str(SCENES / "two_perpendicular.json")],
+            # a report of ~440 kB, whose first chunk already fails
+            ["map", "--samples", "64", "--eps-b", "1e-4", "--cap", "60"],
+        ],
+        ids=["flush", "write"],
+    )
+    def test_closed_stdout_exits_one(self, tmp_path, argv):
+        if argv[0] == "map":
+            argv = [*argv, "--scene", write_scene(tmp_path, make_parallel_scene())]
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        try:
+            proc = run_darksector(*argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: cannot write stdout: Broken pipe\n"
+
     @pytest.mark.parametrize("option", ["--out", "--svg"])
     @pytest.mark.parametrize("target", ["missing-dir", "directory"])
     def test_unwritable_path_exits_one(self, toy_path, tmp_path, capsys, option, target):
@@ -776,6 +800,11 @@ FAILURES = {
         {"deep.json": b"[" * 200_000}, ["validate", "--scene", "{tmp}/deep.json"],
         3, "error: invalid JSON: maximum recursion depth exceeded while decoding a JSON "
            "array from a unicode string\n",
+    ),
+    "scene-repeats-a-field": (
+        {"twice.json": _TOY[:-2] + b',\n  "source": [0.0, 2.0]\n}\n'},
+        ["validate", "--scene", "{tmp}/twice.json"],
+        3, "error: repeated field 'source'\n",
     ),
     "two-violations": (
         {"two.json": _scene_bytes(((-1.0, 0.0), 2.0, _HORIZONTAL),

@@ -281,6 +281,20 @@ class TestSceneIO:
         with pytest.raises(SceneFormatError, match="unknown"):
             load_scene(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"mirrors": [], "source": [0, 1], "source": [0, 2]}', "source"),
+            ('{"mirrors": [{"anchor": [0, 0], "length": 1, '
+             '"angle": {"num": 0, "den": 1, "den": 2}}], "source": [0, 1]}', "den"),
+        ],
+        ids=["top-level", "nested"],
+    )
+    def test_repeated_field_rejected(self, text, field):
+        # the last value is not silently read in place of the first
+        with pytest.raises(SceneFormatError, match=f"^repeated field '{field}'$"):
+            load_scene(text)
+
     def test_invalid_json_reports_position(self):
         with pytest.raises(SceneFormatError, match="line"):
             load_scene(b'{"mirrors": [')

@@ -20,7 +20,14 @@ from darksector.exact_angle import (
     reflection_group,
     wrap_angle,
 )
-from darksector.scene import EnclosingCircle, Mirror, Scene, enclosing_circle, endpoints
+from darksector.scene import (
+    EPS_SINGULAR,
+    EnclosingCircle,
+    Mirror,
+    Scene,
+    enclosing_circle,
+    endpoints,
+)
 from darksector.scenegen import random_scene
 from darksector.tracer import Hit, SingularStop, TraceStatus, exit_ray, first_hit, trace
 
@@ -217,6 +224,24 @@ class TestTraceMatchesFirstHit:
             tr = trace(parallel_scene, theta0, 150)
             assert outcome(tr) == trace_by_first_hit(parallel_scene, theta0, 150)
 
+    def test_grazing_threshold(self, single_mirror_scene):
+        # rays from far off to the left aimed at the mirror's middle meet it
+        # at incidence angles of ~h / 1000, on both sides of the grazing
+        # threshold EPS_SINGULAR = 1e-9: a grazing stop below it, a
+        # reflection and escape above it
+        heights = [0.5e-6 + 1.5e-6 * i / 40 for i in range(41)]
+        heights += [1e-6 * (1.0 + j * 1e-13) for j in range(-20, 21)]
+        statuses = set()
+        for h in heights:
+            scene = Scene(mirrors=single_mirror_scene.mirrors, source=(-1000.0, h))
+            theta0 = math.atan2(-h, 1000.0)
+            tr = trace(scene, theta0, 5)
+            assert outcome(tr) == trace_by_first_hit(scene, theta0, 5)
+            if tr.status is TraceStatus.SINGULAR:
+                assert first_hit(scene.source, theta0, scene).reason == "grazing"
+            statuses.add(tr.status)
+        assert statuses == {TraceStatus.SINGULAR, TraceStatus.ESCAPED}
+
     @pytest.mark.parametrize(
         "scene, cap, band",
         [
@@ -250,7 +275,10 @@ class TestScanRows:
         for i, leg in enumerate(rows):
             assert [row[6] for row in leg] == [g for g in geos if g.index != i]
             for ax, ay, ex, ey, lo, hi, g in leg:
-                assert (ax, ay, ex, ey, lo, hi) == (g.ax, g.ay, g.ex, g.ey, -g.slack, 1.0 + g.slack)
+                (ax0, ay0), (bx, by) = endpoints(scene.mirrors[g.index - 1])
+                slack = EPS_SINGULAR / g.length
+                assert (ax, ay) == (ax0, ay0)
+                assert (ex, ey, lo, hi) == (bx - ax, by - ay, -slack, 1.0 + slack)
 
 
 class TestNoCallPerBounce:

@@ -9,6 +9,13 @@ this one, and compares, job by job, the exit code, the whole stderr text and
 the SHA-256 of the ``--out`` report and of the ``--svg``.  The worktree is
 removed afterwards.
 
+After the workload jobs comes one group that does not depend on the seed:
+the commands no workload runs (``validate``, ``trace``, ``map`` and
+``render`` of a scene and of a trace report) on ``scenes/*.json``,
+``tests/scenes/*.json`` and the two ``trapped`` scenes.  ``trace`` runs at
+the escaping direction with the most bounces, at the direction with the
+most bounces stopped by its ``--cap``, and at the first mirror's anchor.
+
 Each job's scene is written once, by ``perfbench/bench_scenes.setup`` of this
 tree, and both trees read the same file.  Each tree runs all its jobs
 through ``darksector.cli.main`` in one fresh process that imports only that
@@ -23,6 +30,7 @@ import argparse
 import difflib
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -32,6 +40,11 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("trapped", "random_sectors", "unfold_census")
 # lines of a report shown around its first difference
 DIFF_WINDOW = 40
+# the command group: launch directions tried per scene, and the bounce cap
+# of those tries, of its map jobs and of its escaping and tip traces
+COMMAND_DIRECTIONS = 256
+COMMAND_CAP = 30
+COMMAND_MAP_ARGS = ("--samples", "64", "--eps-b", "1e-4", "--cap", str(COMMAND_CAP))
 
 # Run in a fresh ``python -I -B`` (no PYTHONPATH, no script directory on the
 # path, and no __pycache__ written into either tree, which would change how
@@ -76,10 +89,51 @@ def _jobs(seeds, tiny: bool, scene_dir: Path) -> list[tuple[str, list[str], list
             group = f"{workload}-{seed}"
             for job in setup(workload, seed, scene_dir / group, tiny=tiny):
                 argv = job.argv(Path(group))
-                outputs = [argv[argv.index(flag) + 1]
-                           for flag in ("--out", "--svg") if flag in argv]
-                jobs.append((f"{workload} seed {seed} job {job.name}", argv, outputs))
+                jobs.append((f"{workload} seed {seed} job {job.name}", argv, _outputs(argv)))
+    return jobs + _command_jobs(scene_dir / "commands")
+
+
+def _command_jobs(scene_dir: Path) -> list[tuple[str, list[str], list[str]]]:
+    """The seed-independent group: every command but ``sectors`` and
+    ``unfold`` on each scene file of the repo and each ``trapped`` scene."""
+    from bench_scenes import setup
+    from darksector.scene import load_scene
+    from darksector.tracer import ESCAPED, trace
+
+    paths = [*sorted((ROOT / "scenes").glob("*.json")),
+             *sorted((ROOT / "tests" / "scenes").glob("*.json")),
+             *(job.scene_path for job in setup("trapped", 0, scene_dir))]
+    thetas = [2 * math.pi * i / COMMAND_DIRECTIONS for i in range(COMMAND_DIRECTIONS)]
+    jobs = []
+    for path in paths:
+        name = path.name.split(".")[0]
+        scene = load_scene(path.read_bytes())
+        tries = [(trace(scene, theta, COMMAND_CAP), theta) for theta in thetas]
+        escaped = max((t for t in tries if t[0].status is ESCAPED),
+                      key=lambda t: t[0].bounce_count)
+        longest = max(tries, key=lambda t: t[0].bounce_count)
+        (ax, ay), (sx, sy) = scene.mirrors[0].anchor, scene.source
+        traces = [("escaping", escaped[1], COMMAND_CAP),
+                  ("tip", math.atan2(ay - sy, ax - sx), COMMAND_CAP)]
+        if longest[0].bounce_count > 1:  # one bounce fewer stops it at the cap
+            traces.append(("capped", longest[1], longest[0].bounce_count - 1))
+        out = f"commands/{name}"
+        argvs = [["validate", "--scene", str(path), "--out", f"{out}.validate.json"]]
+        argvs += [["trace", "--scene", str(path), "--theta", repr(theta), "--cap", str(cap),
+                   "--out", f"{out}.trace-{kind}.json", "--svg", f"{out}.trace-{kind}.svg"]
+                  for kind, theta, cap in traces]
+        argvs += [["map", "--scene", str(path), *COMMAND_MAP_ARGS, "--out", f"{out}.map.json"],
+                  ["render", "--scene", str(path), "--svg", f"{out}.scene.svg"],
+                  ["render", "--report", f"{out}.trace-escaping.json",
+                   "--svg", f"{out}.report.svg"]]
+        jobs += [(f"commands {Path(_outputs(argv)[0]).name}", argv, _outputs(argv))
+                 for argv in argvs]
     return jobs
+
+
+def _outputs(argv: list[str]) -> list[str]:
+    """The paths the job writes: its ``--out`` and ``--svg``."""
+    return [argv[argv.index(flag) + 1] for flag in ("--out", "--svg") if flag in argv]
 
 
 def _sha256(path: Path) -> str | None:
@@ -136,7 +190,7 @@ def compare(tree_a: Path, tree_b: Path, seeds=(1, 5), tiny: bool = False,
             print("\n".join(_report_diff(work[0] / outputs[0], work[1] / outputs[0], names)))
             return 1
     print(f"parity: {len(jobs)} jobs identical ({', '.join(WORKLOADS)} at seed(s) "
-          f"{', '.join(map(str, seeds))}{', tiny' if tiny else ''}): "
+          f"{', '.join(map(str, seeds))}{', tiny' if tiny else ''}; commands): "
           f"{names[0]} and {names[1]}")
     return 0
 
