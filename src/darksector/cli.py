@@ -70,12 +70,14 @@ class _Exit(Exception):
     ``args[1]``."""
 
 
-def _emit(produce, path: str | None) -> None:
-    """Call ``produce(write)``, with ``write`` taking text chunks for path,
-    or for stdout when no path is given.  The file appears at path only
-    once complete; a path that cannot be written ends the command with
-    exit 1 and leaves any file already there unchanged, and so does a
-    stdout that cannot be written, such as a pipe closed early."""
+def _emit(out: str | dict, path: str | None) -> None:
+    """Write out to path, or to stdout when no path is given: a str as it
+    is, any other value as the report ``write_json`` streams.  The file
+    appears at path only once complete; a path that cannot be written ends
+    the command with exit 1 and leaves any file already there unchanged,
+    and so does a stdout that cannot be written, such as a pipe closed
+    early."""
+    produce = (lambda w: w(out)) if isinstance(out, str) else functools.partial(write_json, out)
     if not path:
         try:
             produce(sys.stdout.write)
@@ -99,15 +101,6 @@ def _emit(produce, path: str | None) -> None:
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-
-
-def _emit_doc(doc: dict, path: str | None) -> None:
-    """Write doc as ``json.dumps(doc, indent=2)`` would, plus a newline."""
-    _emit(lambda write: write_json(doc, write), path)
-
-
-def _emit_svg(svg: str, path: str | None) -> None:
-    _emit(lambda write: write(svg), path)
 
 
 def _read_scene(path: str) -> Scene:
@@ -160,7 +153,7 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[int, str | None]:
             for v in violations
         ],
     }
-    _emit_doc(doc, args.out)
+    _emit(doc, args.out)
     return (EXIT_INVALID_SCENE if violations else EXIT_OK), None
 
 
@@ -185,9 +178,9 @@ def _cmd_trace(args: argparse.Namespace) -> tuple[int, str | None]:
         doc["stop_point"] = tr.stop_point
     # drawn first: a viewport beyond the float range exits 2 before --out is written
     svg = _draw(scene, doc, circle) if args.svg else None
-    _emit_doc(doc, args.out)
+    _emit(doc, args.out)
     if svg is not None:
-        _emit_svg(svg, args.svg)
+        _emit(svg, args.svg)
     return EXIT_OK, (f"trace: {tr.status.value}, {tr.bounce_count} bounce(s), exit direction "
                      f"{tr.exit_dir_numeric:.17g} rad (exact {tr.exit_dir_exact})")
 
@@ -211,7 +204,7 @@ def _cmd_map(args: argparse.Namespace) -> tuple[int, str | None]:
     scene = _load_valid_scene(args.scene)
     circle = _enclosing_circle(scene, args.margin)
     d = decompose(scene, circle, seeds=args.samples, eps_b=args.eps_b, cap=args.cap)
-    _emit_doc(decomposition_report(d), args.out)
+    _emit(decomposition_report(d), args.out)
     return EXIT_OK, (f"map: {len(d.components)} component(s), escape measure "
                      f"{d.escape_measure:.17g} of {2 * math.pi:.17g}")
 
@@ -247,9 +240,9 @@ def _cmd_sectors(args: argparse.Namespace) -> tuple[int, str | None]:
         ),
         "certified": certified,
     }
-    _emit_doc(doc, args.out)
+    _emit(doc, args.out)
     if args.svg:
-        _emit_svg(_draw(scene, doc, d.circle), args.svg)
+        _emit(_draw(scene, doc, d.circle), args.svg)
     if not certified:
         return EXIT_NO_SECTOR, "sectors: no dark sector certified"
     return EXIT_OK, (f"sectors: certified {len(reports)} dark sector(s); exit-direction map "
@@ -263,7 +256,7 @@ def _cmd_unfold(args: argparse.Namespace) -> tuple[int, str | None]:
     except GroupOrderError as e:
         raise _Exit(EXIT_INTERNAL, f"error: {e}") from None
     doc = census_report(surface, cone_cycles(surface))
-    _emit_doc(doc, args.out)
+    _emit(doc, args.out)
     return EXIT_OK, (f"unfold: {doc['sheet_count']} sheet(s), {len(doc['zeros'])} zero(s), "
                      f"{len(doc['poles'])} pole(s), genus {doc['genus']}, "
                      f"chi {doc['euler_characteristic']}")
@@ -273,6 +266,14 @@ def _points(value, where: str, count: int | None = None) -> list:
     if not isinstance(value, (list, tuple)) or count not in (None, len(value)):
         raise SceneFormatError("expected a list of [x, y] pairs", where)
     return [_point(p, f"{where}[{j}]") for j, p in enumerate(value)]
+
+
+def _direction(value, where: str) -> float:
+    """A sector direction, in [0, 2*pi) as every report writes it."""
+    theta = _number(value, where)
+    if not 0.0 <= theta < 2 * math.pi:
+        raise SceneFormatError("expected a direction in [0, 2*pi)", where)
+    return theta
 
 
 def _field(obj, key: str, where: str, parse):
@@ -301,8 +302,8 @@ def _draw(scene: Scene, doc: dict, circle: EnclosingCircle) -> str:
     sectors = [
         DarkSector(
             apex=_field(rep, "apex", f"sectors[{i}]", _point),
-            dir_lo=_field(rep, "dir_lo", f"sectors[{i}]", _number),
-            dir_hi=_field(rep, "dir_hi", f"sectors[{i}]", _number),
+            dir_lo=_field(rep, "dir_lo", f"sectors[{i}]", _direction),
+            dir_hi=_field(rep, "dir_hi", f"sectors[{i}]", _direction),
             tangent_points=tuple(
                 _field(rep, "tangent_points", f"sectors[{i}]", lambda v, w: _points(v, w, 2))
             ),
@@ -336,7 +337,7 @@ def _report_trace(doc: dict, circle: EnclosingCircle) -> list:
 def _cmd_render(args: argparse.Namespace) -> tuple[int, str | None]:
     if args.report is None:
         scene = _load_valid_scene(args.scene)
-        _emit_svg(_draw(scene, {}, _enclosing_circle(scene, args.margin)), args.svg)
+        _emit(_draw(scene, {}, _enclosing_circle(scene, args.margin)), args.svg)
         return EXIT_OK, None
     try:
         with open(args.report, "rb") as f:
@@ -356,7 +357,7 @@ def _cmd_render(args: argparse.Namespace) -> tuple[int, str | None]:
         svg = _draw(scene, doc, _enclosing_circle(scene, args.margin))
     except SceneFormatError as e:
         raise _Exit(EXIT_PARSE_ERROR, f"error: malformed report: {e}") from None
-    _emit_svg(svg, args.svg)
+    _emit(svg, args.svg)
     return EXIT_OK, None
 
 
@@ -426,9 +427,14 @@ _COMMANDS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):  # --help leaves through _emit, as reports do
+        _emit(self.format_help(), None)
+
+
 @functools.cache  # one parser per process, built on first use rather than at import
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="darksector",
         description=(
             "Analyze two-sided mirror configurations with rational-pi angles: "
@@ -452,8 +458,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         code, message = args.handler(args)
     except _Exit as e:
         code, message = e.args

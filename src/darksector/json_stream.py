@@ -1,26 +1,27 @@
 """Streaming writer for the JSON reports.
 
 ``write_json(doc, write)`` passes ``write`` the text of
-``json.dumps(doc, indent=2) + "\\n"`` in chunks, so a report of tens of
-megabytes is never held whole in memory.  With an indent, CPython's ``json``
-runs its pure-Python encoder, one generator step per value.  This writer
-formats with the same primitives (``encode_basestring_ascii``,
-``float.__repr__``, ``int.__repr__``) but builds the whole text of each list
-item, such as one census row or one component, in one call: the dicts along
-the way to the lists are written key by key, the items of a list one text
-each, reused while the same object repeats.  Per depth it keeps the indent
-and separator strings, the text of each key with its indent, and the text
-of each ``[k, side]`` itinerary pair.
-``json.dumps`` stays the oracle that tests/test_json_stream.py compares the
-bytes with.
+``json.dumps(doc, indent=2) + "\\n"`` piece by piece, so a report of tens of
+megabytes is never held whole in memory.  A piece is a key with its
+separator and indent, the whole text of one list item with its separator,
+or a closing bracket.  The writer keeps no buffer of its own: batching the
+pieces is left to the file object behind ``write``.  With an indent,
+CPython's ``json`` runs its pure-Python encoder, one generator step per
+value.  This writer formats with the same primitives
+(``encode_basestring_ascii``, ``float.__repr__``, ``int.__repr__``) but
+builds the whole text of each list item, such as one census row or one
+component, in one call: the dicts along the way to the lists are written
+key by key, the items of a list one text each, reused while the same object
+repeats.  Per depth it keeps the indent and separator strings, the text of
+each key with its indent, and the text of each ``[k, side]`` itinerary
+pair.  ``json.dumps`` stays the oracle that tests/test_json_stream.py
+compares the bytes with.
 """
 
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
 
-# Pending characters at which the writer hands its chunks to ``write``.
-_FLUSH_AT = 1 << 16
 # no list item is this object
 _NOTHING = object()
 
@@ -68,17 +69,7 @@ class _Levels(dict):
 class _Writer:
     def __init__(self, write):
         self.write = write
-        self.parts: list[str] = []
-        self.pending = 0
         self.levels = _Levels()
-
-    def add(self, text: str) -> None:
-        self.parts.append(text)
-        self.pending += len(text)
-        if self.pending >= _FLUSH_AT:
-            self.write("".join(self.parts))
-            self.parts.clear()
-            self.pending = 0
 
     def text(self, o, depth: int) -> str:
         """The whole text of o at ``depth``."""
@@ -118,19 +109,19 @@ class _Writer:
     def value(self, o, depth: int) -> None:
         """Write o: a dict key by key, a list item by item, each item in
         one ``text`` call, anything else in one text."""
+        write = self.write
         kind = type(o)
         if not o or (kind is not dict and kind is not list and kind is not tuple):
-            self.add(self.text(o, depth))
+            write(self.text(o, depth))
             return
         level = self.levels[depth]
         if kind is dict:
-            self.add("{")
-            comma = ""
+            sep = "{"
             for k, v in o.items():
-                self.add(comma + level[k])
+                write(sep + level[k])
                 self.value(v, depth + 1)
-                comma = ","
-            self.add(level.close + "}")
+                sep = ","
+            write(level.close + "}")
             return
         sep = "[" + level.inner
         # an item that is the object before it, such as the census's shared
@@ -139,18 +130,17 @@ class _Writer:
         for v in o:
             if v is not prev:
                 prev, text = v, self.text(v, depth + 1)
-            self.add(sep + text)
+            write(sep + text)
             sep = level.sep
-        self.add(level.close + "]")
+        write(level.close + "]")
 
 
 def write_json(doc, write) -> None:
-    """Pass ``write`` the text of ``json.dumps(doc, indent=2) + "\\n"`` in
-    chunks.  doc holds plain JSON values only: dict, list, tuple, str, int,
-    float, bool and None, each of exactly that type, and str keys.  Anything
-    else, a subclass such as an IntEnum or a NamedTuple too, raises
-    TypeError, possibly after earlier chunks were written."""
-    w = _Writer(write)
-    w.value(doc, 0)
-    w.parts.append("\n")
-    w.write("".join(w.parts))
+    """Pass ``write`` the text of ``json.dumps(doc, indent=2) + "\\n"``, one
+    piece per call and with no buffer in between.  doc holds plain JSON
+    values only: dict, list, tuple, str, int, float, bool and None, each of
+    exactly that type, and str keys.  Anything else, a subclass such as an
+    IntEnum or a NamedTuple too, raises TypeError, possibly after earlier
+    pieces were written."""
+    _Writer(write).value(doc, 0)
+    write("\n")

@@ -496,11 +496,14 @@ class TestRenderCommand:
              "circle.radius: expected a positive number"),
             (lambda doc: [doc], "report: expected a JSON object"),
             (lambda doc: doc.update(decomposition=[]), "decomposition: expected an object"),
+            (lambda doc: doc.update(sectors=[{"apex": [0, 0], "dir_lo": 1e308, "dir_hi": -1e308,
+                                              "tangent_points": [[0, 1], [1, 0]]}]),
+             "sectors[0].dir_lo: expected a direction in [0, 2*pi)"),
         ],
         ids=["no-radius", "bad-status", "no-exit-dir", "short-exit-point",
              "exit-point-outside-the-circle", "short-center", "short-path-point", "no-dir-lo",
              "sectors-not-a-list", "zero-radius", "negative-radius", "report-not-an-object",
-             "decomposition-not-an-object"],
+             "decomposition-not-an-object", "direction-out-of-range"],
     )
     def test_malformed_report_exits_three(self, single_path, tmp_path, capsys, damage, field):
         report = tmp_path / "trace.json"
@@ -716,7 +719,7 @@ class TestWrittenFiles:
                 return self.f.write(text)
 
         monkeypatch.setattr(os, "fdopen", lambda *a, **kw: FullDisk(real_fdopen(*a, **kw)))
-        # a ~440 kB report, streamed in chunks of about 64 kB
+        # a ~440 kB report, streamed one key or list item per write
         argv = ["map", "--scene", path, "--samples", "64", "--eps-b", "1e-4", "--cap", "60",
                 "--out", str(out)]
         assert main(argv) == 1
@@ -740,13 +743,15 @@ class TestWrittenFiles:
         [
             # a report of ~1 kB, written only when stdout is flushed
             ["unfold", "--scene", str(SCENES / "two_perpendicular.json")],
-            # a report of ~440 kB, whose first chunk already fails
+            # a report of ~440 kB, whose writes fail once stdout's buffer fills
             ["map", "--samples", "64", "--eps-b", "1e-4", "--cap", "60"],
+            # the help text, which argparse would write itself
+            ["map", "--help"],
         ],
-        ids=["flush", "write"],
+        ids=["flush", "write", "help"],
     )
     def test_closed_stdout_exits_one(self, tmp_path, argv):
-        if argv[0] == "map":
+        if argv[0] == "map" and "--help" not in argv:
             argv = [*argv, "--scene", write_scene(tmp_path, make_parallel_scene())]
         read_end, write_end = os.pipe()
         os.close(read_end)  # every write to the pipe now fails with EPIPE
@@ -878,6 +883,12 @@ FAILURES = {
         ["render", "--report", "{tmp}/report.json"],
         3, "error: malformed report: sectors[0].tangent_points: expected a list of "
            "[x, y] pairs\n",
+    ),
+    "sector-direction-out-of-range": (
+        {"report.json": b'{"scene": ' + _TOY + b', "sectors": [{"apex": [0, 0], "dir_lo": 1e308, '
+                        b'"dir_hi": -1e308, "tangent_points": [[0, 1], [1, 0]]}]}'},
+        ["render", "--report", "{tmp}/report.json"],
+        3, "error: malformed report: sectors[0].dir_lo: expected a direction in [0, 2*pi)\n",
     ),
 }
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import darksector.cli as cli
 from darksector.exact_angle import make_rational_turn
-from darksector.json_stream import _FLUSH_AT, write_json
+from darksector.json_stream import write_json
 from darksector.scene import Mirror, Scene, save_scene
 from test_golden import (
     COMMANDS,
@@ -115,10 +115,10 @@ def test_large_document_is_written_in_several_chunks():
     write_json(doc, chunks.append)
     assert len(chunks) > 1
     assert "".join(chunks) == oracle(doc)
-    # a chunk passes the flush threshold by at most one list item: its text
-    # at depth 2 (each line indented 4 more spaces) and its separator
+    # no chunk is longer than one list item: its text at depth 2 (each line
+    # indented 4 more spaces) and its separator
     longest = max(len(json.dumps(c, indent=2).replace("\n", "\n    ")) for c in components)
-    assert all(len(chunk) <= _FLUSH_AT + longest + len(",\n    ") for chunk in chunks[:-1])
+    assert all(len(chunk) <= longest + len(",\n    ") for chunk in chunks)
 
 
 class Side(enum.IntEnum):

@@ -6,8 +6,8 @@ checks REF out with ``git worktree add --detach`` into a temporary
 directory, runs every job of the benchmark workloads (``trapped``,
 ``random_sectors`` and ``unfold_census``, at each seed) in REF's tree and in
 this one, and compares, job by job, the exit code, the whole stderr text and
-the SHA-256 of the ``--out`` report and of the ``--svg``.  The worktree is
-removed afterwards.
+the SHA-256 of the stdout, of the ``--out`` report and of the ``--svg``.  The
+worktree is removed afterwards.
 
 After the workload jobs comes one group that does not depend on the seed:
 the commands no workload runs (``validate``, ``trace``, ``map`` and
@@ -15,6 +15,9 @@ the commands no workload runs (``validate``, ``trace``, ``map`` and
 ``tests/scenes/*.json`` and the two ``trapped`` scenes.  ``trace`` runs at
 the escaping direction with the most bounces, at the direction with the
 most bounces stopped by its ``--cap``, and at the first mirror's anchor.
+Last come the jobs that write to stdout: ``map``, ``unfold`` and ``render
+--scene`` of each of those scenes with no ``--out`` or ``--svg``, then
+``--help`` of each command.
 
 Each job's scene is written once, by ``perfbench/bench_scenes.setup`` of this
 tree, and both trees read the same file.  Each tree runs all its jobs
@@ -49,10 +52,10 @@ COMMAND_MAP_ARGS = ("--samples", "64", "--eps-b", "1e-4", "--cap", str(COMMAND_C
 # Run in a fresh ``python -I -B`` (no PYTHONPATH, no script directory on the
 # path, and no __pycache__ written into either tree, which would change how
 # fast it imports afterwards): import darksector from the tree's src/ given
-# as argv[1], run each argv read from stdin, and print [exit code, stderr]
-# per job as JSON.
+# as argv[1], run each argv read from stdin, and print [exit code, stderr,
+# sha256 of stdout] per job as JSON.
 _RUNNER = r"""
-import contextlib, io, json, sys, traceback
+import contextlib, hashlib, io, json, sys, traceback
 from pathlib import Path
 src = Path(sys.argv[1]).resolve()
 sys.path.insert(0, str(src))
@@ -62,7 +65,8 @@ if src not in Path(darksector.__file__).resolve().parents:
     sys.exit(f"imported darksector from {darksector.__file__}, not from {src}")
 results = []
 for argv in json.load(sys.stdin):
-    with contextlib.redirect_stderr(io.StringIO()) as err:
+    with contextlib.redirect_stderr(io.StringIO()) as err, \
+            contextlib.redirect_stdout(io.StringIO()) as out:
         try:
             code = main(argv)
         except SystemExit as e:
@@ -70,7 +74,8 @@ for argv in json.load(sys.stdin):
         except Exception as e:  # a crashed job is reported, the others still run
             code = f"raised {type(e).__name__}: {e}"
             err.write(traceback.format_exc().replace(str(src), "src"))
-    results.append([code, err.getvalue()])
+    results.append([code, err.getvalue(),
+                    hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()])
 json.dump(results, sys.stdout)
 """
 
@@ -95,7 +100,8 @@ def _jobs(seeds, tiny: bool, scene_dir: Path) -> list[tuple[str, list[str], list
 
 def _command_jobs(scene_dir: Path) -> list[tuple[str, list[str], list[str]]]:
     """The seed-independent group: every command but ``sectors`` and
-    ``unfold`` on each scene file of the repo and each ``trapped`` scene."""
+    ``unfold`` on each scene file of the repo and each ``trapped`` scene,
+    then the jobs that write to stdout."""
     from bench_scenes import setup
     from darksector.scene import load_scene
     from darksector.tracer import ESCAPED, trace
@@ -104,7 +110,7 @@ def _command_jobs(scene_dir: Path) -> list[tuple[str, list[str], list[str]]]:
              *sorted((ROOT / "tests" / "scenes").glob("*.json")),
              *(job.scene_path for job in setup("trapped", 0, scene_dir))]
     thetas = [2 * math.pi * i / COMMAND_DIRECTIONS for i in range(COMMAND_DIRECTIONS)]
-    jobs = []
+    jobs, stdout_jobs = [], []
     for path in paths:
         name = path.name.split(".")[0]
         scene = load_scene(path.read_bytes())
@@ -128,7 +134,14 @@ def _command_jobs(scene_dir: Path) -> list[tuple[str, list[str], list[str]]]:
                    "--svg", f"{out}.report.svg"]]
         jobs += [(f"commands {Path(_outputs(argv)[0]).name}", argv, _outputs(argv))
                  for argv in argvs]
-    return jobs
+        stdout_jobs += [(f"commands {name} {argv[0]} to stdout", argv, []) for argv in (
+            ["map", "--scene", str(path), *COMMAND_MAP_ARGS],
+            ["unfold", "--scene", str(path)],
+            ["render", "--scene", str(path)],
+        )]
+    stdout_jobs += [(f"commands {command} --help", [command, "--help"], [])
+                    for command in ("validate", "trace", "map", "sectors", "unfold", "render")]
+    return jobs + stdout_jobs
 
 
 def _outputs(argv: list[str]) -> list[str]:
@@ -142,7 +155,8 @@ def _sha256(path: Path) -> str | None:
 
 def _run_tree(tree: Path, jobs, work: Path) -> list[tuple]:
     """Run every job in one fresh process on tree's src/, inside ``work``:
-    (exit code, stderr, sha256 of each output or None) per job."""
+    (exit code, stderr, sha256 of stdout and of each output or None) per
+    job."""
     for _, _, outputs in jobs:
         for out in outputs:
             (work / out).parent.mkdir(parents=True, exist_ok=True)
@@ -153,8 +167,8 @@ def _run_tree(tree: Path, jobs, work: Path) -> list[tuple]:
     )
     if proc.returncode != 0:
         raise RuntimeError(f"the jobs of {tree} did not run: {proc.stderr.strip()}")
-    return [(code, stderr, [_sha256(work / out) for out in outputs])
-            for (_, _, outputs), (code, stderr) in zip(jobs, json.loads(proc.stdout))]
+    return [(code, stderr, [stdout, *(_sha256(work / out) for out in outputs)])
+            for (_, _, outputs), (code, stderr, stdout) in zip(jobs, json.loads(proc.stdout))]
 
 
 def _report_diff(a: Path, b: Path, names: tuple[str, str]) -> list[str]:
@@ -185,9 +199,11 @@ def compare(tree_a: Path, tree_b: Path, seeds=(1, 5), tiny: bool = False,
                 continue
             print(f"parity: first difference in {label}")
             for name, (code, stderr, digests) in zip(names, (a, b)):
-                print(f"--- {name}: exit code {code}, sha256 {dict(zip(outputs, digests))}")
+                print(f"--- {name}: exit code {code}, "
+                      f"sha256 {dict(zip(['stdout', *outputs], digests))}")
                 print(f"stderr:\n{stderr}")
-            print("\n".join(_report_diff(work[0] / outputs[0], work[1] / outputs[0], names)))
+            if outputs:
+                print("\n".join(_report_diff(work[0] / outputs[0], work[1] / outputs[0], names)))
             return 1
     print(f"parity: {len(jobs)} jobs identical ({', '.join(WORKLOADS)} at seed(s) "
           f"{', '.join(map(str, seeds))}{', tiny' if tiny else ''}; commands): "
