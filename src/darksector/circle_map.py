@@ -57,9 +57,10 @@ class Decomposition:
 
 
 def _sample(scene: Scene, theta: float, cap: int) -> tuple:
-    """``(theta, key, isometry)``: theta may exceed 2*pi during circular
-    refinement (trace wraps it); the key is ``(status,)`` or ``(status,
-    itinerary)``; the isometry is an escaped trace's, else None."""
+    """``(theta, key, isometry)``: theta is in [0, 2*pi), as are the seeds and
+    each midpoint, below its bracket's end and so the ring's sentinel TWO_PI;
+    the key is ``(status,)`` or ``(status, itinerary)``; the isometry is an
+    escaped trace's, else None."""
     tr = trace(scene, theta, cap)
     status = tr.status
     # Trapped traces are keyed by status alone: their cap-length itineraries

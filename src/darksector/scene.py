@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .exact_angle import RationalTurn, make_rational_turn
+from .exact_angle import TWO_PI, RationalTurn, make_rational_turn
 
 Point = tuple[float, float]
 
@@ -26,6 +27,9 @@ MIN_SEPARATION = 1e-8
 # The radius around segment endpoints (or grazing angle) below which a ray's
 # hit on a mirror is singular.
 EPS_SINGULAR = 1e-9
+
+# Scene.source_cells serves launches in four turns: the drift of theta0 % TWO_PI it covers.
+SOURCE_CELLS_END = 4 * TWO_PI
 
 DEFAULT_CIRCLE_MARGIN = 1.25
 
@@ -125,6 +129,54 @@ class Scene:
         return (tuple(rows),) + tuple(
             tuple(rows[:i] + rows[i + 1 :]) for i in range(len(rows))
         )
+
+    @cached_property
+    def source_cells(self) -> tuple[tuple[float, ...], tuple[tuple[ScanRow, ...], ...]]:
+        """``(bounds, cells)``: the source's view cut into cells of direction.
+        A first leg launched at theta0 in [0, SOURCE_CELLS_END) scans only
+        ``cells[bisect_right(bounds, theta0 % TWO_PI)]``, the rows of
+        ``scan_rows[0]`` whose widened arc meets that cell, in scene order.
+
+        A row's arc runs from the source s toward its ends P, Q at u = lo, hi,
+        widened by B = 4*gamma_7*size/dist + 32*eps: eps = 2**-53, gamma_n =
+        n*eps/(1 - n*eps) (Higham, ch. 3), size = |s| + |a| + max(|lo|, |hi|)*|e|
+        and dist from s to PQ.  For the leg's float direction d, ``u >= lo`` is
+        the sign of cross(P - s, d) within gamma_4*|d|*size, and the float P - s
+        is within gamma_3*size: arcsin(gamma_7*size/dist) in all.  The factor 4
+        covers arcsin(x) <= 1.05x and the error of dist while B < pi/4; 32*eps
+        covers cos and sin (2), three turns of TWO_PI's error (7), atan2 (4)
+        and placing an end on [0, 2pi) (10.3).  While the arc is wider than 2B,
+        the t-test rejects the mirror behind the leg.  A row whose arc is not
+        inside (2B, pi - 2B), or whose B is not finite (a zero-length mirror,
+        a source on its line), is in every cell."""
+        rows = self.scan_rows[0]
+        arcs = [_source_arc(self.source, row) for row in rows]
+        starts = sorted({0.0, *(x for arc in arcs for piece in arc for x in piece if x < TWO_PI)})
+        cells = [[] for _ in starts]  # cell i starts at starts[i]
+        for row, arc in zip(rows, arcs):
+            for lo, hi in arc:
+                for cell in cells[bisect_left(starts, lo) : bisect_left(starts, hi)]:
+                    cell.append(row)
+        return tuple(starts[1:]), tuple(map(tuple, cells))
+
+
+def _source_arc(source: Point, row: ScanRow) -> tuple[tuple[float, float], ...]:
+    """The row's widened arc (see Scene.source_cells), as half-open pieces of
+    [0, TWO_PI): the cell after the arc starts just past its closed end."""
+    (sx, sy), (ax, ay, ex, ey, lo, hi, _) = source, row
+    p, q = (ax + lo * ex, ay + lo * ey), (ax + hi * ex, ay + hi * ey)
+    dist = point_segment_distance(source, p, q)
+    size = math.hypot(sx, sy) + math.hypot(ax, ay) + max(abs(lo), abs(hi)) * math.hypot(ex, ey)
+    eps = 2.0**-53
+    gamma_7 = 7 * eps / (1 - 7 * eps)
+    bound = (4 * gamma_7 * size / dist if dist > 0 else math.inf) + 32 * eps
+    a0, a1 = math.atan2(p[1] - sy, p[0] - sx), math.atan2(q[1] - sy, q[0] - sx)
+    if (a1 - a0) % TWO_PI > math.pi:
+        a0, a1 = a1, a0
+    if not 2 * bound < (a1 - a0) % TWO_PI < math.pi - 2 * bound:
+        return ((0.0, TWO_PI),)
+    start, end = (a0 - bound) % TWO_PI, math.nextafter((a1 + bound) % TWO_PI, math.inf)
+    return ((start, end),) if start < end else ((0.0, end), (start, TWO_PI))
 
 
 @dataclass(frozen=True)

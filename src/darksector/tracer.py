@@ -18,6 +18,13 @@ through, or reflecting (dx, dy) in place of cos/sin of the wrapped angle):
 the circle map bisects on itinerary keys, so one rounding flipped near a
 boundary moves its arcs and the report bytes.
 
+A first leg launched within four turns, theta0 in [0, SOURCE_CELLS_END),
+scans only its cell of :attr:`Scene.source_cells`: a row left out is off
+the cell by more than the rounding of its u-test, so it fails that test
+(or the t-test, behind the leg), and the same rows are accepted in the same
+order; an empty cell returns the loop's escape at n = 0 at once.  Other
+theta0 scan every mirror: theta0 % TWO_PI drifts by ~2.4e-16 a turn.
+
 The hot-path rule: the circle map traces hundreds of thousands of samples a
 run, so no Python frame but trace's own runs per trace.  Its results are
 built with ``tuple.__new__``, as namedtuple's ``_make`` does, since each
@@ -29,12 +36,13 @@ a local ~9 ns.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 from .exact_angle import TWO_PI, GroupElement
-from .scene import EPS_SINGULAR, EnclosingCircle, Point, Scene
+from .scene import EPS_SINGULAR, SOURCE_CELLS_END, EnclosingCircle, Point, Scene
 
 # Minimum advance along the ray before a hit counts; scene.MIN_SEPARATION,
 # the clearance validation demands, stays above it.  EPS_SINGULAR, the
@@ -139,13 +147,21 @@ def trace(scene: Scene, theta0: float, cap: int = DEFAULT_BOUNCE_CAP) -> TraceRe
         raise ValueError("bounce cap must be >= 1")
     if not math.isfinite(theta0):
         raise ValueError(f"launch direction must be finite, got {theta0}")
+    ox, oy = pos = scene.source
+    if 0.0 <= theta0 < SOURCE_CELLS_END:  # see Scene.source_cells
+        bounds, cells = scene.source_cells
+        r = theta0 % TWO_PI
+        rows = cells[bisect_right(bounds, r)]
+        if not rows:  # the tuple the loop builds for an escape at n = 0
+            g = tuple.__new__(GroupElement, (1, 0, scene.angle_unit))
+            return tuple.__new__(TraceResult, (ESCAPED, (), (pos,), pos, r, g, 0, None))
+    else:
+        rows = scene.scan_rows[0]
     scan_rows = scene.scan_rows
-    rows = scan_rows[0]
     cos, sin, inf = math.cos, math.sin, math.inf
     eps_advance, eps_singular, two_pi = EPS_ADVANCE, EPS_SINGULAR, TWO_PI
     theta = theta0  # wrapped on reflection; the first leg leaves along theta0 as given
     k = 0  # exact exit direction offset, in units of pi / scene.angle_unit
-    ox, oy = pos = scene.source
     path = [pos]
     itinerary: list[tuple[int, int]] = []
     stop_point = None

@@ -12,10 +12,12 @@ from conftest import (
     in_arc,
     make_box_scene,
     make_parallel_scene,
+    make_single_mirror_scene,
     make_six_mirror_trap_scene,
     make_toy_scene,
     reference_decompose,
 )
+from darksector import circle_map
 from darksector.arcs import Arc, _pieces, angle_distance, arc_intersection_measure
 from darksector.circle_map import (
     DEFAULT_EPS_B,
@@ -437,6 +439,29 @@ class TestSamplerOracle:
         assert d.singular_directions[0] == 0.0
         assert report_text(decompose, scene, 8, 1e-17, 5) == report_text(
             reference_decompose, scene, 8, 1e-17, 5)
+
+
+class TestSampledDirections:
+    @pytest.mark.parametrize(
+        "scene, cap",
+        [(make_single_mirror_scene(), 10), (make_parallel_scene(), 60),
+         (make_six_mirror_trap_scene(), 60)],
+        ids=["single_mirror", "channel", "six_mirror_trap"],
+    )
+    def test_every_traced_direction_lies_in_one_turn(self, scene, cap, monkeypatch):
+        # trace leaves along the direction as given, so the sampler must hand
+        # it directions in [0, 2pi): the seeds, and midpoints below the
+        # ring's sentinel TWO_PI
+        thetas = []
+
+        def recording_trace(scene, theta, cap):
+            thetas.append(theta)
+            return trace(scene, theta, cap)
+
+        monkeypatch.setattr(circle_map, "trace", recording_trace)
+        d = decompose(scene, enclosing_circle(scene), seeds=256, eps_b=1e-7, cap=cap)
+        assert d.components and len(thetas) > 256
+        assert all(0.0 <= theta < TWO_PI for theta in thetas)
 
 
 class TestCallsPerSample:

@@ -12,6 +12,7 @@ from conftest import (
     make_parallel_scene,
     make_single_mirror_scene,
     make_six_mirror_trap_scene,
+    make_toy_scene,
 )
 from darksector.exact_angle import (
     GroupElement,
@@ -25,8 +26,10 @@ from darksector.scene import (
     EnclosingCircle,
     Mirror,
     Scene,
+    _source_arc,
     enclosing_circle,
     endpoints,
+    validate_scene,
 )
 from darksector.scenegen import random_scene
 from darksector.tracer import Hit, SingularStop, TraceStatus, exit_ray, first_hit, trace
@@ -279,6 +282,150 @@ class TestScanRows:
                 slack = EPS_SINGULAR / g.length
                 assert (ax, ay) == (ax0, ay0)
                 assert (ex, ey, lo, hi) == (bx - ax, by - ay, -slack, 1.0 + slack)
+
+
+def shifted(scene, dx, dy):
+    """The scene translated by (dx, dy)."""
+    return Scene(
+        mirrors=tuple(Mirror((m.anchor[0] + dx, m.anchor[1] + dy), m.length, m.angle)
+                      for m in scene.mirrors),
+        source=(scene.source[0] + dx, scene.source[1] + dy),
+    )
+
+
+def long_channel_scene():
+    """Two facing parallel mirrors 1e4 long, the source between them."""
+    flat = make_rational_turn(0, 1)
+    return Scene(mirrors=(Mirror((-5e3, 0.0), 1e4, flat), Mirror((-5e3, 1.0), 1e4, flat)),
+                 source=(1.0, 0.5))
+
+
+def edge_launches(scene):
+    """Directions in [0, 2pi) at and within 1e-15 to 1e-6 of each cell bound
+    and each direction from the source to a slack-extended mirror endpoint."""
+    sx, sy = scene.source
+    edges = list(scene.source_cells[0])
+    for ax, ay, ex, ey, lo, hi, _ in scene.scan_rows[0]:
+        edges += [math.atan2(ay + u * ey - sy, ax + u * ex - sx) for u in (lo, hi)]
+    offsets = [0.0] + [sign * 10.0**-k for k in range(6, 16) for sign in (1, -1)]
+    return [wrap_angle(e + o) for e in edges if math.isfinite(e) for o in offsets]
+
+
+# Whole turns added to each launch: 1 and 3 look the first leg's cell up
+# with theta0 % TWO_PI off the leg's direction, the others scan every mirror.
+TURNS = (0, 1, 3, -3, 10**6, 10**15)
+
+
+def assert_matches_the_full_scan(scene, cap=3):
+    for theta in edge_launches(scene):
+        for k in TURNS:
+            theta0 = theta + k * TWO_PI
+            assert outcome(trace(scene, theta0, cap)) == trace_by_first_hit(scene, theta0, cap), (
+                theta, k)
+
+
+def assert_cells_list_the_rows_their_arcs_meet(scene):
+    bounds, cells = scene.source_cells
+    rows = scene.scan_rows[0]
+    arcs = [_source_arc(scene.source, row) for row in rows]
+    assert list(bounds) == sorted(set(bounds)) and all(0.0 < b < TWO_PI for b in bounds)
+    assert len(cells) == len(bounds) + 1
+    edges = (0.0, *bounds, TWO_PI)
+    for cell, left, right in zip(cells, edges, edges[1:]):
+        assert cell == tuple(row for row, arc in zip(rows, arcs)
+                             if any(lo < right and left < hi for lo, hi in arc))
+    sx, sy = scene.source
+    for (ax, ay, ex, ey, lo, hi, _), arc in zip(rows, arcs):
+        if arc == ((0.0, TWO_PI),):
+            continue
+        # an indexed arc is narrower than a half turn and holds the
+        # directions to both extended endpoints
+        assert sum(end - start for start, end in arc) < math.pi
+        for u in (lo, hi):
+            direction = wrap_angle(math.atan2(ay + u * ey - sy, ax + u * ex - sx))
+            assert any(start <= direction < end for start, end in arc)
+
+
+TABLE_SCENES = {
+    "single_mirror": make_single_mirror_scene(),
+    "toy": make_toy_scene(),
+    "channel": make_parallel_scene(),
+    "six_mirror_trap": make_six_mirror_trap_scene(),
+    "long_channel": long_channel_scene(),
+    "toy_shifted": shifted(make_toy_scene(), 1e6, -1e6),
+    "trap_shifted": shifted(make_six_mirror_trap_scene(), -1e6, 1e6),
+    "long_channel_shifted": shifted(long_channel_scene(), 1e6, 1e6),
+}
+
+
+class TestSourceCells:
+    """A first leg scans only the rows of its direction's cell; the full
+    scan of first_hit, stepped by trace_by_first_hit, is the oracle."""
+
+    @pytest.mark.parametrize("scene", TABLE_SCENES.values(), ids=TABLE_SCENES.keys())
+    def test_translated_scenes_and_long_mirrors(self, scene):
+        assert_cells_list_the_rows_their_arcs_meet(scene)
+        assert_matches_the_full_scan(scene)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e6])
+    @pytest.mark.parametrize("gap", [1e-8, 1e-7, 1e-6])
+    def test_source_near_a_mirror(self, gap, shift):
+        # the toy's mirror 1 runs from (-1, 0) to (1, 0), its mirror 2 from
+        # (1.5, 0.5) to (1.5, 2.5): above and below the middle of one, on its
+        # line beyond either tip, off a tip, and beside the other and on its
+        # line beyond a tip
+        toy = make_toy_scene()
+        for source in [(0.25, gap), (0.25, -gap), (1.0 + gap, 0.0), (-1.0 - gap, 0.0),
+                       (1.0 + gap, gap), (1.5 - gap, 1.5), (1.5, 0.5 - gap)]:
+            scene = shifted(Scene(mirrors=toy.mirrors, source=source), shift, -shift)
+            assert_cells_list_the_rows_their_arcs_meet(scene)
+            assert_matches_the_full_scan(scene)
+
+    def test_zero_length_mirror_is_in_every_cell(self):
+        toy = make_toy_scene()
+        dot = Mirror((0.0, -2.0), 0.0, make_rational_turn(1, 4))
+        scene = Scene(mirrors=(*toy.mirrors, dot), source=toy.source)
+        assert [v.code for v in validate_scene(scene)] == ["non-positive-length"]
+        zero = scene.scan_rows[0][2]
+        assert all(any(row is zero for row in cell) for cell in scene.source_cells[1])
+        assert_cells_list_the_rows_their_arcs_meet(scene)
+        assert_matches_the_full_scan(scene)
+
+    def test_a_leg_that_sees_no_mirror_escapes_at_once(self, single_mirror_scene):
+        # the single mirror is seen below the source only; the other cells
+        # are empty, and the result is the loop's own escape at n = 0
+        bounds, cells = single_mirror_scene.source_cells
+        assert [len(cell) for cell in cells] == [0, 1, 0]
+        for theta0 in (0.0, 1.0, bounds[0] - 1e-3, bounds[1] + 1e-3, TWO_PI - 1e-12):
+            for k in (0, 1, 3):
+                tr = trace(single_mirror_scene, theta0 + k * TWO_PI, 5)
+                assert tr.status is TraceStatus.ESCAPED and tr.bounce_count == 0
+                assert outcome(tr) == trace_by_first_hit(
+                    single_mirror_scene, theta0 + k * TWO_PI, 5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 1e6]),
+        st.booleans(),
+        st.one_of(st.none(), st.floats(1e-8, 1e-6)),
+        st.floats(-0.5, 1.5),
+    )
+    def test_random_scenes(self, seed, shift, stretch, gap, u):
+        # mirror 1 optionally 1e4 long, and the source optionally moved to
+        # ``gap`` off its line, at u along it (beyond a tip when u < 0 or > 1)
+        scene = random_scene(random.Random(seed))
+        first = scene.mirrors[0]
+        if stretch:
+            first = Mirror(first.anchor, 1e4, first.angle)
+        source = scene.source
+        if gap is not None:
+            (ax, ay), (bx, by) = endpoints(first)
+            t = first.angle.radians()
+            source = (ax + u * (bx - ax) - gap * math.sin(t), ay + u * (by - ay) + gap * math.cos(t))
+        scene = shifted(Scene(mirrors=(first, *scene.mirrors[1:]), source=source), shift, -shift)
+        assert_cells_list_the_rows_their_arcs_meet(scene)
+        assert_matches_the_full_scan(scene)
 
 
 class TestNoCallPerBounce:
