@@ -318,6 +318,8 @@ def _report_trace(doc: dict, circle: EnclosingCircle) -> list:
     """The polyline that draws a trace report: its path, then the point
     where an escaped ray crosses ``circle`` or where a singular ray stopped."""
     points = _points(doc["path"], "path")
+    if not points:  # every trace report's path starts at the source
+        raise SceneFormatError("expected a list of [x, y] pairs, the source first", "path")
     try:
         status = TraceStatus(doc.get("status"))
     except ValueError:

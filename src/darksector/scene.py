@@ -28,9 +28,6 @@ MIN_SEPARATION = 1e-8
 # hit on a mirror is singular.
 EPS_SINGULAR = 1e-9
 
-# Scene.source_cells serves launches in four turns: the drift of theta0 % TWO_PI it covers.
-SOURCE_CELLS_END = 4 * TWO_PI
-
 DEFAULT_CIRCLE_MARGIN = 1.25
 
 
@@ -133,9 +130,9 @@ class Scene:
     @cached_property
     def source_cells(self) -> tuple[tuple[float, ...], tuple[tuple[ScanRow, ...], ...]]:
         """``(bounds, cells)``: the source's view cut into cells of direction.
-        A first leg launched at theta0 in [0, SOURCE_CELLS_END) scans only
-        ``cells[bisect_right(bounds, theta0 % TWO_PI)]``, the rows of
-        ``scan_rows[0]`` whose widened arc meets that cell, in scene order.
+        A first leg launched at theta0 in [0, TWO_PI) scans only
+        ``cells[bisect_right(bounds, theta0)]``, the rows of ``scan_rows[0]``
+        whose widened arc meets that cell, in scene order.
 
         A row's arc runs from the source s toward its ends P, Q at u = lo, hi,
         widened by B = 4*gamma_7*size/dist + 32*eps: eps = 2**-53, gamma_n =
@@ -144,8 +141,8 @@ class Scene:
         the sign of cross(P - s, d) within gamma_4*|d|*size, and the float P - s
         is within gamma_3*size: arcsin(gamma_7*size/dist) in all.  The factor 4
         covers arcsin(x) <= 1.05x and the error of dist while B < pi/4; 32*eps
-        covers cos and sin (2), three turns of TWO_PI's error (7), atan2 (4)
-        and placing an end on [0, 2pi) (10.3).  While the arc is wider than 2B,
+        covers cos and sin (2), atan2 (4) and placing an end on [0, 2pi)
+        (10.3), with room to spare.  While the arc is wider than 2B,
         the t-test rejects the mirror behind the leg.  A row whose arc is not
         inside (2B, pi - 2B), or whose B is not finite (a zero-length mirror,
         a source on its line), is in every cell."""

@@ -18,12 +18,12 @@ through, or reflecting (dx, dy) in place of cos/sin of the wrapped angle):
 the circle map bisects on itinerary keys, so one rounding flipped near a
 boundary moves its arcs and the report bytes.
 
-A first leg launched within four turns, theta0 in [0, SOURCE_CELLS_END),
-scans only its cell of :attr:`Scene.source_cells`: a row left out is off
-the cell by more than the rounding of its u-test, so it fails that test
-(or the t-test, behind the leg), and the same rows are accepted in the same
-order; an empty cell returns the loop's escape at n = 0 at once.  Other
-theta0 scan every mirror: theta0 % TWO_PI drifts by ~2.4e-16 a turn.
+A first leg launched in one turn, theta0 in [0, TWO_PI) as every caller in
+the package launches, scans only its cell of :attr:`Scene.source_cells`: a
+row left out is off the cell by more than the rounding of its u-test, so it
+fails that test (or the t-test, behind the leg), and the same rows are
+accepted in the same order; an empty cell returns the loop's escape at
+n = 0 at once.  Any other finite theta0 scans every mirror.
 
 The hot-path rule: the circle map traces hundreds of thousands of samples a
 run, so no Python frame but trace's own runs per trace.  Its results are
@@ -42,7 +42,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .exact_angle import TWO_PI, GroupElement
-from .scene import EPS_SINGULAR, SOURCE_CELLS_END, EnclosingCircle, Point, Scene
+from .scene import EPS_SINGULAR, EnclosingCircle, Point, Scene
 
 # Minimum advance along the ray before a hit counts; scene.MIN_SEPARATION,
 # the clearance validation demands, stays above it.  EPS_SINGULAR, the
@@ -148,13 +148,12 @@ def trace(scene: Scene, theta0: float, cap: int = DEFAULT_BOUNCE_CAP) -> TraceRe
     if not math.isfinite(theta0):
         raise ValueError(f"launch direction must be finite, got {theta0}")
     ox, oy = pos = scene.source
-    if 0.0 <= theta0 < SOURCE_CELLS_END:  # see Scene.source_cells
+    if 0.0 <= theta0 < TWO_PI:  # see Scene.source_cells
         bounds, cells = scene.source_cells
-        r = theta0 % TWO_PI
-        rows = cells[bisect_right(bounds, r)]
-        if not rows:  # the tuple the loop builds for an escape at n = 0
+        rows = cells[bisect_right(bounds, theta0)]
+        if not rows:  # the loop's escape at n = 0; + 0.0 makes -0.0 0.0, as its % does
             g = tuple.__new__(GroupElement, (1, 0, scene.angle_unit))
-            return tuple.__new__(TraceResult, (ESCAPED, (), (pos,), pos, r, g, 0, None))
+            return tuple.__new__(TraceResult, (ESCAPED, (), (pos,), pos, theta0 + 0.0, g, 0, None))
     else:
         rows = scene.scan_rows[0]
     scan_rows = scene.scan_rows

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -264,6 +265,28 @@ class TestInjectivityWitness:
         assert got == (False, pulled_back(self.g1, self.g4, 4.75))
 
 
+class TestInjectivityMargins:
+    """Overlaps and pull-backs just past is_injective's thresholds."""
+
+    identity, reflection, rotation = (GroupElement(1, 0, 6), GroupElement(-1, 0, 6),
+                                      GroupElement(1, 1, 6))
+
+    @pytest.mark.parametrize("half", [0.5, 5e-6])
+    def test_pull_backs_that_meet_only_at_the_midpoint(self, half):
+        # theta -> theta and theta -> -theta both pull pi back to pi, and the
+        # quarter points of the overlap to directions 2*half apart: 1.0, or
+        # 1e-5, just past the separation of 1e-9
+        image = Arc(math.pi - half, math.pi + half)
+        got = is_injective(hand_built([(image, self.identity), (image, self.reflection)]))
+        assert got[0] is False
+        assert angle_distance(*got[1]) == pytest.approx(half, rel=1e-6)
+
+    def test_an_overlap_of_1e_8_is_tested(self):
+        # past MIN_OVERLAP (1e-9) and below 1e-6
+        parts = [(Arc(1.0, 2.0), self.identity), (Arc(2.0 - 1e-8, 3.0), self.rotation)]
+        assert is_injective(hand_built(parts))[0] is False
+
+
 class TestInjectivitySweep:
     def test_matches_pair_loop_on_random_scenes(self):
         rng = random.Random(404)
@@ -302,6 +325,15 @@ class TestUnlitArcs:
         assert len(unlit) == 1
         assert angles_close(unlit[0].start, 5 * math.pi / 4, 1e-8)
         assert angles_close(unlit[0].end, 7 * math.pi / 4, 1e-8)
+
+    @pytest.mark.parametrize("short, count", [(3, 0), (5, 1)])
+    def test_a_gap_is_certified_only_past_four_eps_b(self, short, count):
+        # one component launched on Arc(1, 2) whose image ends ``short``
+        # eps_b before 2: an unlit gap of 3 eps_b is dropped, one of 5 kept
+        d = hand_built([(Arc(1.0, 2.0 - short * 1e-6), GroupElement(1, 0, 6))])
+        assert d.params.eps_b == 1e-6
+        comp = dataclasses.replace(d.components[0], arc=Arc(1.0, 2.0))
+        assert len(unlit_arcs(dataclasses.replace(d, components=(comp,)))) == count
 
     def test_unlit_disjoint_from_images(self, toy_scene):
         d = decompose(toy_scene, enclosing_circle(toy_scene), seeds=1024, cap=200)

@@ -488,6 +488,9 @@ class TestRenderCommand:
              "exit_point: trace exit point is not inside the circle"),
             (lambda doc: doc["circle"].update(center=[1.0]), "circle.center: expected a [x, y]"),
             (lambda doc: doc["path"].append([0.5]), "path[2]: expected a [x, y] pair"),
+            (lambda doc: doc["path"].clear(), "path: expected a list of [x, y] pairs, the source"),
+            (lambda doc: doc.update(path=[], status="singular", stop_point=None),
+             "path: expected a list of [x, y] pairs, the source"),
             (lambda doc: doc.update(sectors=[{"apex": [0, 0]}]), "sectors[0].dir_lo: missing"),
             (lambda doc: doc.update(sectors={}), "sectors: expected a list"),
             (lambda doc: doc["circle"].update(radius=0.0),
@@ -501,9 +504,10 @@ class TestRenderCommand:
              "sectors[0].dir_lo: expected a direction in [0, 2*pi)"),
         ],
         ids=["no-radius", "bad-status", "no-exit-dir", "short-exit-point",
-             "exit-point-outside-the-circle", "short-center", "short-path-point", "no-dir-lo",
-             "sectors-not-a-list", "zero-radius", "negative-radius", "report-not-an-object",
-             "decomposition-not-an-object", "direction-out-of-range"],
+             "exit-point-outside-the-circle", "short-center", "short-path-point", "empty-path",
+             "empty-singular-path", "no-dir-lo", "sectors-not-a-list", "zero-radius",
+             "negative-radius", "report-not-an-object", "decomposition-not-an-object",
+             "direction-out-of-range"],
     )
     def test_malformed_report_exits_three(self, single_path, tmp_path, capsys, damage, field):
         report = tmp_path / "trace.json"

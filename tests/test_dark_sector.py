@@ -19,8 +19,10 @@ from conftest import (
     direction_span,
     make_single_mirror_scene,
     make_six_mirror_trap_scene,
+    make_toy_scene,
     ray_enters_sector,
 )
+from darksector import dark_sector
 from darksector.arcs import Arc, arc_difference
 from darksector.circle_map import decompose, unlit_arcs
 from darksector.cli import main
@@ -80,6 +82,10 @@ class TestShrinkBelowPi:
         assert angles_close(dark.start, 5 * math.pi / 4, 1e-8)
         assert angles_close(dark.end, 7 * math.pi / 4, 1e-8)
         assert dark.measure == pytest.approx(math.pi / 2, abs=1e-8)
+
+    def test_arc_just_below_a_half_turn_is_kept(self):
+        arc = Arc(0.0, 0.95 * math.pi)
+        assert shrink_below_pi(arc) == arc
 
     def test_wide_arc_shrunk_about_midpoint(self):
         wide = Arc(0.0, 1.5 * math.pi)
@@ -273,6 +279,34 @@ class TestCheckI:
         assert (_uncovered(dark.start, dark.measure, psi, half) > 1e-12) == (oracle > 1e-12)
 
 
+class TestProbeDirections:
+    @pytest.mark.parametrize(
+        "make_scene, seeds, eps_b, cap",
+        [(make_single_mirror_scene, 512, 1e-10, 50), (make_toy_scene, 256, 1e-7, 60),
+         (make_six_mirror_trap_scene, 128, 1e-4, 30)],
+        ids=["single_mirror", "toy", "six_mirror_trap"],
+    )
+    def test_every_probe_direction_lies_in_one_turn(
+        self, make_scene, seeds, eps_b, cap, monkeypatch
+    ):
+        # trace leaves along the direction as given, so exit_probes must hand
+        # it directions in [0, 2pi), also on the component through 0, whose
+        # end probe lies past 2pi until wrapped
+        scene = make_scene()
+        d = decompose(scene, enclosing_circle(scene), seeds=seeds, eps_b=eps_b, cap=cap)
+        assert any(c.arc.start + c.arc.measure > TWO_PI for c in d.components)
+        thetas = []
+
+        def recording_trace(scene, theta, cap):
+            thetas.append(theta)
+            return trace(scene, theta, cap)
+
+        monkeypatch.setattr(dark_sector, "trace", recording_trace)
+        assert exit_probes(d)
+        assert len(thetas) == 3 * len(d.components)
+        assert all(0.0 <= theta < TWO_PI for theta in thetas)
+
+
 class TestVerifyDarkness:
     def test_single_mirror_passes(self, single_mirror_pipeline, single_mirror_circle):
         d, unlit = single_mirror_pipeline
@@ -323,6 +357,17 @@ class TestVerifyDarkness:
             if ray_enters_sector(tr.exit_point, tr.exit_dir_numeric, s)]
         assert report.offending_rays == pytest.approx(
             [3.92856, 4.71239, 5.49622, 1.57080], abs=1e-5)
+
+    @pytest.mark.parametrize("reach, ok", [(0.0, True), (1e-9, False)])
+    def test_an_image_reaching_into_the_arc_fails_check_ii(self, reach, ok):
+        # check (ii) alone, on one image that ends ``reach`` inside Arc(1, 2)
+        circle = EnclosingCircle((0.0, 0.0), 1.0)
+        s = build_sector(Arc(1.0, 2.0), circle)
+        image = types.SimpleNamespace(image=Arc(0.5, 1.0 + reach))
+        d = types.SimpleNamespace(circle=circle, components=(image,))
+        report = verify_darkness(s, d, 0, [])
+        assert report.image_disjoint_ok is ok
+        assert report.overlapping_images == (not ok)
 
     def test_exit_point_outside_the_circle_is_rejected(self, single_mirror_scene):
         # check (iii) reads exit directions only, which is sound only for

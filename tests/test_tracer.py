@@ -311,8 +311,8 @@ def edge_launches(scene):
     return [wrap_angle(e + o) for e in edges if math.isfinite(e) for o in offsets]
 
 
-# Whole turns added to each launch: 1 and 3 look the first leg's cell up
-# with theta0 % TWO_PI off the leg's direction, the others scan every mirror.
+# Whole turns added to each launch: 0 looks the first leg's cell up, and
+# every other turn scans every mirror.
 TURNS = (0, 1, 3, -3, 10**6, 10**15)
 
 
@@ -402,6 +402,13 @@ class TestSourceCells:
                 assert tr.status is TraceStatus.ESCAPED and tr.bounce_count == 0
                 assert outcome(tr) == trace_by_first_hit(
                     single_mirror_scene, theta0 + k * TWO_PI, 5)
+
+    def test_a_launch_at_minus_zero_exits_at_plus_zero(self, single_mirror_scene):
+        # -0.0 passes 0.0 <= theta0 and finds the empty cell at 0; its exit
+        # direction is +0.0, as theta % TWO_PI gives on the full scan
+        tr = trace(single_mirror_scene, -0.0, 5)
+        assert tr.status is TraceStatus.ESCAPED and tr.bounce_count == 0
+        assert tr.exit_dir_numeric == 0.0 and math.copysign(1.0, tr.exit_dir_numeric) == 1.0
 
     @settings(max_examples=40, deadline=None)
     @given(

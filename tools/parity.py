@@ -13,9 +13,9 @@ After the workload jobs comes one group that does not depend on the seed:
 the commands no workload runs (``validate``, ``trace``, ``map`` and
 ``render`` of a scene and of a trace report) on ``scenes/*.json``,
 ``tests/scenes/*.json`` and the two ``trapped`` scenes.  ``trace`` runs at
-the escaping direction with the most bounces, at that direction plus 2*pi*10**6
-and minus 6*pi, at the direction with the most bounces stopped by its
-``--cap``, and at the first mirror's anchor.
+the escaping direction with the most bounces, at that direction plus 2*pi,
+plus 2*pi*10**6 and minus 6*pi, at -0.0, at the direction with the most
+bounces stopped by its ``--cap``, and at the first mirror's anchor.
 Last come the jobs that write to stdout: ``map``, ``unfold`` and ``render
 --scene`` of each of those scenes with no ``--out`` or ``--svg``, then
 ``--help`` of each command.
@@ -120,11 +120,15 @@ def _command_jobs(scene_dir: Path) -> list[tuple[str, list[str], list[str]]]:
                       key=lambda t: t[0].bounce_count)
         longest = max(tries, key=lambda t: t[0].bounce_count)
         (ax, ay), (sx, sy) = scene.mirrors[0].anchor, scene.source
-        # the escaping direction also past the turns whose first leg is
-        # looked up in Scene.source_cells, ahead and behind
+        # the escaping direction also outside the turn [0, 2pi) whose first
+        # leg is looked up in Scene.source_cells, one turn and 10**6 turns
+        # ahead and three behind; and -0.0, which is looked up too and, where
+        # it escapes at once, must exit at 0.0, not at -0.0
         traces = [("escaping", escaped[1], COMMAND_CAP),
+                  ("escaping-next-turn", escaped[1] + 2 * math.pi, COMMAND_CAP),
                   ("escaping-ahead", escaped[1] + 2 * math.pi * 10**6, COMMAND_CAP),
                   ("escaping-behind", escaped[1] - 6 * math.pi, COMMAND_CAP),
+                  ("minus-zero", -0.0, COMMAND_CAP),
                   ("tip", math.atan2(ay - sy, ax - sx), COMMAND_CAP)]
         if longest[0].bounce_count > 1:  # one bounce fewer stops it at the cap
             traces.append(("capped", longest[1], longest[0].bounce_count - 1))
