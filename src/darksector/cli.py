@@ -45,6 +45,7 @@ from .scene import (
     SceneFormatError,
     _number,
     _point,
+    _unique_fields,
     enclosing_circle,
     load_scene,
     scene_from_document,
@@ -113,8 +114,9 @@ def _read_scene(path: str) -> Scene:
         raise _Exit(EXIT_PARSE_ERROR, f"error: {e}") from None
 
 
-def _load_valid_scene(path: str) -> Scene:
-    scene = _read_scene(path)
+def _valid(scene: Scene) -> Scene:
+    """scene, if it passes ``validate_scene``; otherwise the command ends
+    with exit 2 and one line per violation."""
     violations = validate_scene(scene)
     if violations:
         raise _Exit(EXIT_INVALID_SCENE, "\n".join(
@@ -132,14 +134,10 @@ def _enclosing_circle(scene: Scene, margin: float) -> EnclosingCircle:
     return circle
 
 
-def _drawable(circle: EnclosingCircle) -> EnclosingCircle:
-    """circle, if the SVG viewport around it stays inside the float range;
-    otherwise the command ends with exit 2."""
-    if not math.isfinite(2.0 * (max(map(abs, circle.center)) + VIEWPORT_RADII * circle.radius)):
-        raise _Exit(EXIT_INVALID_SCENE, f"error: the SVG viewport, {2 * VIEWPORT_RADII:g} radii "
-                    f"wide around the enclosing circle (radius {circle.radius:.3g}), leaves the "
-                    "float range")
-    return circle
+def _within_floats(circle: EnclosingCircle, radii: float) -> bool:
+    """Whether points up to ``radii`` radii from circle's center, and their
+    offsets from it, stay inside the float range."""
+    return math.isfinite(2.0 * (max(map(abs, circle.center)) + radii * circle.radius))
 
 
 def _cmd_validate(args: argparse.Namespace) -> tuple[int, str | None]:
@@ -158,7 +156,7 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[int, str | None]:
 
 
 def _cmd_trace(args: argparse.Namespace) -> tuple[int, str | None]:
-    scene = _load_valid_scene(args.scene)
+    scene = _valid(_read_scene(args.scene))
     circle = _enclosing_circle(scene, args.margin)
     tr = trace(scene, args.theta, cap=args.cap)
     doc = {
@@ -177,7 +175,7 @@ def _cmd_trace(args: argparse.Namespace) -> tuple[int, str | None]:
     if tr.stop_point is not None:
         doc["stop_point"] = tr.stop_point
     # drawn first: a viewport beyond the float range exits 2 before --out is written
-    svg = _draw(scene, doc, circle) if args.svg else None
+    svg = _draw(scene, doc, args.margin) if args.svg else None
     _emit(doc, args.out)
     if svg is not None:
         _emit(svg, args.svg)
@@ -185,23 +183,8 @@ def _cmd_trace(args: argparse.Namespace) -> tuple[int, str | None]:
                      f"{tr.exit_dir_numeric:.17g} rad (exact {tr.exit_dir_exact})")
 
 
-def _sector_circle(scene: Scene, args: argparse.Namespace) -> EnclosingCircle:
-    """The scene's enclosing circle; a circle so large that the darkness
-    samples of its sectors could leave the float range ends the command
-    with exit 2."""
-    circle = _enclosing_circle(scene, args.margin)
-    radii = sample_reach(args.eps_b)
-    # the samples' coordinates, and their offsets from the center, stay finite
-    if not math.isfinite(2.0 * (max(map(abs, circle.center)) + radii * circle.radius)):
-        raise _Exit(EXIT_INVALID_SCENE, f"error: scene too large for sectors: with --eps-b "
-                    f"{args.eps_b:g} the darkness samples lie up to {radii:.3g} radii (radius "
-                    f"{circle.radius:.3g}) from the enclosing circle's center, beyond the "
-                    "float range")
-    return circle
-
-
 def _cmd_map(args: argparse.Namespace) -> tuple[int, str | None]:
-    scene = _load_valid_scene(args.scene)
+    scene = _valid(_read_scene(args.scene))
     circle = _enclosing_circle(scene, args.margin)
     d = decompose(scene, circle, seeds=args.samples, eps_b=args.eps_b, cap=args.cap)
     _emit(decomposition_report(d), args.out)
@@ -210,8 +193,14 @@ def _cmd_map(args: argparse.Namespace) -> tuple[int, str | None]:
 
 
 def _cmd_sectors(args: argparse.Namespace) -> tuple[int, str | None]:
-    scene = _load_valid_scene(args.scene)
-    circle = _sector_circle(scene, args)
+    scene = _valid(_read_scene(args.scene))
+    circle = _enclosing_circle(scene, args.margin)
+    radii = sample_reach(args.eps_b)  # how far the darkness samples reach
+    if not _within_floats(circle, radii):
+        raise _Exit(EXIT_INVALID_SCENE, f"error: scene too large for sectors: with --eps-b "
+                    f"{args.eps_b:g} the darkness samples lie up to {radii:.3g} radii (radius "
+                    f"{circle.radius:.3g}) from the enclosing circle's center, beyond the "
+                    "float range")
     d = decompose(scene, circle, seeds=args.samples, eps_b=args.eps_b, cap=args.cap)
     injective, witness = is_injective(d)
     unlit = unlit_arcs(d)
@@ -242,7 +231,7 @@ def _cmd_sectors(args: argparse.Namespace) -> tuple[int, str | None]:
     }
     _emit(doc, args.out)
     if args.svg:
-        _emit(_draw(scene, doc, d.circle), args.svg)
+        _emit(_draw(scene, doc, args.margin), args.svg)
     if not certified:
         return EXIT_NO_SECTOR, "sectors: no dark sector certified"
     return EXIT_OK, (f"sectors: certified {len(reports)} dark sector(s); exit-direction map "
@@ -250,7 +239,7 @@ def _cmd_sectors(args: argparse.Namespace) -> tuple[int, str | None]:
 
 
 def _cmd_unfold(args: argparse.Namespace) -> tuple[int, str | None]:
-    scene = _load_valid_scene(args.scene)
+    scene = _valid(_read_scene(args.scene))
     try:
         surface = build_surface(scene, group_cap=args.group_cap)
     except GroupOrderError as e:
@@ -283,13 +272,17 @@ def _field(obj, key: str, where: str, parse):
     return parse(obj[key], f"{where}.{key}")
 
 
-def _draw(scene: Scene, doc: dict, circle: EnclosingCircle) -> str:
+def _draw(scene: Scene, doc: dict, margin: float) -> str:
     """The SVG of scene with the circle, trace and dark sectors that the
-    report ``doc`` carries, ``circle`` standing in for a circle it does not
-    carry.  Raises SceneFormatError naming the first malformed field; a
-    viewport beyond the float range then ends the command with exit 2."""
-    circle_doc = doc.get("decomposition", doc).get("circle")
-    if circle_doc:
+    report ``doc`` carries; only a report with no circle gets the scene's
+    enclosing circle at ``margin``.  Raises SceneFormatError naming the
+    first malformed field; a viewport beyond the float range then ends the
+    command with exit 2."""
+    holder = doc.get("decomposition", doc)  # a sectors report's circle is its decomposition's
+    if "circle" not in holder:
+        circle = _enclosing_circle(scene, margin)
+    else:
+        circle_doc = holder["circle"]
         circle = EnclosingCircle(
             _field(circle_doc, "center", "circle", _point),
             _field(circle_doc, "radius", "circle", _number),
@@ -311,7 +304,11 @@ def _draw(scene: Scene, doc: dict, circle: EnclosingCircle) -> str:
         for i, rep in enumerate(sectors_doc)
     ]
     traces = [_report_trace(doc, circle)] if "path" in doc else []
-    return render_svg(scene, _drawable(circle), traces=traces, sectors=sectors)
+    if not _within_floats(circle, VIEWPORT_RADII):
+        raise _Exit(EXIT_INVALID_SCENE, f"error: the SVG viewport, {2 * VIEWPORT_RADII:g} radii "
+                    f"wide around the enclosing circle (radius {circle.radius:.3g}), leaves the "
+                    "float range")
+    return render_svg(scene, circle, traces=traces, sectors=sectors)
 
 
 def _report_trace(doc: dict, circle: EnclosingCircle) -> list:
@@ -338,12 +335,11 @@ def _report_trace(doc: dict, circle: EnclosingCircle) -> list:
 
 def _cmd_render(args: argparse.Namespace) -> tuple[int, str | None]:
     if args.report is None:
-        scene = _load_valid_scene(args.scene)
-        _emit(_draw(scene, {}, _enclosing_circle(scene, args.margin)), args.svg)
+        _emit(_draw(_valid(_read_scene(args.scene)), {}, args.margin), args.svg)
         return EXIT_OK, None
-    try:
+    try:  # by the scene files' rule: a field given twice is an error
         with open(args.report, "rb") as f:
-            doc = json.loads(f.read().decode("utf-8"))
+            doc = json.loads(f.read().decode("utf-8"), object_pairs_hook=_unique_fields)
     except (OSError, ValueError, RecursionError) as e:  # not UTF-8, not JSON, too deep
         raise _Exit(EXIT_PARSE_ERROR, f"error: cannot read report: {e}") from None
     try:
@@ -356,7 +352,7 @@ def _cmd_render(args: argparse.Namespace) -> tuple[int, str | None]:
             scene = scene_from_document(source.get("scene", doc.get("scene")))
         except SceneFormatError as e:
             raise _Exit(EXIT_PARSE_ERROR, f"error: report carries no usable scene: {e}") from None
-        svg = _draw(scene, doc, _enclosing_circle(scene, args.margin))
+        svg = _draw(_valid(scene), doc, args.margin)
     except SceneFormatError as e:
         raise _Exit(EXIT_PARSE_ERROR, f"error: malformed report: {e}") from None
     _emit(svg, args.svg)

@@ -1,5 +1,6 @@
 import math
 import random
+from bisect import bisect_left
 from typing import NamedTuple
 
 import pytest
@@ -13,7 +14,7 @@ from darksector.circle_map import (
 )
 from darksector.dark_sector import DarkSector
 from darksector.exact_angle import TWO_PI, GroupElement, make_rational_turn, wrap_angle
-from darksector.scene import EnclosingCircle, Mirror, Point, Scene
+from darksector.scene import EnclosingCircle, Mirror, Point, Scene, endpoints
 from darksector.scenegen import random_scene
 from darksector.tracer import TraceStatus, trace
 
@@ -267,3 +268,108 @@ def reference_decompose(scene, circle, seeds, eps_b, cap) -> Decomposition:
         trapped_arcs=tuple(sorted(trapped, key=lambda a: a.start)),
         escape_measure=sum(c.arc.measure for c in components),
     )
+
+
+class WitnessViolation(NamedTuple):
+    """A failed witness check.  Check 1, the tiling, names the window (an
+    arc of ``d.components`` or ``d.trapped_arcs``) by its start.  Check 2
+    names the component, its leg (0 leaves the source, j the j-th bounce),
+    the mirror endpoint (1-based mirror, 0 its anchor or 1 its far end)
+    strictly inside the leg's span, and the launch direction whose leg runs
+    through that endpoint."""
+
+    check: int
+    start: float  # the window's start
+    component: int | None = None
+    leg: int | None = None
+    endpoint: tuple[int, int] | None = None
+    launch: float | None = None
+
+
+def _reflect(p: Point, m: Mirror) -> Point:
+    """p reflected across the line of mirror m."""
+    t = m.angle.radians()
+    ux, uy = math.cos(t), math.sin(t)
+    vx, vy = p[0] - m.anchor[0], p[1] - m.anchor[1]
+    along = vx * ux + vy * uy
+    return (m.anchor[0] + 2.0 * along * ux - vx, m.anchor[1] + 2.0 * along * uy - vy)
+
+
+def _side(m: Mirror, p: Point) -> float:
+    """Positive, negative or zero as p lies left of, right of or on m's line."""
+    t = m.angle.radians()
+    return math.cos(t) * (p[1] - m.anchor[1]) - math.sin(t) * (p[0] - m.anchor[0])
+
+
+def _distance_to_line(apex: Point, phi: float, m: Mirror) -> float:
+    """How far the ray from apex in direction phi runs to m's line; inf
+    when it never gets there."""
+    t = m.angle.radians()
+    ux, uy = math.cos(t), math.sin(t)
+    denom = ux * math.sin(phi) - uy * math.cos(phi)
+    if denom == 0.0:
+        return math.inf
+    dist = (ux * (m.anchor[1] - apex[1]) - uy * (m.anchor[0] - apex[0])) / denom
+    return dist if dist > 0.0 else math.inf
+
+
+def witness_violations(d: Decomposition) -> list[WitnessViolation]:
+    """Oracle for the decomposition as a certificate, after McConnell,
+    Mehlhorn, Naher & Schweitzer, "Certifying algorithms" (2011): checks
+    1 and 2 of ROADMAP item 9, on the windows alone.
+
+    1. The windows tile the circle: each component and trapped arc runs from
+       one of ``singular_directions`` to the next, and no two share a start;
+       the runs left over are the singular gaps.
+    2. Every leg of every component has one outcome across the window.  The
+       leg's rays come from its virtual apex, the source reflected across
+       the mirrors of the itinerary so far, in a span of directions as wide
+       as the window.  No mirror endpoint may lie strictly inside that span,
+       by more than 2*eps_b (the boundaries' bisection error), beyond the
+       portal mirror's line and no farther than the hit mirror, or, on the
+       last leg, at any distance.  Such an endpoint splits the leg, so a
+       component was missed there.
+    """
+    out = []
+    bounds = sorted(d.singular_directions)
+    windows = sorted([c.arc for c in d.components] + list(d.trapped_arcs),
+                     key=lambda a: a.start)
+    for j, arc in enumerate(windows):
+        if not bounds:  # one run, the whole circle
+            tiles = len(windows) == 1 and arc.start == arc.end
+        else:
+            i = bisect_left(bounds, arc.start)
+            tiles = (i < len(bounds) and bounds[i] == arc.start
+                     and arc.end == bounds[(i + 1) % len(bounds)]
+                     and not (j and windows[j - 1].start == arc.start))
+        if not tiles:
+            out.append(WitnessViolation(1, arc.start))
+
+    mirrors = d.scene.mirrors
+    ends = [(k, e, p) for k, m in enumerate(mirrors, start=1) for e, p in enumerate(endpoints(m))]
+    margin = 2.0 * d.params.eps_b
+    for i, c in enumerate(d.components):
+        width = c.arc.measure
+        apex, lo, portal = d.scene.source, c.arc.start, None
+        for leg, (hit, _) in enumerate([*c.itinerary, (None, None)]):
+            for k, e, p in ends:
+                if k == portal:
+                    continue
+                phi = math.atan2(p[1] - apex[1], p[0] - apex[0])
+                off = (phi - lo) % TWO_PI
+                if not margin < off < width - margin:
+                    continue
+                if portal is not None and (
+                        _side(mirrors[portal - 1], p) * _side(mirrors[portal - 1], apex) >= 0.0):
+                    continue  # not beyond the portal
+                if hit is not None and k != hit and (
+                        math.dist(apex, p) > _distance_to_line(apex, phi, mirrors[hit - 1])):
+                    continue  # behind the hit mirror
+                # the leg's direction is the launch's, turned, and reversed on odd legs
+                launch = wrap_angle(c.arc.start + (width - off if leg % 2 else off))
+                out.append(WitnessViolation(2, c.arc.start, i, leg, (k, e), launch))
+            if hit is None:
+                break
+            m = mirrors[hit - 1]
+            apex, lo, portal = _reflect(apex, m), 2.0 * m.angle.radians() - lo - width, hit
+    return out

@@ -17,6 +17,8 @@ from conftest import (
     make_six_mirror_trap_scene,
     make_toy_scene,
     reference_decompose,
+    WitnessViolation,
+    witness_violations,
 )
 from darksector import circle_map
 from darksector.arcs import Arc, _pieces, angle_distance, arc_intersection_measure
@@ -565,3 +567,84 @@ class TestReport:
                 f12 = (f2 - f1) % TWO_PI
                 f12 = min(f12, TWO_PI - f12)
                 assert abs(d12 - f12) <= 1e-9
+
+
+TEST_SCENES = Path(__file__).resolve().parent / "scenes"
+# the random_sectors workload's --samples, --eps-b and --cap
+RANDOM_SECTORS_PARAMS = (1024, 1e-8, 12)
+# the pinned lit certificates: the component and leg the witness flags, the
+# (mirror, end) pairs it names, and the launch of the ray that lights the
+# certified sector (test_dark_sector.test_no_exit_ray_enters_a_certified_sector)
+LIT_CERTIFICATES = {
+    "random_sectors_seed5_243": (3, 0, [(1, 0), (1, 1)], 6.26544),
+    "random_sectors_seed9_134": (13, 0, [(5, 0), (5, 1)], 4.25919),
+}
+
+
+class TestWitness:
+    """``witness_violations``, checks 1 and 2 of ROADMAP item 9, as an
+    oracle for decompositions that missed no component."""
+
+    @pytest.mark.parametrize("name", list(LIT_CERTIFICATES))
+    def test_names_the_leg_and_endpoint_of_a_missed_component(self, name):
+        scene = load_scene((TEST_SCENES / f"{name}.json").read_bytes())
+        d = decompose(scene, enclosing_circle(scene), *RANDOM_SECTORS_PARAMS)
+        component, leg, ends, lit = LIT_CERTIFICATES[name]
+        found = witness_violations(d)
+        assert [(v.check, v.component, v.leg, v.endpoint) for v in found] == [
+            (2, component, leg, end) for end in ends]
+        # the missed component lies between the launches through the two
+        # ends of the named mirror, and its itinerary is not in the report
+        lo, hi = sorted(v.launch for v in found)
+        assert lo < lit < hi
+        tr = trace(scene, lit, RANDOM_SECTORS_PARAMS[2])
+        assert tr.status is TraceStatus.ESCAPED
+        assert tr.itinerary not in {c.itinerary for c in d.components}
+
+    @pytest.mark.parametrize(
+        "scene,params",
+        [
+            (load_scene((SCENES / "single_mirror.json").read_bytes()), MAP_DEFAULTS),
+            (load_scene((SCENES / "two_perpendicular.json").read_bytes()), MAP_DEFAULTS),
+            # the trapped workload's channel and trap, at its arguments
+            (make_parallel_scene(), (256, 1e-5, 400)),
+            (make_six_mirror_trap_scene(), (1024, 1e-6, 100)),
+        ],
+        ids=["single_mirror", "two_perpendicular", "channel", "six_mirror_trap"],
+    )
+    def test_flags_nothing_on_the_bundled_and_trapped_scenes(self, scene, params):
+        d = decompose(scene, enclosing_circle(scene), *params)
+        assert d.components
+        assert witness_violations(d) == []
+
+    def test_a_passed_scene_gains_no_itinerary_at_64_times_the_seeds(self):
+        # the first 16 scenes of the random_sectors workload at seed 1
+        rng = random.Random(1)
+        flagged = []
+        for i in range(16):
+            scene = random_scene(rng, n_mirrors=1 + i % 5)
+            circle = enclosing_circle(scene)
+            d = decompose(scene, circle, *RANDOM_SECTORS_PARAMS)
+            finer = decompose(scene, circle, 64 * RANDOM_SECTORS_PARAMS[0],
+                              *RANDOM_SECTORS_PARAMS[1:])
+            gained = {c.itinerary for c in finer.components} - {c.itinerary for c in d.components}
+            if witness_violations(d):
+                flagged.append(i)
+            else:
+                assert not gained, i
+        assert flagged == [14]  # the one scene of the sample that misses a component
+
+    def test_windows_that_do_not_tile_fail_check_1(self, single_mirror_scene,
+                                                   single_mirror_circle):
+        # two components, bounded by four singular directions: the first
+        # ends at the third, the second at the first
+        d = single_mirror_decomposition(single_mirror_scene, single_mirror_circle)
+        assert witness_violations(d) == []
+        first, second = d.components
+        wider = dataclasses.replace(first, arc=Arc(first.arc.start, first.arc.end + 1e-3))
+        for broken, named in (
+            (dataclasses.replace(d, components=(wider, second)), first),
+            (dataclasses.replace(d, components=(first, first, second)), first),
+            (dataclasses.replace(d, singular_directions=d.singular_directions[1:]), second),
+        ):
+            assert WitnessViolation(1, named.arc.start) in witness_violations(broken)

@@ -502,12 +502,18 @@ class TestRenderCommand:
             (lambda doc: doc.update(sectors=[{"apex": [0, 0], "dir_lo": 1e308, "dir_hi": -1e308,
                                               "tangent_points": [[0, 1], [1, 0]]}]),
              "sectors[0].dir_lo: expected a direction in [0, 2*pi)"),
+            # a circle key is the report's circle, whatever its value
+            (lambda doc: doc.update(circle={}), "circle.center: missing field"),
+            (lambda doc: doc.update(circle=None), "circle.center: missing field"),
+            (lambda doc: doc.update(circle=0), "circle.center: missing field"),
+            (lambda doc: doc.update(circle=[]), "circle.center: missing field"),
         ],
         ids=["no-radius", "bad-status", "no-exit-dir", "short-exit-point",
              "exit-point-outside-the-circle", "short-center", "short-path-point", "empty-path",
              "empty-singular-path", "no-dir-lo", "sectors-not-a-list", "zero-radius",
              "negative-radius", "report-not-an-object", "decomposition-not-an-object",
-             "direction-out-of-range"],
+             "direction-out-of-range", "empty-circle", "null-circle", "zero-circle",
+             "list-circle"],
     )
     def test_malformed_report_exits_three(self, single_path, tmp_path, capsys, damage, field):
         report = tmp_path / "trace.json"
@@ -548,6 +554,47 @@ class TestRenderCommand:
         assert main([*argv, "--svg", str(tmp_path / "out.svg")]) == 2
         assert "error: the SVG viewport, 6 radii wide" in capsys.readouterr().err
         assert set(tmp_path.iterdir()) == written
+
+    @pytest.mark.parametrize(
+        "scene",
+        [
+            Scene(mirrors=(Mirror((-1.0, 0.0), 2.0, make_rational_turn(0, 1)),
+                           Mirror((0.0, -1.0), 2.0, make_rational_turn(1, 2))),
+                  source=(0.0, 1.0)),
+            Scene(mirrors=(Mirror((1e308, 0.0), 1e308, make_rational_turn(0, 1)),),
+                  source=(0.0, 1.0)),
+        ],
+        ids=["mirrors-intersect", "non-finite-endpoint"],
+    )
+    def test_invalid_report_scene_exits_as_render_scene_does(self, tmp_path, capsys, scene):
+        # the validate report of an invalid scene carries that scene and no circle
+        path, report = write_scene(tmp_path, scene), tmp_path / "validate.json"
+        assert main(["validate", "--scene", path, "--out", str(report)]) == 2
+        capsys.readouterr()
+        assert main(["render", "--scene", path, "--svg", str(tmp_path / "a.svg")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid scene: [")
+        assert main(["render", "--report", str(report), "--svg", str(tmp_path / "b.svg")]) == 2
+        assert capsys.readouterr().err == err
+        assert not list(tmp_path.glob("*.svg"))
+
+    def test_margin_sets_only_a_circle_the_report_lacks(self, toy_path, tmp_path, capsys):
+        # a trace report carries its circle, a validate report none
+        trace, validate = tmp_path / "trace.json", tmp_path / "validate.json"
+        assert main(["trace", "--scene", toy_path, "--theta", "1", "--out", str(trace)]) == 0
+        assert main(["validate", "--scene", toy_path, "--out", str(validate)]) == 0
+        svgs = [tmp_path / f"{n}.svg" for n in ("default", "huge", "validate")]
+        assert main(["render", "--report", str(trace), "--svg", str(svgs[0])]) == 0
+        capsys.readouterr()
+        assert main(["render", "--report", str(trace), "--margin", "1.7e308",
+                     "--svg", str(svgs[1])]) == 0
+        assert capsys.readouterr().err == ""
+        assert svgs[1].read_bytes() == svgs[0].read_bytes()
+        assert main(["render", "--report", str(validate), "--margin", "1.7e308",
+                     "--svg", str(svgs[2])]) == 2
+        assert capsys.readouterr().err == ("error: --margin 1.7e+308 makes the enclosing "
+                                           "circle's radius overflow the float range\n")
+        assert not svgs[2].exists()
 
     def test_non_utf8_report_exits_three(self, tmp_path, capsys):
         report = tmp_path / "report.json"
@@ -895,6 +942,39 @@ FAILURES = {
         3, "error: malformed report: sectors[0].dir_lo: expected a direction in [0, 2*pi)\n",
     ),
 }
+
+
+# a report's scene obeys the scene files' rules, and a circle key is its circle
+_twice = FAILURES["scene-repeats-a-field"][0]["twice.json"]
+_two = FAILURES["two-violations"][0]["two.json"]
+_far_end = _scene_bytes(((1e308, 0.0), 1e308, _HORIZONTAL))  # ends at (inf, 0.0)
+FAILURES.update({
+    "report-repeats-a-field": (
+        {"report.json": b'{"scene": ' + _twice + b'}'},
+        ["render", "--report", "{tmp}/report.json"],
+        3, "error: cannot read report: repeated field 'source'\n",
+    ),
+    "report-scene-invalid": (
+        {"report.json": b'{"scene": ' + _two + b'}'},
+        ["render", "--report", "{tmp}/report.json"], 2, FAILURES["two-violations"][3],
+    ),
+    "report-mirror-ends-beyond-the-float-range": (
+        {"report.json": b'{"scene": ' + _far_end + b'}'},
+        ["render", "--report", "{tmp}/report.json"],
+        2, "invalid scene: [non-finite-endpoint] mirror 1 ends at (inf, 0.0), beyond the float "
+           "range\n",
+    ),
+    "report-circle-empty": (
+        {"report.json": b'{"scene": ' + _TOY + b', "circle": {}}'},
+        ["render", "--report", "{tmp}/report.json"],
+        3, "error: malformed report: circle.center: missing field\n",
+    ),
+    "report-circle-null": (
+        {"report.json": b'{"scene": ' + _TOY + b', "circle": null}'},
+        ["render", "--report", "{tmp}/report.json"],
+        3, "error: malformed report: circle.center: missing field\n",
+    ),
+})
 
 
 class TestFailureMessages:

@@ -369,6 +369,22 @@ class TestVerifyDarkness:
         assert report.image_disjoint_ok is ok
         assert report.overlapping_images == (not ok)
 
+    @pytest.mark.parametrize("turn, ok", [(0.0, True), (1e-9, False)])
+    def test_an_apex_turned_off_its_arc_fails_check_i(self, turn, ok):
+        # check (i) alone: the sector of a 1e-6 arc, its apex turned by
+        # ``turn`` about the circle's center, which leaves its directions
+        # and tangent points as built; the turned apex's points see
+        # directions up to ~1e-9 outside the arc, above check (i)'s 1e-12
+        # and below 1e-6
+        circle = EnclosingCircle((0.0, 0.0), 1.0)
+        s = build_sector(Arc(1.0, 1.0 + 1e-6), circle)
+        (x, y), c, si = s.apex, math.cos(turn), math.sin(turn)
+        s = dataclasses.replace(s, apex=(c * x - si * y, si * x + c * y))
+        d = types.SimpleNamespace(circle=circle, components=())
+        report = verify_darkness(s, d, 200, [], seed=0)
+        assert report.direction_inclusion_ok is ok
+        assert report.image_disjoint_ok and report.exit_rays_ok
+
     def test_exit_point_outside_the_circle_is_rejected(self, single_mirror_scene):
         # check (iii) reads exit directions only, which is sound only for
         # rays that leave the mirrors inside the circle

@@ -11,14 +11,14 @@ worktree is removed afterwards.
 
 After the workload jobs comes one group that does not depend on the seed:
 the commands no workload runs (``validate``, ``trace``, ``map`` and
-``render`` of a scene and of a trace report) on ``scenes/*.json``,
-``tests/scenes/*.json`` and the two ``trapped`` scenes.  ``trace`` runs at
-the escaping direction with the most bounces, at that direction plus 2*pi,
-plus 2*pi*10**6 and minus 6*pi, at -0.0, at the direction with the most
-bounces stopped by its ``--cap``, and at the first mirror's anchor.
-Last come the jobs that write to stdout: ``map``, ``unfold`` and ``render
---scene`` of each of those scenes with no ``--out`` or ``--svg``, then
-``--help`` of each command.
+``render`` of a scene and of its trace, map and validate reports) on
+``scenes/*.json``, ``tests/scenes/*.json`` and the two ``trapped`` scenes.
+``trace`` runs at the escaping direction with the most bounces, at that
+direction plus 2*pi, plus 2*pi*10**6 and minus 6*pi, at -0.0, at the
+direction with the most bounces stopped by its ``--cap``, and at the first
+mirror's anchor.  Last come the jobs that write to stdout: ``map``,
+``unfold`` and ``render --scene`` of each of those scenes with no ``--out``
+or ``--svg``, then ``--help`` of each command.
 
 Each job's scene is written once, by ``perfbench/bench_scenes.setup`` of this
 tree, and both trees read the same file.  Each tree runs all its jobs
@@ -140,7 +140,12 @@ def _command_jobs(scene_dir: Path) -> list[tuple[str, list[str], list[str]]]:
         argvs += [["map", "--scene", str(path), *COMMAND_MAP_ARGS, "--out", f"{out}.map.json"],
                   ["render", "--scene", str(path), "--svg", f"{out}.scene.svg"],
                   ["render", "--report", f"{out}.trace-escaping.json",
-                   "--svg", f"{out}.report.svg"]]
+                   "--svg", f"{out}.report.svg"],
+                  # a map report carries its circle; a validate report has
+                  # none, so --margin sets it
+                  ["render", "--report", f"{out}.map.json", "--svg", f"{out}.map-report.svg"],
+                  ["render", "--report", f"{out}.validate.json",
+                   "--svg", f"{out}.validate-report.svg"]]
         jobs += [(f"commands {Path(_outputs(argv)[0]).name}", argv, _outputs(argv))
                  for argv in argvs]
         stdout_jobs += [(f"commands {name} {argv[0]} to stdout", argv, []) for argv in (
