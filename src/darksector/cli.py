@@ -1,9 +1,9 @@
 """Command-line entry points and report emission.
 
 Exit codes: 0 success, 1 internal failure, an output path that cannot be
-written or a reflection group larger than ``--group-cap``, 2 invalid scene or
-rejected option value, 3 parse error, 4 no dark sector certified (sectors
-command only).
+written or a reflection group larger than ``--group-cap``, 2 invalid scene,
+rejected option value or two file options naming one file, 3 parse error, 4
+no dark sector certified (sectors command only).
 
 A run writes at most one block to stderr, and only ``main`` writes it: the
 summary a finished command returns with its exit code, or the message of the
@@ -79,7 +79,7 @@ def _emit(out: str | dict, path: str | None) -> None:
     and so does a stdout that cannot be written, such as a pipe closed
     early."""
     produce = (lambda w: w(out)) if isinstance(out, str) else functools.partial(write_json, out)
-    if not path:
+    if path is None:
         try:
             produce(sys.stdout.write)
             sys.stdout.flush()
@@ -102,6 +102,31 @@ def _emit(out: str | dict, path: str | None) -> None:
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+
+
+# the options that name a file, in the order an error names two of them
+_FILE_OPTIONS = ("--scene", "--report", "--out", "--svg")
+
+
+def _distinct_files(args: argparse.Namespace) -> None:
+    """End the command with exit 2 if two of its file options name one file.
+    Files that exist are compared as ``os.path.samefile`` compares them, by
+    device and inode; paths that name no file yet by ``os.path.realpath``."""
+    seen = {}
+    for option in _FILE_OPTIONS:
+        path = getattr(args, option[2:], None)
+        if path is None:
+            continue
+        try:
+            st = os.stat(path)
+            key = st.st_dev, st.st_ino
+        except OSError:  # not there (yet)
+            key = os.path.realpath(path)
+        if key in seen:
+            first, first_path = seen[key]
+            raise _Exit(EXIT_INVALID_SCENE,
+                        f"error: {first} and {option} name the same file: {first_path}")
+        seen[key] = option, path
 
 
 def _read_scene(path: str) -> Scene:
@@ -377,10 +402,13 @@ def _at_least(low: int):
     return _checked(int, lambda n: n >= low, f"must be >= {low}")
 
 
+_nonempty_path = _checked(str, bool, "must not be empty")
+
+
 _OPTIONS = {
     "--scene": dict(required=True, help="scene JSON file"),
-    "--out": dict(help="output document path (default: stdout)"),
-    "--svg": dict(help="also write an SVG rendering here"),
+    "--out": dict(type=_nonempty_path, help="output document path (default: stdout)"),
+    "--svg": dict(type=_nonempty_path, help="also write an SVG rendering here"),
     "--theta": dict(type=_checked(float, math.isfinite, "must be finite"), required=True,
                     help="launch direction in radians"),
     "--samples": dict(type=_at_least(8), default=DEFAULT_SEEDS,
@@ -404,7 +432,7 @@ _OPTIONS = {
 _RENDER_OPTIONS = {
     **_OPTIONS,
     "--scene": dict(help="scene JSON file"),
-    "--svg": dict(help="write the SVG here (default: stdout)"),
+    "--svg": dict(type=_nonempty_path, help="write the SVG here (default: stdout)"),
 }
 
 _MAP_OPTIONS = ("--scene", "--out", "--samples", "--eps-b", "--cap", "--margin")
@@ -458,6 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: "list[str] | None" = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        _distinct_files(args)
         code, message = args.handler(args)
     except _Exit as e:
         code, message = e.args

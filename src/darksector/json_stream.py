@@ -12,18 +12,22 @@ value.  This writer formats with the same primitives
 builds the whole text of each list item, such as one census row or one
 component, in one call: the dicts along the way to the lists are written
 key by key, the items of a list one text each, reused while the same object
-repeats.  Per depth it keeps the indent and separator strings, the text of
-each key with its indent, and the text of each ``[k, side]`` itinerary
-pair.  ``json.dumps`` stays the oracle that tests/test_json_stream.py
-compares the bytes with.
+repeats.  So is a dict item whose value is the object the last dict at
+its depth held under its key, such as a census row's one ``cone_angle``.
+Both tests are of identity: -0.0 == 0.0, 1 == 1.0 == True and NaN != NaN.
+Per depth it keeps the indent and separator strings, the text of each key
+with its indent, the last value and item text under each key, and the text
+of each ``[k, side]`` itinerary pair.  ``json.dumps`` stays the oracle that
+tests/test_json_stream.py compares the bytes with.
 """
 
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
 
-# no list item is this object
+# no list item or dict value is this object
 _NOTHING = object()
+_UNSEEN = (_NOTHING, "")
 
 
 def _float(x: float) -> str:
@@ -44,14 +48,16 @@ _SCALARS = {
 class _Level(dict):
     """The strings of a container at one depth: ``inner`` opens an item,
     ``sep`` separates two, ``close`` precedes the closing bracket.  The dict
-    itself maps each key to ``inner`` plus its text and ``": "``; ``pairs``
-    maps a pair of ints to its text as an item of the container."""
+    itself maps each key to ``inner`` plus its text and ``": "``; ``last``
+    maps a dict key to the last value under it and that item's text;
+    ``pairs`` maps a pair of ints to its text as an item of the container."""
 
     def __init__(self, depth: int):
         super().__init__()
         self.inner = "\n" + "  " * (depth + 1)
         self.sep = "," + self.inner
         self.close = "\n" + "  " * depth
+        self.last: dict = {}
         self.pairs: dict = {}
 
     def __missing__(self, k) -> str:
@@ -86,9 +92,15 @@ class _Writer:
         items = []
         append = items.append
         if kind is dict:
+            last = level.last  # the memo holds v, so no other object takes its id
             for k, v in o.items():
-                scalar = scalars.get(type(v))
-                append(level[k] + (scalar(v) if scalar is not None else self.text(v, depth + 1)))
+                seen, item = last.get(k, _UNSEEN)
+                if seen is not v:
+                    scalar = scalars.get(type(v))
+                    item = level[k] + (
+                        scalar(v) if scalar is not None else self.text(v, depth + 1))
+                    last[k] = v, item
+                append(item)
             return "{" + ",".join(items) + level.close + "}"
         pairs = level.pairs
         for v in o:

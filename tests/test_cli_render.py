@@ -1009,3 +1009,100 @@ class TestFailureMessages:
         capsys.readouterr()
         assert main([a.replace("{tmp}", tmp) for a in argv]) == code
         assert capsys.readouterr().err == ""
+
+
+def _usage(command: str, capsys) -> str:
+    """The usage lines argparse prints with an error of command."""
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    return capsys.readouterr().out.split("\n\n")[0] + "\n"
+
+
+class TestFileArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", "--theta", "1", "--out", ""],
+            ["trace", "--theta", "1", "--svg", ""],
+            ["map", "--out", ""],
+            ["sectors", "--samples", "64", "--svg", ""],
+            ["render", "--svg", ""],
+        ],
+        ids=["trace-out", "trace-svg", "map-out", "sectors-svg", "render-svg"],
+    )
+    def test_empty_path_is_a_rejected_value(self, toy_path, tmp_path, argv, capsys):
+        # before, an empty --out sent the report to stdout and an empty --svg
+        # wrote no SVG, and both exited 0
+        usage = _usage(argv[0], capsys)
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--scene", toy_path])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"{usage}darksector {argv[0]}: error: argument {argv[-2]}: must not be empty\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.json"]
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sectors", "--scene", "scene.json", "--samples", "64", "--out", "x", "--svg", "x"],
+             "--out and --svg name the same file: x"),
+            (["trace", "--scene", "scene.json", "--theta", "1", "--out", "t", "--svg", "./t"],
+             "--out and --svg name the same file: t"),
+            (["trace", "--scene", "scene.json", "--theta", "1", "--out", "sub/t",
+              "--svg", "sublink/t"],
+             "--out and --svg name the same file: sub/t"),
+            (["map", "--scene", "scene.json", "--out", "scene.json"],
+             "--scene and --out name the same file: scene.json"),
+            (["map", "--scene", "scene.json", "--out", "./sub/../scene.json"],
+             "--scene and --out name the same file: scene.json"),
+            (["validate", "--scene", "link.json", "--out", "scene.json"],
+             "--scene and --out name the same file: link.json"),
+            (["unfold", "--scene", "scene.json", "--out", "hard.json"],
+             "--scene and --out name the same file: scene.json"),
+            (["render", "--report", "report.json", "--svg", "report.json"],
+             "--report and --svg name the same file: report.json"),
+            (["render", "--scene", "scene.json", "--svg", "link.json"],
+             "--scene and --svg name the same file: scene.json"),
+        ],
+        ids=["sectors-out-svg", "trace-out-svg-dot", "trace-out-svg-symlinked-directory",
+             "map-scene-out", "map-scene-out-dotdot",
+             "validate-symlink", "unfold-hard-link", "render-report-svg", "render-scene-symlink"],
+    )
+    def test_two_options_naming_one_file_exit_two(
+        self, toy_path, tmp_path, monkeypatch, argv, message, capsys
+    ):
+        # before, the later write replaced the earlier output or the input
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sublink").symlink_to("sub")
+        (tmp_path / "link.json").symlink_to("scene.json")
+        os.link("scene.json", "hard.json")
+        assert main(["validate", "--scene", "scene.json", "--out", "report.json"]) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        # nothing was read into an output or written at all
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+        assert (tmp_path / "link.json").is_symlink()
+        assert list((tmp_path / "sub").iterdir()) == []
+
+    def test_existing_output_named_twice_is_kept(self, toy_path, tmp_path, capsys):
+        out = tmp_path / "x"
+        out.write_bytes(b"the previous report\n")
+        argv = ["sectors", "--scene", toy_path, "--out", str(out), "--svg", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: --out and --svg name the same file: {out}\n"
+        assert out.read_bytes() == b"the previous report\n"
+
+    def test_distinct_paths_in_one_directory_are_written(self, toy_path, tmp_path):
+        # a shared directory, or one name a prefix of another, is no collision
+        out, svg = tmp_path / "scene.json.out", tmp_path / "scene.json.out.svg"
+        argv = ["sectors", "--scene", toy_path, "--samples", "64", "--darkness-samples", "50",
+                "--out", str(out), "--svg", str(svg)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["certified"] is True
+        assert svg.read_text().endswith("</svg>\n")

@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import darksector.cli as cli
+import darksector.json_stream as json_stream
 from darksector.exact_angle import make_rational_turn
 from darksector.json_stream import write_json
 from darksector.scene import Mirror, Scene, save_scene
+from darksector.unfolding import CONE_ANGLE, build_surface, census_report, cone_cycles
 from test_golden import (
     COMMANDS,
     GOLDEN,
@@ -80,6 +82,75 @@ documents = st.recursive(
 @given(doc=documents)
 def test_generated_documents(doc):
     assert streamed(doc) == oracle(doc)
+
+
+# shared objects for rows that repeat one object under one key: values that
+# are equal but written differently (-0.0 and 0.0; 1, 1.0 and True), NaNs
+# that are distinct objects and unequal to themselves, and containers whose
+# text depends on their depth
+NAN, OTHER_NAN = float("nan"), float("nan")
+SHARED_LIST = [1, -0.0, "first"]
+SHARED_DICT = {"slit": SHARED_LIST, "sheets": 0.0}  # the list one level deeper
+POOL = [-0.0, 0.0, NAN, OTHER_NAN, math.inf, 1, 1.0, True, "second",
+        SHARED_LIST, SHARED_DICT, [], {}]
+MEMO_KEYS = ["slit", "sheets", "cone_angle"]
+pooled = st.sampled_from(POOL)
+pooled_rows = st.recursive(
+    st.lists(st.dictionaries(st.sampled_from(MEMO_KEYS), pooled, max_size=3), max_size=6),
+    lambda rows: st.lists(
+        st.dictionaries(st.sampled_from(MEMO_KEYS), st.one_of(pooled, rows), max_size=3),
+        max_size=6,
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=st.one_of(pooled_rows, st.dictionaries(st.sampled_from(MEMO_KEYS), pooled_rows)))
+def test_rows_of_shared_values(doc):
+    assert streamed(doc) == oracle(doc)
+
+
+def test_pool_holds_distinct_objects():
+    assert NAN is not OTHER_NAN
+    assert len({id(v) for v in POOL}) == len(POOL)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(-0.0, 0.0), (0.0, -0.0), (True, 1), (1, True), (1, 1.0), (NAN, OTHER_NAN),
+     ([], {}), (SHARED_LIST, list(SHARED_LIST))],
+    ids=["minus-zero-zero", "zero-minus-zero", "true-one", "one-true", "one-one-float",
+         "two-nans", "empty-list-dict", "list-equal-list"],
+)
+def test_equal_values_under_one_key_are_each_written(values):
+    # consecutive rows at the depth of the census's cycles and one deeper
+    rows = [{"slit": 1, "cone_angle": v} for v in values]
+    doc = {"cycles": rows, "nested": [{"rows": rows}]}
+    assert streamed(doc) == oracle(doc)
+    assert streamed(doc).count('"cone_angle": ') == 4
+
+
+def test_one_list_under_one_key_at_two_depths():
+    # its text at depth 2 is indented otherwise than at depth 3
+    shared = [1, [2, 3]]
+    for doc in ([{"k": shared}, {"j": {"k": shared}}, {"k": shared}],
+                [{"j": {"k": shared}}, {"k": shared}, {"j": {"k": shared}}]):
+        assert streamed(doc) == oracle(doc)
+
+
+def test_census_formats_its_one_cone_angle_once(monkeypatch):
+    # every cycles row holds the one CONE_ANGLE float, written from the
+    # text of the row before it
+    calls = []
+    real = json_stream._SCALARS[float]
+    monkeypatch.setitem(json_stream._SCALARS, float, lambda x: calls.append(x) or real(x))
+    surface = build_surface(make_order_1680_scene())
+    doc = census_report(surface, cone_cycles(surface))
+    assert len(doc["cycles"]) == 2 * 2 * 840
+    text = streamed(doc)
+    assert calls == [CONE_ANGLE]
+    assert text == oracle(doc)
 
 
 def test_repeated_items_are_written_like_distinct_ones():
