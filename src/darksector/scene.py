@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .exact_angle import TWO_PI, RationalTurn, make_rational_turn
+from .exact_angle import TWO_PI, GroupElement, RationalTurn, make_rational_turn
 
 Point = tuple[float, float]
 
@@ -87,6 +87,13 @@ class Scene:
         """L, the lcm of the mirror-angle denominators: the offset of every
         exact isometry a ray accumulates in this scene is a multiple of pi/L."""
         return math.lcm(*(m.angle.den for m in self.mirrors))
+
+    @cached_property
+    def source_escape(self) -> tuple[tuple[Point], GroupElement]:
+        """``(path, identity)`` of a ray that escapes before its first
+        bounce: the one-point path ``(source,)`` and the identity isometry
+        in this scene's angle unit, shared by every such trace."""
+        return (self.source,), GroupElement(1, 0, self.angle_unit)
 
     @cached_property
     def geometry(self) -> tuple[MirrorGeometry, ...]:

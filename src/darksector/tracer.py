@@ -18,19 +18,23 @@ through, or reflecting (dx, dy) in place of cos/sin of the wrapped angle):
 the circle map bisects on itinerary keys, so one rounding flipped near a
 boundary moves its arcs and the report bytes.
 
-A first leg launched in one turn, theta0 in [0, TWO_PI) as every caller in
-the package launches, scans only its cell of :attr:`Scene.source_cells`: a
-row left out is off the cell by more than the rounding of its u-test, so it
-fails that test (or the t-test, behind the leg), and the same rows are
-accepted in the same order; an empty cell returns the loop's escape at
-n = 0 at once.  Any other finite theta0 scans every mirror.
+:func:`trace` tests the launch first.  A first leg launched in one turn,
+theta0 in [0, TWO_PI) as every caller in the package launches, with a cap of
+at least 1, scans only its cell of :attr:`Scene.source_cells`: a row left
+out is off the cell by more than the rounding of its u-test, so it fails
+that test (or the t-test, behind the leg), and the same rows are accepted in
+the same order; an empty cell returns the loop's escape at n = 0 at once.
+Every other call checks the cap, then that theta0 is finite, raising
+ValueError, and scans every mirror.
 
 The hot-path rule: the circle map traces hundreds of thousands of samples a
 run, so no Python frame but trace's own runs per trace.  Its results are
 built with ``tuple.__new__``, as namedtuple's ``_make`` does, since each
 NamedTuple constructor is one Python call, and statuses are read from module
 constants: an Enum member read off its class costs ~130 ns on CPython 3.11,
-a local ~9 ns.
+a local ~9 ns.  Per-scene constants are read, not built: an empty cell's
+escape takes its one-point path and identity isometry from
+:attr:`Scene.source_escape`.
 """
 
 from __future__ import annotations
@@ -143,19 +147,19 @@ def trace(scene: Scene, theta0: float, cap: int = DEFAULT_BOUNCE_CAP) -> TraceRe
     """Follow a ray from the source, reflecting until it escapes, turns
     singular, or would exceed ``cap`` reflections.  Each leg is the scan of
     :func:`first_hit`, the reference this loop must match, inlined."""
-    if cap < 1:
-        raise ValueError("bounce cap must be >= 1")
-    if not math.isfinite(theta0):
-        raise ValueError(f"launch direction must be finite, got {theta0}")
-    ox, oy = pos = scene.source
-    if 0.0 <= theta0 < TWO_PI:  # see Scene.source_cells
+    if 0.0 <= theta0 < TWO_PI and cap >= 1:  # see Scene.source_cells
         bounds, cells = scene.source_cells
         rows = cells[bisect_right(bounds, theta0)]
         if not rows:  # the loop's escape at n = 0; + 0.0 makes -0.0 0.0, as its % does
-            g = tuple.__new__(GroupElement, (1, 0, scene.angle_unit))
-            return tuple.__new__(TraceResult, (ESCAPED, (), (pos,), pos, theta0 + 0.0, g, 0, None))
+            path, g = scene.source_escape
+            return tuple.__new__(TraceResult, (ESCAPED, (), path, path[0], theta0 + 0.0, g, 0, None))
     else:
+        if cap < 1:
+            raise ValueError("bounce cap must be >= 1")
+        if not math.isfinite(theta0):
+            raise ValueError(f"launch direction must be finite, got {theta0}")
         rows = scene.scan_rows[0]
+    ox, oy = pos = scene.source
     scan_rows = scene.scan_rows
     cos, sin, inf = math.cos, math.sin, math.inf
     eps_advance, eps_singular, two_pi = EPS_ADVANCE, EPS_SINGULAR, TWO_PI

@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,8 @@ from conftest import (
     make_six_mirror_trap_scene,
     make_toy_scene,
 )
+from darksector.arcs import _pieces
+from darksector.circle_map import decompose, decomposition_report
 from darksector.exact_angle import (
     GroupElement,
     apply,
@@ -131,8 +134,22 @@ class TestTrace:
         assert tr.stop_point[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_cap_must_be_positive(self, single_mirror_scene):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bounce cap must be >= 1"):
             trace(single_mirror_scene, 0.0, cap=0)
+
+    @pytest.mark.parametrize("theta0", [1.0, 3 * math.pi / 2, 1.0 + TWO_PI, 3 * math.pi / 2 + TWO_PI])
+    def test_cap_is_checked_at_every_launch(self, single_mirror_scene, theta0):
+        # 1.0 looks up a cell with no mirror, 3pi/2 the mirror's cell, and a
+        # launch a turn on scans every mirror
+        bounds, cells = single_mirror_scene.source_cells
+        assert [len(cells[bisect_right(bounds, t)]) for t in (1.0, 3 * math.pi / 2)] == [0, 1]
+        with pytest.raises(ValueError, match="bounce cap must be >= 1"):
+            trace(single_mirror_scene, theta0, cap=0)
+
+    @pytest.mark.parametrize("theta0", [math.nan, math.inf, -math.inf])
+    def test_cap_is_checked_before_the_direction(self, parallel_scene, theta0):
+        with pytest.raises(ValueError, match="bounce cap must be >= 1"):
+            trace(parallel_scene, theta0, 0)
 
     @pytest.mark.parametrize("theta0", [math.nan, math.inf, -math.inf])
     def test_launch_direction_must_be_finite(self, parallel_scene, theta0):
@@ -402,6 +419,29 @@ class TestSourceCells:
                 assert tr.status is TraceStatus.ESCAPED and tr.bounce_count == 0
                 assert outcome(tr) == trace_by_first_hit(
                     single_mirror_scene, theta0 + k * TWO_PI, 5)
+
+    def test_an_empty_cell_escape_is_in_its_own_scenes_unit(self):
+        # one mirror at a third or at a quarter turn, far below the source:
+        # straight up is an empty cell, and its escape is the identity in the
+        # scene's own unit, pi/3 or pi/4, whichever scene traced before it
+        scenes = [Scene(mirrors=(Mirror((-0.5, 0.0), 1.0, make_rational_turn(1, den)),),
+                        source=(0.0, 3.0)) for den in (3, 4)]
+        assert [scene.angle_unit for scene in scenes] == [3, 4]
+        for scene in scenes + scenes:
+            identity = GroupElement(1, 0, scene.angle_unit)
+            bounds, cells = scene.source_cells
+            assert not cells[bisect_right(bounds, math.pi / 2)]
+            assert scene.source_escape == ((scene.source,), identity)
+            tr = trace(scene, math.pi / 2, 5)
+            assert outcome(tr) == trace_by_first_hit(scene, math.pi / 2, 5)
+            assert tr.exit_dir_exact == identity
+            d = decompose(scene, enclosing_circle(scene), seeds=64)
+            direct = [i for i, c in enumerate(d.components) if c.itinerary == ()]
+            assert any(lo <= math.pi / 2 < hi for i in direct for lo, hi in _pieces(d.components[i].arc))
+            report = decomposition_report(d)["components"]
+            for i in direct:
+                assert d.components[i].isometry == identity
+                assert report[i]["isometry"] == identity.to_dict()
 
     def test_a_launch_at_minus_zero_exits_at_plus_zero(self, single_mirror_scene):
         # -0.0 passes 0.0 <= theta0 and finds the empty cell at 0; its exit
