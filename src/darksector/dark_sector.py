@@ -4,7 +4,8 @@ Given an arc of escape directions that no exit ray attains, the two tangent
 lines to the enclosing circle at right angles from the arc's endpoints bound
 an infinite sector whose points can only be reached by rays with directions
 inside that arc -- which is exactly the set with no rays.  The verification
-routine re-checks this geometry independently by sampling.
+routine re-checks this geometry in closed form at the apex, and samples
+sector points only for a sector that fails the closed form.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .arcs import Arc, arc_intersection_measure
+from .arcs import Arc, arc_difference, arc_intersection_measure
 from .circle_map import Decomposition
 from .exact_angle import TWO_PI, wrap_angle
 from .scene import EnclosingCircle, Point
@@ -75,9 +76,10 @@ def build_sector(arc: Arc, circle: EnclosingCircle) -> DarkSector:
 
 
 def sample_reach(eps_b: float) -> float:
-    """How far from the enclosing circle's center, in radii R, check (i) of
-    ``verify_darkness`` can sample a point, for a sector cut from an arc of
-    ``unlit_arcs`` with boundary tolerance ``eps_b``.
+    """How far from the enclosing circle's center, in radii R, the sampled
+    fallback of check (i) in ``verify_darkness`` can place a point, for a
+    sector cut from an arc of ``unlit_arcs`` with boundary tolerance
+    ``eps_b``.
 
     Such an arc spans more than 2*eps_b, so its sector's apex lies within
     R / sin(eps_b) of the center, and the samples within
@@ -86,20 +88,13 @@ def sample_reach(eps_b: float) -> float:
     return 1.0 / math.sin(eps_b) + 10.0**SAMPLE_DECADES
 
 
-def _uncovered(start: float, measure: float, psi: float, half: float) -> float:
-    """The measure of the directions (psi - half, psi + half) that lie
-    outside the dark arc from ``start`` of ``measure`` < 2*pi.
-
-    Measured from start, the span runs from o to o + 2*half, and the dark
-    arc covers [0, measure] and, one turn on, [2*pi, 2*pi + measure]; the
-    span is shorter than pi, so it meets no other copy.
-    """
-    o = (psi - half - start) % TWO_PI
-    end = o + 2.0 * half
-    covered = min(end, measure) - o if o < measure else 0.0
-    if end > TWO_PI:
-        covered += min(end - TWO_PI, measure)
-    return 2.0 * half - covered
+def _clears_disk(s: DarkSector, circle: EnclosingCircle) -> bool:
+    """Check (i)'s tangent lemma, as ``verify_darkness`` states it."""
+    (cx, cy), r = circle.center, circle.radius
+    vx, vy = cx - s.apex[0], cy - s.apex[1]
+    floor = r - (1e-12 * r + 16.0 * 2.0**-52 * (math.hypot(vx, vy) + r))
+    return (math.sin(s.dir_lo) * vx - math.cos(s.dir_lo) * vy >= floor
+            and math.cos(s.dir_hi) * vy - math.sin(s.dir_hi) * vx >= floor)
 
 
 @dataclass
@@ -167,14 +162,22 @@ def verify_darkness(
 ) -> DarknessReport:
     """Re-check darkness of a sector against the decomposition it came from.
 
-    (i) for n sampled sector points (log-uniform radii over [1, 1e6]*R, R
-    the radius of ``d.circle``) the directions of rays leaving that circle
-    and reaching them stay inside the dark arc; (ii) the dark arc is
+    (i) rays from the disk of ``d.circle`` (center C, radius R) reach
+    sector points only in directions of the dark arc; (ii) the dark arc is
     disjoint from every image arc; (iii) exit rays traced at component
-    extremes and midpoints never enter the sector.  Check (i) fails a point
-    when more than 1e-12 of its direction span lies outside the dark arc, a
-    measure taken in closed form on plain floats.  A failure flags an
+    extremes and midpoints never enter the sector.  A failure flags an
     upstream resolution problem, not a broken construction.
+
+    Check (i) is the tangent lemma.  The sector is V + K, V the apex and K
+    the closed cone of the arc's directions, and the intersection of P - K
+    over all P in V + K is V - K: so for an opening below pi, as
+    ``build_sector`` makes, check (i) holds exactly when the disk lies in
+    V - K, C at least R right of the lo edge's line and left of the hi
+    edge's, up to a slack of 1e-12*R + 16*2**-52*(|C - V| + R) for rounding.
+    A sector that misses it falls back to n points drawn from
+    ``random.Random(seed)`` (log-uniform radii over [1, 10**SAMPLE_DECADES]*R
+    from the apex), each bad when ``arc_difference`` leaves more than 1e-12
+    of its direction span outside the dark arc.  ``sample_count`` is n.
 
     Check (iii) reads ``probes``, the ``exit_probes(d)`` traced once per
     decomposition and shared by every sector verified against it.  With
@@ -182,30 +185,26 @@ def verify_darkness(
     inside ``d.circle`` (``exit_probes`` checks this), a probe's ray enters
     the open sector exactly when its exit direction lies in the open dark
     arc: rays from the disk reach sector points only in directions of the
-    closed arc (what check (i) samples), and a ray from inside the disk with
-    a direction strictly inside the arc ends up inside the cone.
+    closed arc (check (i)'s lemma), and a ray from inside the disk with a
+    direction strictly inside the arc ends up inside the cone.
     """
     dark = Arc(s.dir_lo, s.dir_hi)
-    start, measure = dark.start, dark.measure
-
-    # one Python call per point, _uncovered: every lookup is hoisted
-    random_ = random.Random(seed).random
-    cos, sin, atan2, asin, hypot = math.cos, math.sin, math.atan2, math.asin, math.hypot
-    lo, (ax, ay), decades = s.dir_lo, s.apex, SAMPLE_DECADES
-    (cx, cy), radius = d.circle.center, d.circle.radius
+    measure = dark.measure
     bad_points: list[Point] = []
-    for _ in range(n):
-        theta = lo + random_() * measure
-        r = radius * 10.0 ** (decades * random_())
-        p = (ax + r * cos(theta), ay + r * sin(theta))
-        # the direction span of p: the direction psi from the center to p,
-        # and the half-width asin(R/dist)
-        dx, dy = p[0] - cx, p[1] - cy
-        dist = hypot(dx, dy)
-        if dist <= radius:
-            raise ValueError("point must lie strictly outside the circle")
-        if _uncovered(start, measure, atan2(dy, dx), asin(radius / dist)) > 1e-12:
-            bad_points.append(p)
+    if not _clears_disk(s, d.circle):
+        rng = random.Random(seed)
+        (ax, ay), (cx, cy), radius = s.apex, d.circle.center, d.circle.radius
+        for _ in range(n):
+            theta = s.dir_lo + rng.random() * measure
+            r = radius * 10.0 ** (SAMPLE_DECADES * rng.random())
+            p = (ax + r * math.cos(theta), ay + r * math.sin(theta))
+            dist = math.hypot(p[0] - cx, p[1] - cy)
+            if dist <= radius:
+                raise ValueError("point must lie strictly outside the circle")
+            psi, half = math.atan2(p[1] - cy, p[0] - cx), math.asin(radius / dist)
+            outside = arc_difference([Arc(psi - half, psi + half)], [dark])
+            if sum(a.measure for a in outside) > 1e-12:
+                bad_points.append(p)
 
     overlapping = sum(
         1 for c in d.components if arc_intersection_measure(dark, c.image) > 1e-12

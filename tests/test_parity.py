@@ -27,9 +27,10 @@ def test_copies_of_one_tree_are_identical(trees, capsys):
     assert parity.compare(*trees, tiny=True, names=("a", "b")) == 0
     # trapped: 2 jobs, random_sectors: 5, unfold_census: 10, at 2 seeds; then
     # the command group: 12 per scene on 6 scenes, plus a capped trace on the
-    # 4 scenes with a direction of 2 or more bounces; then map, unfold and
-    # render to stdout on the 6 scenes, and --help of the 6 commands
-    assert capsys.readouterr().out == ("parity: 134 jobs identical (trapped, random_sectors, "
+    # 4 scenes with a direction of 2 or more bounces, plus sectors on the far
+    # single_mirror, whose check (i) samples; then map, unfold and render to
+    # stdout on the 6 scenes, and --help of the 6 commands
+    assert capsys.readouterr().out == ("parity: 135 jobs identical (trapped, random_sectors, "
                                        "unfold_census at seed(s) 1, 5, tiny; commands): "
                                        "a and b\n")
     # the runs compile no bytecode into either tree

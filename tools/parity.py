@@ -12,7 +12,10 @@ worktree is removed afterwards.
 After the workload jobs comes one group that does not depend on the seed:
 the commands no workload runs (``validate``, ``trace``, ``map`` and
 ``render`` of a scene and of its trace, map and validate reports) on
-``scenes/*.json``, ``tests/scenes/*.json`` and the two ``trapped`` scenes.
+``scenes/*.json``, ``tests/scenes/*.json`` and the two ``trapped`` scenes,
+and one ``sectors`` job on ``scenes/single_mirror.json`` moved 10**6 along
+x, the one job whose sector misses darkness check (i)'s tangent lemma and
+so samples.
 ``trace`` runs at the escaping direction with the most bounces, at that
 direction plus 2*pi, plus 2*pi*10**6 and minus 6*pi, at -0.0, at the
 direction with the most bounces stopped by its ``--cap``, and at the first
@@ -102,7 +105,8 @@ def _jobs(seeds, tiny: bool, scene_dir: Path) -> list[tuple[str, list[str], list
 def _command_jobs(scene_dir: Path) -> list[tuple[str, list[str], list[str]]]:
     """The seed-independent group: every command but ``sectors`` and
     ``unfold`` on each scene file of the repo and each ``trapped`` scene,
-    then the jobs that write to stdout."""
+    then ``sectors`` on a far copy of ``single_mirror``, then the jobs that
+    write to stdout."""
     from bench_scenes import setup
     from darksector.scene import load_scene
     from darksector.tracer import ESCAPED, trace
@@ -153,6 +157,15 @@ def _command_jobs(scene_dir: Path) -> list[tuple[str, list[str], list[str]]]:
             ["unfold", "--scene", str(path)],
             ["render", "--scene", str(path)],
         )]
+    # rounding the apex 10**6 from the origin misses check (i)'s tangent
+    # lemma by about 20 times its slack, so this job runs the sampled check
+    far = json.loads((ROOT / "scenes" / "single_mirror.json").read_text())
+    for point in (far["source"], *(m["anchor"] for m in far["mirrors"])):
+        point[0] += 1e6
+    (scene_dir / "single_mirror_far.json").write_text(json.dumps(far))
+    argv = ["sectors", "--scene", str(scene_dir / "single_mirror_far.json"), *COMMAND_MAP_ARGS,
+            "--darkness-samples", "200", "--out", "commands/single_mirror_far.sectors.json"]
+    jobs.append(("commands single_mirror_far.sectors.json", argv, _outputs(argv)))
     stdout_jobs += [(f"commands {command} --help", [command, "--help"], [])
                     for command in ("validate", "trace", "map", "sectors", "unfold", "render")]
     return jobs + stdout_jobs
