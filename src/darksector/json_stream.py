@@ -4,21 +4,19 @@
 ``json.dumps(doc, indent=2) + "\\n"`` piece by piece, so a report of tens of
 megabytes is never held whole in memory.  A piece is a key with its
 separator and indent, the whole text of one list item with its separator,
-or a closing bracket.  The writer keeps no buffer of its own: batching the
-pieces is left to the file object behind ``write``.  With an indent,
-CPython's ``json`` runs its pure-Python encoder, one generator step per
-value.  This writer formats with the same primitives
-(``encode_basestring_ascii``, ``float.__repr__``, ``int.__repr__``) but
-builds the whole text of each list item, such as one census row or one
-component, in one call: the dicts along the way to the lists are written
-key by key, the items of a list one text each, reused while the same object
-repeats.  So is a dict item whose value is the object the last dict at
-its depth held under its key, such as a census row's one ``cone_angle``.
-Both tests are of identity: -0.0 == 0.0, 1 == 1.0 == True and NaN != NaN.
-Per depth it keeps the indent and separator strings, the text of each key
-with its indent, the last value and item text under each key, and the text
-of each ``[k, side]`` itinerary pair.  ``json.dumps`` stays the oracle that
-tests/test_json_stream.py compares the bytes with.
+or a closing bracket; batching the pieces is left to the file object behind
+``write``.  With an indent, CPython's ``json`` runs its pure-Python encoder,
+one generator step per value.  This writer formats with the same primitives
+(``encode_basestring_ascii``, ``float.__repr__``, ``int.__repr__``) but builds
+each list item, such as one census row, in one call: dicts key by key, a
+long list of known pairs or of one scalar type in one join, a tuple of two
+ints, such as a row's ``sheets``, from its depth's ``%d`` template.  Besides
+reusing an item's text while the same object repeats, it keeps three caches
+per depth: key texts, the last value under each key with its item's text (a
+census row's one ``cone_angle``), and the text of each pair of ints met as a
+list item, keyed by ``id`` (the tracer shares each mirror's two ``lips``).
+Every reuse tests identity: -0.0 == 0.0, (1, 1) == (True, 1), NaN != NaN.
+``json.dumps`` stays the oracle that tests/test_json_stream.py compares with.
 """
 
 from __future__ import annotations
@@ -28,6 +26,7 @@ from json.encoder import encode_basestring_ascii
 # no list item or dict value is this object
 _NOTHING = object()
 _UNSEEN = (_NOTHING, "")
+_JOIN_ABOVE = 8  # a list longer than this is first tried as one join
 
 
 def _float(x: float) -> str:
@@ -47,18 +46,23 @@ _SCALARS = {
 
 class _Level(dict):
     """The strings of a container at one depth: ``inner`` opens an item,
-    ``sep`` separates two, ``close`` precedes the closing bracket.  The dict
-    itself maps each key to ``inner`` plus its text and ``": "``; ``last``
-    maps a dict key to the last value under it and that item's text;
-    ``pairs`` maps a pair of ints to its text as an item of the container."""
+    ``sep`` separates two, ``close`` precedes the closing bracket and
+    ``pair % (i, j)`` writes the tuple (i, j) of two ints here.  The dict
+    maps each key to ``inner`` plus its text and ``": "``; ``last`` maps a
+    dict key to the last value under it and that item's text; ``pairs`` maps
+    the id of a pair of ints to its text as an item, and ``held`` keeps that
+    pair, so no other object takes its id while the writer lives."""
+
+    __slots__ = ("inner", "sep", "close", "pair", "last", "pairs", "held")
 
     def __init__(self, depth: int):
-        super().__init__()
-        self.inner = "\n" + "  " * (depth + 1)
-        self.sep = "," + self.inner
-        self.close = "\n" + "  " * depth
+        self.inner = inner = "\n" + "  " * (depth + 1)
+        self.sep = sep = "," + inner
+        self.close = close = "\n" + "  " * depth
+        self.pair = f"[{inner}%d{sep}%d{close}]"
         self.last: dict = {}
         self.pairs: dict = {}
+        self.held: list = []
 
     def __missing__(self, k) -> str:
         # encode_basestring_ascii raises TypeError for a key that is not a str
@@ -97,22 +101,38 @@ class _Writer:
                 seen, item = last.get(k, _UNSEEN)
                 if seen is not v:
                     scalar = scalars.get(type(v))
-                    item = level[k] + (
-                        scalar(v) if scalar is not None else self.text(v, depth + 1))
+                    if scalar is not None:
+                        item = level[k] + scalar(v)
+                    elif type(v) is tuple and len(v) == 2 and type(v[0]) is type(v[1]) is int:
+                        item = level[k] + self.levels[depth + 1].pair % v
+                    else:
+                        item = level[k] + self.text(v, depth + 1)
                     last[k] = v, item
                 append(item)
             return "{" + ",".join(items) + level.close + "}"
         pairs = level.pairs
+        if len(o) > _JOIN_ABOVE:  # an itinerary of known pairs, or a gluings row
+            kind = type(o[0])
+            if kind is tuple:
+                try:
+                    body = level.sep.join(map(pairs.__getitem__, map(id, o)))
+                    return "[" + level.inner + body + level.close + "]"
+                except KeyError:
+                    pass
+            elif kind in scalars and len(set(map(type, o))) == 1:
+                body = level.sep.join(map(scalars[kind], o))
+                return "[" + level.inner + body + level.close + "]"
         for v in o:
             scalar = scalars.get(type(v))
             if scalar is not None:
                 append(scalar(v))
-            # an itinerary entry: formatted once per depth.  The type tests
-            # keep (1.0, 1) and (True, 1), equal to (1, 1), out of the cache.
-            elif type(v) is tuple and len(v) == 2 and type(v[0]) is int and type(v[1]) is int:
-                text = pairs.get(v)
+            # an itinerary entry: formatted once per object and depth.  The
+            # type tests keep (1.0, 1) and (True, 1), equal to (1, 1), out.
+            elif type(v) is tuple and len(v) == 2 and type(v[0]) is type(v[1]) is int:
+                text = pairs.get(id(v))
                 if text is None:
-                    text = pairs[v] = self.text(v, depth + 1)
+                    text = pairs[id(v)] = self.levels[depth + 1].pair % v
+                    level.held.append(v)
                 append(text)
             else:
                 append(self.text(v, depth + 1))

@@ -15,6 +15,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .exact_angle import TWO_PI, GroupElement, RationalTurn, make_rational_turn
+from .json_stream import write_json
 
 Point = tuple[float, float]
 
@@ -456,5 +457,7 @@ def load_scene(data: "bytes | str") -> Scene:
 
 
 def save_scene(s: Scene) -> bytes:
-    """Serialize a scene; load(save(s)) == s exactly."""
-    return (json.dumps(scene_to_document(s), indent=2) + "\n").encode("utf-8")
+    """Serialize a scene as ``json.dumps(doc, indent=2)``; load(save(s)) == s exactly."""
+    pieces: list[str] = []
+    write_json(scene_to_document(s), pieces.append)
+    return "".join(pieces).encode("utf-8")

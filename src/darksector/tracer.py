@@ -29,11 +29,11 @@ ValueError, and scans every mirror.
 
 The hot-path rule: the circle map traces hundreds of thousands of samples a
 run, so no Python frame but trace's own runs per trace.  Its results are
-built with ``tuple.__new__``, as namedtuple's ``_make`` does, since each
-NamedTuple constructor is one Python call, and statuses are read from module
-constants: an Enum member read off its class costs ~130 ns on CPython 3.11,
-a local ~9 ns.  Per-scene constants are read, not built: an empty cell's
-escape takes its one-point path and identity isometry from
+built with ``_new``, ``tuple.__new__`` read once, as namedtuple's ``_make``
+does, since each NamedTuple constructor is one Python call, and statuses are
+read from module constants: an Enum member read off its class costs ~130 ns
+on CPython 3.11, a local ~9 ns.  Per-scene constants are read, not built:
+an empty cell's escape takes its one-point path and identity isometry from
 :attr:`Scene.source_escape`.
 """
 
@@ -55,6 +55,8 @@ from .scene import EPS_SINGULAR, EnclosingCircle, Point, Scene
 EPS_ADVANCE = 1e-9
 
 DEFAULT_BOUNCE_CAP = 10_000
+
+_new = tuple.__new__
 
 
 class TraceStatus(Enum):
@@ -152,7 +154,7 @@ def trace(scene: Scene, theta0: float, cap: int = DEFAULT_BOUNCE_CAP) -> TraceRe
         rows = cells[bisect_right(bounds, theta0)]
         if not rows:  # the loop's escape at n = 0; + 0.0 makes -0.0 0.0, as its % does
             path, g = scene.source_escape
-            return tuple.__new__(TraceResult, (ESCAPED, (), path, path[0], theta0 + 0.0, g, 0, None))
+            return _new(TraceResult, (ESCAPED, (), path, path[0], theta0 + 0.0, g, 0, None))
     else:
         if cap < 1:
             raise ValueError("bounce cap must be >= 1")
@@ -211,13 +213,13 @@ def trace(scene: Scene, theta0: float, cap: int = DEFAULT_BOUNCE_CAP) -> TraceRe
         rows = scan_rows[index]
     unit = scene.angle_unit
     r = theta % two_pi  # wrap_angle, inlined
-    return tuple.__new__(TraceResult, (
+    return _new(TraceResult, (
         status,
         tuple(itinerary),
         tuple(path),
         pos,
         r if r < two_pi else 0.0,
-        tuple.__new__(GroupElement, (-1 if n % 2 else 1, k % (2 * unit), unit)),
+        _new(GroupElement, (-1 if n % 2 else 1, k % (2 * unit), unit)),
         n,
         stop_point,
     ))

@@ -4,6 +4,7 @@ the oracle it replaces."""
 import enum
 import json
 import math
+import re
 from typing import NamedTuple
 
 import pytest
@@ -178,6 +179,86 @@ def test_equal_pairs_of_other_types_are_not_confused():
     assert streamed(doc) == oracle(doc)
 
 
+# Lists longer than the writer's join threshold, drawn from a few shared
+# pair objects as the tracer shares each mirror's two lips: once a list's
+# pairs are cached by identity, the list is one join.  (1, 1) is shared too,
+# so a pair equal to it but written otherwise must not take its text.
+LONG = json_stream._JOIN_ABOVE + 1
+SHARED_PAIRS = [(0, 1), (0, -1), (3, 1), (3, -1), (12, 1), (1, 1)]
+EQUAL_TO_ONE_ONE = [(1.0, 1), (True, 1), (1, True), [1, 1]]
+long_pair_lists = st.lists(st.sampled_from(SHARED_PAIRS + EQUAL_TO_ONE_ONE),
+                           min_size=LONG, max_size=3 * LONG)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lists=st.lists(long_pair_lists, min_size=1, max_size=4), at=st.integers(0, LONG),
+       new=st.integers(-2, 40))
+def test_long_lists_of_shared_pairs(lists, at, new):
+    # the first list again, with a pair no list held before in mid-list
+    lists.append(lists[0][:at] + [tuple([new, 1])] + lists[0][at:])
+    doc = {"components": [{"itinerary": items} for items in lists], "all": lists}
+    assert streamed(doc) == oracle(doc)
+
+
+@pytest.mark.parametrize("other", EQUAL_TO_ONE_ONE, ids=repr)
+def test_a_joined_list_writes_an_equal_pair_by_its_own_type(other):
+    known = [(1, 1)] * LONG
+    doc = {"itineraries": [known, known[1:] + [other], [other] + known[1:]]}
+    assert streamed(doc) == oracle(doc)
+
+
+def test_int_pairs_as_dict_values_at_three_depths():
+    p, q = (0, 840), (3, -1)
+    rows = [{"sheets": p, "slit": 1}, {"sheets": p, "slit": 2}, {"sheets": q},
+            {"sheets": (1, True)}, {"sheets": (1, 1)}, {"sheets": (1.0, 1)}, {"sheets": [1, 1]},
+            {"sheets": p}]
+    # p under one key at depths 1, 3 and 5
+    doc = {"sheets": p, "cycles": rows, "nested": [{"rows": rows, "sheets": p}]}
+    assert streamed(doc) == oracle(doc)
+    assert streamed(rows) == oracle(rows)
+
+
+@pytest.mark.parametrize(
+    "items",
+    [
+        [7 * i - 20 for i in range(LONG)] + [10**30, -(10**30)],
+        SPECIAL_FLOATS + [NAN, OTHER_NAN, 0.1],
+        [True, False] * LONG,
+        [None] * LONG,
+        ["", "a", "\u00e9", "\u2603", "\U0001f600", "\x00", '"', "\\", "\n"] * 2,
+        # one type, then another: joined with no one formatter
+        [1] * LONG + [True],
+        [True] + [1] * LONG,
+        [1] * LONG + [1.0],
+        [1.0] * LONG + [1],
+        [None] * LONG + [0],
+        ["1"] * LONG + [1],
+    ],
+    ids=["ints", "floats", "bools", "nulls", "strs", "ints-bool", "bool-ints", "ints-float",
+         "floats-int", "nulls-int", "strs-int"],
+)
+def test_long_lists_of_scalars(items):
+    doc = {"row": items, "rows": [items, list(items)], "deeper": [{"row": items}]}
+    assert streamed(doc) == oracle(doc)
+    assert streamed(items) == oracle(items)
+
+
+def test_a_writer_holds_the_pairs_it_cached():
+    # one writer, two documents: the pairs of the first are freed before the
+    # second is built, so its new pairs may be allocated where they were.
+    # Each list is a top-level item, which no memo of the writer holds.
+    chunks = []
+    writer = json_stream._Writer(chunks.append)
+    first = [[(k, 1) for k in range(2 * LONG)]]
+    writer.value(first, 0)
+    assert "".join(chunks) + "\n" == oracle(first)
+    del first
+    chunks.clear()
+    second = [[(k, -1) for k in range(100, 100 + 2 * LONG)]]
+    writer.value(second, 0)
+    assert "".join(chunks) + "\n" == oracle(second)
+
+
 def test_large_document_is_written_in_several_chunks():
     components = [{"itinerary": [(k % 7, 1 - 2 * (k % 2)) for k in range(400)],
                    "arc": {"start": k / 3, "end": k / 2}} for k in range(200)]
@@ -243,6 +324,36 @@ def test_unknown_type_raises_type_error(value):
 def test_non_string_key_raises_type_error():
     with pytest.raises(TypeError):
         streamed({"ok": {1: 2}})
+
+
+@pytest.mark.parametrize(
+    "items",
+    [[Side.LEFT] * LONG, [Pair(1, -1)] * LONG, [(1, 1)] * LONG + [Pair(1, 1)],
+     [(1, 1)] * LONG + [(Side.LEFT, 1)], [(1, 1)] * LONG + [(1, Side.RIGHT)]],
+    ids=["int-enums", "named-tuples", "pairs-named-tuple", "pairs-enum-first",
+         "pairs-enum-second"],
+)
+def test_long_list_of_subclasses_raises_type_error(items):
+    # a top-level list is written item by item, a deeper one tried as a join
+    for doc in (items, [items], [{"known": [(1, 1)] * LONG, "itinerary": items}]):
+        with pytest.raises(TypeError):
+            streamed(doc)
+
+
+BIG = 10**5000  # more digits than int-to-text conversion allows
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"sheets": (BIG, 1)}, [{"sheets": (1, -BIG)}], [{"itinerary": [(BIG, 1)]}],
+     [{"itinerary": [(0, 1)] * LONG + [(1, BIG)]}], [{"row": [BIG] * LONG}]],
+    ids=["top-dict-value", "dict-value", "list-item", "long-list", "ints"],
+)
+def test_a_pair_with_too_many_digits_raises_as_json_does(doc):
+    with pytest.raises(ValueError) as expected:
+        json.dumps(doc, indent=2)
+    with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+        streamed(doc)
 
 
 @pytest.fixture

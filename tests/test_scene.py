@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from darksector.scene import (
     load_scene,
     point_segment_distance,
     save_scene,
+    scene_to_document,
     segment_distance,
     validate_scene,
 )
@@ -312,6 +314,17 @@ class TestSceneIO:
     def test_round_trip_random_scenes(self, seed):
         s = random_scene(random.Random(seed))
         assert load_scene(save_scene(s)) == s
+
+    def test_saved_bytes_are_json_dumps_of_the_document(self, toy_scene):
+        tests = Path(__file__).resolve().parent
+        files = [*sorted((tests.parent / "scenes").glob("*.json")),
+                 *sorted((tests / "scenes").glob("*.json"))]
+        assert len(files) >= 4
+        rng = random.Random(27)
+        scenes = [toy_scene, *(load_scene(f.read_bytes()) for f in files),
+                  *(random_scene(rng) for _ in range(50))]
+        for s in scenes:
+            assert save_scene(s) == (json.dumps(scene_to_document(s), indent=2) + "\n").encode()
 
 
 # scene files holding bytes or numbers that cannot become text or a float;
