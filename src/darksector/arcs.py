@@ -7,19 +7,29 @@ wrap through 0.  Equal endpoints denote the full circle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact_angle import TWO_PI, wrap_angle
 
 
-@dataclass(frozen=True)
-class Arc:
+# A NamedTuple body may not define __new__: Arc wraps its ends in a subclass.
+class _Arc(NamedTuple):
     start: float
     end: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "start", wrap_angle(self.start))
-        object.__setattr__(self, "end", wrap_angle(self.end))
+
+class Arc(_Arc):
+    """Both ends are wrapped into [0, 2*pi) on construction, ``_replace``
+    included."""
+
+    __slots__ = ()
+
+    def __new__(cls, start: float, end: float):
+        return tuple.__new__(cls, (wrap_angle(start), wrap_angle(end)))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def measure(self) -> float:

@@ -14,7 +14,7 @@ and statuses tested against the tracer's module constants, not the Enum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arcs import Arc, _pieces, angle_distance, arc_difference
 from .exact_angle import TWO_PI, GroupElement, apply, inverse, wrap_angle
@@ -28,8 +28,7 @@ DEFAULT_EPS_B = 1e-10
 MIN_OVERLAP = 1e-9
 
 
-@dataclass(frozen=True)
-class MapComponent:
+class MapComponent(NamedTuple):
     """One maximal escape arc: constant itinerary, one exact isometry."""
 
     arc: Arc
@@ -38,15 +37,13 @@ class MapComponent:
     image: Arc
 
 
-@dataclass(frozen=True)
-class DecompositionParams:
+class DecompositionParams(NamedTuple):
     seeds: int
     eps_b: float
     cap: int
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     scene: Scene
     circle: EnclosingCircle
     params: DecompositionParams

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arcs import Arc, arc_difference, arc_intersection_measure
 from .circle_map import Decomposition
@@ -28,8 +28,7 @@ MAX_SECTOR_MEASURE = math.pi - 1e-6
 SAMPLE_DECADES = 6
 
 
-@dataclass(frozen=True)
-class DarkSector:
+class DarkSector(NamedTuple):
     """An open infinite planar sector disjoint from the enclosing disk."""
 
     apex: Point
@@ -97,8 +96,7 @@ def _clears_disk(s: DarkSector, circle: EnclosingCircle) -> bool:
             and math.cos(s.dir_hi) * vy - math.sin(s.dir_hi) * vx >= floor)
 
 
-@dataclass
-class DarknessReport:
+class DarknessReport(NamedTuple):
     """Outcome of the three independent darkness checks."""
 
     sample_count: int

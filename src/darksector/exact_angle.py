@@ -10,8 +10,6 @@ generate a finite dihedral group of such integer pairs (s, k).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Iterable, NamedTuple
 
@@ -30,27 +28,40 @@ def wrap_angle(theta: float) -> float:
     return r if r < TWO_PI else 0.0
 
 
-@dataclass(frozen=True)
-class RationalTurn:
-    """The angle (num/den)*pi, reduced and normalized so 0 <= num/den < 2.
-
-    Instances must already be canonical; use :func:`make_rational_turn` to
-    build one from an arbitrary integer pair.
-    """
-
+# A NamedTuple body may not define __new__: RationalTurn checks in a subclass.
+class _RationalTurn(NamedTuple):
     num: int
     den: int
 
-    def __post_init__(self) -> None:
-        if self.den < 1:
-            raise ValueError(f"denominator must be positive, got {self.den}")
-        if gcd(abs(self.num), self.den) != 1:
-            raise ValueError(f"{self.num}/{self.den} is not reduced")
-        if not 0 <= self.num < 2 * self.den:
-            raise ValueError(f"{self.num}/{self.den} is not normalized modulo 2")
+
+class RationalTurn(_RationalTurn):
+    """The angle (num/den)*pi, reduced and normalized so 0 <= num/den < 2.
+
+    Instances must already be canonical, ``_replace`` included; use
+    :func:`make_rational_turn` to build one from an arbitrary integer pair.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, num: int, den: int):
+        if den < 1:
+            raise ValueError(f"denominator must be positive, got {den}")
+        if gcd(abs(num), den) != 1:
+            raise ValueError(f"{num}/{den} is not reduced")
+        if not 0 <= num < 2 * den:
+            raise ValueError(f"{num}/{den} is not normalized modulo 2")
+        return tuple.__new__(cls, (num, den))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
-    def fraction(self) -> Fraction:
+    def fraction(self):
+        """The angle over pi as a ``fractions.Fraction``, imported on first
+        use: the CLI never reads it."""
+        from fractions import Fraction
+
         return Fraction(self.num, self.den)
 
     def radians(self) -> float:

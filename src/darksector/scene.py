@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -40,8 +39,7 @@ class SceneFormatError(ValueError):
         super().__init__(f"{field}: {message}" if field else message)
 
 
-@dataclass(frozen=True)
-class Mirror:
+class Mirror(NamedTuple):
     """A two-sided mirror segment: anchor endpoint, length and exact angle."""
 
     anchor: Point
@@ -76,12 +74,14 @@ class MirrorGeometry(NamedTuple):
 ScanRow = tuple[float, float, float, float, float, float, MirrorGeometry]
 
 
-@dataclass(frozen=True)
-class Scene:
-    """An ordered collection of disjoint mirrors plus the light source."""
-
+class _Scene(NamedTuple):
     mirrors: tuple[Mirror, ...]
     source: Point
+
+
+class Scene(_Scene):
+    """An ordered collection of disjoint mirrors plus the light source.  The
+    subclass keeps an instance dict, where the tables below are cached."""
 
     @cached_property
     def angle_unit(self) -> int:
@@ -184,8 +184,7 @@ def _source_arc(source: Point, row: ScanRow) -> tuple[tuple[float, float], ...]:
     return ((start, end),) if start < end else ((0.0, end), (start, TWO_PI))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     detail: str
     mirrors: tuple[int, ...] = ()
@@ -299,8 +298,7 @@ def validate_scene(s: Scene) -> list[Violation]:
     return out
 
 
-@dataclass(frozen=True)
-class EnclosingCircle:
+class EnclosingCircle(NamedTuple):
     """A circle whose open disk contains every mirror and the source."""
 
     center: Point

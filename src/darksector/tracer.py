@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -70,8 +69,7 @@ BOUNCE_CAP_EXCEEDED = TraceStatus.BOUNCE_CAP_EXCEEDED
 SINGULAR = TraceStatus.SINGULAR
 
 
-@dataclass(frozen=True)
-class Hit:
+class Hit(NamedTuple):
     """A regular mirror hit: 1-based mirror index, lip side, point, ray parameter."""
 
     mirror_index: int
@@ -80,8 +78,7 @@ class Hit:
     t: float
 
 
-@dataclass(frozen=True)
-class SingularStop:
+class SingularStop(NamedTuple):
     """The nearest intersection is unusable: endpoint-adjacent or grazing."""
 
     mirror_index: int

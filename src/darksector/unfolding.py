@@ -13,7 +13,7 @@ degree is 2Nn - 4N and the genus 1 + N(n - 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact_angle import DEFAULT_GROUP_CAP, GroupElement, reflection_group
 from .scene import Scene
@@ -23,8 +23,7 @@ ENDPOINTS = ("first", "second")
 CONE_ANGLE = 4.0 * math.pi
 
 
-@dataclass(frozen=True)
-class UnfoldedSurface:
+class UnfoldedSurface(NamedTuple):
     """Sheets labeled by group elements and one gluing involution per slit.
 
     ``gluings[k][i]`` is the sheet index glued to sheet i across slit k; the

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from bisect import bisect_left
@@ -95,6 +96,32 @@ def toy_scene() -> Scene:
 @pytest.fixture
 def parallel_scene() -> Scene:
     return make_parallel_scene()
+
+
+# characters of each text shown on either side of the first difference
+TEXT_CONTEXT = 30
+
+
+def assert_same_text(actual: str, expected: str, label=None) -> None:
+    """Fail at once when two report-sized texts differ, with both lengths,
+    both SHA-256 digests, the first differing index and the text around it.
+    pytest's own explanation of ``assert a == b`` diffs the two texts line
+    by line, which runs for minutes on a multi-megabyte report."""
+    if actual == expected:
+        return
+    block, i = 4096, 0
+    while actual[i:i + block] == expected[i:i + block]:
+        i += block
+    while actual[i:i + 1] == expected[i:i + 1]:
+        i += 1
+    lo, hi = max(i - TEXT_CONTEXT, 0), i + TEXT_CONTEXT
+
+    def describe(text):
+        digest = hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
+        return f"{len(text)} characters, sha256 {digest}, around it {text[lo:hi]!r}"
+
+    pytest.fail(f"{'' if label is None else f'{label}: '}texts differ first at index {i}\n"
+                f"  actual:   {describe(actual)}\n  expected: {describe(expected)}")
 
 
 def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:

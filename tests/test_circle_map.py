@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import math
@@ -10,6 +9,7 @@ import pytest
 
 from conftest import (
     angles_close,
+    assert_same_text,
     in_arc,
     make_box_scene,
     make_parallel_scene,
@@ -334,8 +334,8 @@ class TestUnlitArcs:
         # eps_b before 2: an unlit gap of 3 eps_b is dropped, one of 5 kept
         d = hand_built([(Arc(1.0, 2.0 - short * 1e-6), GroupElement(1, 0, 6))])
         assert d.params.eps_b == 1e-6
-        comp = dataclasses.replace(d.components[0], arc=Arc(1.0, 2.0))
-        assert len(unlit_arcs(dataclasses.replace(d, components=(comp,)))) == count
+        comp = d.components[0]._replace(arc=Arc(1.0, 2.0))
+        assert len(unlit_arcs(d._replace(components=(comp,)))) == count
 
     def test_unlit_disjoint_from_images(self, toy_scene):
         d = decompose(toy_scene, enclosing_circle(toy_scene), seeds=1024, cap=200)
@@ -448,8 +448,8 @@ class TestSamplerOracle:
     def test_matches_the_oracle_on_fixed_scenes(self, name):
         make_scene, params = SAMPLER_CASES[name]
         scene = make_scene()
-        assert report_text(decompose, scene, *params) == report_text(
-            reference_decompose, scene, *params)
+        assert_same_text(report_text(decompose, scene, *params),
+                         report_text(reference_decompose, scene, *params))
 
     def test_matches_the_oracle_on_random_scenes(self):
         rng = random.Random(16)
@@ -457,8 +457,8 @@ class TestSamplerOracle:
             scene = random_scene(rng)
             params = ((8, 16, 64, 256)[i % 4], (1e-4, 1e-8, 1e-12, 1e-15, 1e-17)[i % 5],
                       (3, 12, 40)[i % 3])
-            assert report_text(decompose, scene, *params) == report_text(
-                reference_decompose, scene, *params), (i, params)
+            assert_same_text(report_text(decompose, scene, *params),
+                             report_text(reference_decompose, scene, *params), (i, params))
 
     def test_a_run_start_that_wraps_to_zero(self):
         # the mirror subtends ~1e-6 rad just above theta = 0, so the last
@@ -471,8 +471,8 @@ class TestSamplerOracle:
         )
         d = decompose(scene, enclosing_circle(scene), seeds=8, eps_b=1e-17, cap=5)
         assert d.singular_directions[0] == 0.0
-        assert report_text(decompose, scene, 8, 1e-17, 5) == report_text(
-            reference_decompose, scene, 8, 1e-17, 5)
+        assert_same_text(report_text(decompose, scene, 8, 1e-17, 5),
+                         report_text(reference_decompose, scene, 8, 1e-17, 5))
 
 
 class TestSampledDirections:
@@ -641,10 +641,10 @@ class TestWitness:
         d = single_mirror_decomposition(single_mirror_scene, single_mirror_circle)
         assert witness_violations(d) == []
         first, second = d.components
-        wider = dataclasses.replace(first, arc=Arc(first.arc.start, first.arc.end + 1e-3))
+        wider = first._replace(arc=Arc(first.arc.start, first.arc.end + 1e-3))
         for broken, named in (
-            (dataclasses.replace(d, components=(wider, second)), first),
-            (dataclasses.replace(d, components=(first, first, second)), first),
-            (dataclasses.replace(d, singular_directions=d.singular_directions[1:]), second),
+            (d._replace(components=(wider, second)), first),
+            (d._replace(components=(first, first, second)), first),
+            (d._replace(singular_directions=d.singular_directions[1:]), second),
         ):
             assert WitnessViolation(1, named.arc.start) in witness_violations(broken)

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import json
 import math
@@ -270,16 +269,16 @@ class TestCheckI:
             "center": circle.center,
             "push": (x + 1e-7 * math.sin(s.dir_lo), y - 1e-7 * math.cos(s.dir_lo)),
         }[move]
-        assert _clears_disk(dataclasses.replace(s, apex=apex), circle) is clears
+        assert _clears_disk(s._replace(apex=apex), circle) is clears
 
     def test_a_far_sector_falls_back_to_sampling_and_passes(self):
         # single_mirror moved 10**6 along x, as tools/parity.py runs it: the
         # apex's rounding there misses the lemma's slack, so check (i)
         # samples, and finds no bad point
         scene = make_single_mirror_scene()
-        scene = dataclasses.replace(
-            scene, source=(scene.source[0] + 1e6, scene.source[1]),
-            mirrors=tuple(dataclasses.replace(m, anchor=(m.anchor[0] + 1e6, m.anchor[1]))
+        scene = scene._replace(
+            source=(scene.source[0] + 1e6, scene.source[1]),
+            mirrors=tuple(m._replace(anchor=(m.anchor[0] + 1e6, m.anchor[1]))
                           for m in scene.mirrors))
         d = decompose(scene, enclosing_circle(scene), seeds=64, eps_b=1e-4, cap=30)
         (arc,) = unlit_arcs(d)
@@ -391,7 +390,7 @@ class TestVerifyDarkness:
         circle = EnclosingCircle((0.0, 0.0), 1.0)
         s = build_sector(Arc(1.0, 1.0 + 1e-6), circle)
         (x, y), c, si = s.apex, math.cos(turn), math.sin(turn)
-        s = dataclasses.replace(s, apex=(c * x - si * y, si * x + c * y))
+        s = s._replace(apex=(c * x - si * y, si * x + c * y))
         d = types.SimpleNamespace(circle=circle, components=())
         report = verify_darkness(s, d, 200, [], seed=0)
         assert report.direction_inclusion_ok is ok
@@ -434,7 +433,7 @@ class TestVerifyDarkness:
         d = decompose(scene, enclosing_circle(scene), seeds=seeds, eps_b=eps_b, cap=cap)
         probes = exit_probes(d)
         sectors = [build_sector(shrink_below_pi(a), d.circle) for a in unlit_arcs(d)]
-        moved = [dataclasses.replace(s, apex=d.circle.center) for s in sectors]
+        moved = [s._replace(apex=d.circle.center) for s in sectors]
         for i, s in enumerate(sectors):
             assert verify_darkness(s, d, 200, probes, seed=i).direction_inclusion_ok
         for i, s in enumerate(moved):

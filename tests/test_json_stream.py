@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 import darksector.cli as cli
 import darksector.json_stream as json_stream
+from conftest import assert_same_text
+from darksector.arcs import Arc
 from darksector.exact_angle import make_rational_turn
 from darksector.json_stream import write_json
 from darksector.scene import Mirror, Scene, save_scene
@@ -151,7 +153,7 @@ def test_census_formats_its_one_cone_angle_once(monkeypatch):
     assert len(doc["cycles"]) == 2 * 2 * 840
     text = streamed(doc)
     assert calls == [CONE_ANGLE]
-    assert text == oracle(doc)
+    assert_same_text(text, oracle(doc))
 
 
 def test_repeated_items_are_written_like_distinct_ones():
@@ -266,7 +268,7 @@ def test_large_document_is_written_in_several_chunks():
     chunks = []
     write_json(doc, chunks.append)
     assert len(chunks) > 1
-    assert "".join(chunks) == oracle(doc)
+    assert_same_text("".join(chunks), oracle(doc))
     # no chunk is longer than one list item: its text at depth 2 (each line
     # indented 4 more spaces) and its separator
     longest = max(len(json.dumps(c, indent=2).replace("\n", "\n    ")) for c in components)
@@ -302,7 +304,7 @@ class Points(list):
 # values json.dumps writes as their base type, which the writer refuses:
 # it takes values of exactly the plain JSON types
 SUBCLASS_VALUES = [Side.LEFT, Status.ESCAPED, Measure(0.1), Pair(1.0, -0.0),
-                   Row(a=1), Points([1]), Row(), Points()]
+                   Row(a=1), Points([1]), Row(), Points(), Arc(1.0, 2.0)]
 NOT_JSON = [object(), {1, 2}, b"bytes", 1j]
 
 
@@ -310,7 +312,7 @@ NOT_JSON = [object(), {1, 2}, b"bytes", 1j]
     "value", NOT_JSON + SUBCLASS_VALUES,
     ids=[None] * len(NOT_JSON) + ["int-enum", "str-enum", "float-subclass", "named-tuple",
                                   "dict-subclass", "list-subclass", "empty-dict-subclass",
-                                  "empty-list-subclass"],
+                                  "empty-list-subclass", "arc"],
 )
 def test_unknown_type_raises_type_error(value):
     for doc in ({"ok": [1, 2], "bad": [value]}, {"bad": value}, [value], value):
@@ -423,7 +425,7 @@ def test_every_golden_report_matches_the_oracle(tmp_path, recorded_docs):
     for name, argv in _golden_runs(tmp_path):
         out = tmp_path / f"{name}.json"
         cli.main([*argv, "--out", str(out)])
-        assert out.read_text(encoding="ascii") == oracle(recorded_docs[-1]), name
+        assert_same_text(out.read_text(encoding="ascii"), oracle(recorded_docs[-1]), name)
         # the CLI hands the writer plain values only
         assert plain_value_types(recorded_docs[-1]) == set(), name
         names.append(name)
