@@ -38,7 +38,7 @@ from .scene import (
     validate_scene,
 )
 from .tracer import TraceResult, TraceStatus, exit_ray, trace
-from .unfolding import build_surface, census_report, cone_cycles, total_dark_angle
+from .unfolding import build_surface, census_report, cone_cycles, total_dark_angle, write_census
 
 __version__ = "0.1.0"
 
@@ -78,4 +78,5 @@ __all__ = [
     "unlit_arcs",
     "validate_scene",
     "verify_darkness",
+    "write_census",
 ]

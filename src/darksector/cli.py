@@ -55,7 +55,7 @@ from .scene import (
 from .json_stream import write_json
 from .svg_render import VIEWPORT_RADII, render_svg
 from .tracer import DEFAULT_BOUNCE_CAP, TraceStatus, exit_ray, trace
-from .unfolding import build_surface, census_report, cone_cycles
+from .unfolding import build_surface, write_census
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -71,14 +71,15 @@ class _Exit(Exception):
     ``args[1]``."""
 
 
-def _emit(out: str | dict, path: str | None) -> None:
+def _emit(out, path: str | None) -> None:
     """Write out to path, or to stdout when no path is given: a str as it
-    is, any other value as the report ``write_json`` streams.  The file
-    appears at path only once complete; a path that cannot be written ends
-    the command with exit 1 and leaves any file already there unchanged,
-    and so does a stdout that cannot be written, such as a pipe closed
-    early."""
-    produce = (lambda w: w(out)) if isinstance(out, str) else functools.partial(write_json, out)
+    is, a producer ``(write) -> None`` by passing it ``write``, and any
+    other value as the report ``write_json`` streams.  The file appears at
+    path only once complete; a path that cannot be written ends the command
+    with exit 1 and leaves any file already there unchanged, and so does a
+    stdout that cannot be written, such as a pipe closed early."""
+    produce = (out if callable(out) else (lambda w: w(out)) if isinstance(out, str)
+               else functools.partial(write_json, out))
     if path is None:
         try:
             produce(sys.stdout.write)
@@ -269,11 +270,10 @@ def _cmd_unfold(args: argparse.Namespace) -> tuple[int, str | None]:
         surface = build_surface(scene, group_cap=args.group_cap)
     except GroupOrderError as e:
         raise _Exit(EXIT_INTERNAL, f"error: {e}") from None
-    doc = census_report(surface, cone_cycles(surface))
-    _emit(doc, args.out)
-    return EXIT_OK, (f"unfold: {doc['sheet_count']} sheet(s), {len(doc['zeros'])} zero(s), "
-                     f"{len(doc['poles'])} pole(s), genus {doc['genus']}, "
-                     f"chi {doc['euler_characteristic']}")
+    _emit(functools.partial(write_census, surface), args.out)
+    sheets, genus = surface.sheet_count, surface.genus
+    return EXIT_OK, (f"unfold: {sheets} sheet(s), {surface.slit_count * sheets} zero(s), "
+                     f"{sheets} pole(s), genus {genus}, chi {2 - 2 * genus}")
 
 
 def _points(value, where: str, count: int | None = None) -> list:

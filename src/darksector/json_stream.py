@@ -8,14 +8,13 @@ or a closing bracket; batching the pieces is left to the file object behind
 ``write``.  With an indent, CPython's ``json`` runs its pure-Python encoder,
 one generator step per value.  This writer formats with the same primitives
 (``encode_basestring_ascii``, ``float.__repr__``, ``int.__repr__``) but builds
-each list item, such as one census row, in one call: dicts key by key, a
+each list item, such as one map component, in one call: dicts key by key, a
 long list of known pairs or of one scalar type in one join, a tuple of two
-ints, such as a row's ``sheets``, from its depth's ``%d`` template.  Besides
-reusing an item's text while the same object repeats, it keeps three caches
-per depth: key texts, the last value under each key with its item's text (a
-census row's one ``cone_angle``), and the text of each pair of ints met as a
-list item, keyed by ``id`` (the tracer shares each mirror's two ``lips``).
-Every reuse tests identity: -0.0 == 0.0, (1, 1) == (True, 1), NaN != NaN.
+ints from its depth's ``%d`` template.  Besides reusing an item's text while
+the same object repeats, it keeps two caches per depth: key texts, and the
+text of each pair of ints met as a list item, keyed by ``id`` (the tracer
+shares each mirror's two ``lips``).  Every reuse tests identity: -0.0 ==
+0.0, (1, 1) == (True, 1), NaN != NaN.
 ``json.dumps`` stays the oracle that tests/test_json_stream.py compares with.
 """
 
@@ -23,9 +22,8 @@ from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
 
-# no list item or dict value is this object
+# no list item is this object
 _NOTHING = object()
-_UNSEEN = (_NOTHING, "")
 _JOIN_ABOVE = 8  # a list longer than this is first tried as one join
 
 
@@ -48,19 +46,17 @@ class _Level(dict):
     """The strings of a container at one depth: ``inner`` opens an item,
     ``sep`` separates two, ``close`` precedes the closing bracket and
     ``pair % (i, j)`` writes the tuple (i, j) of two ints here.  The dict
-    maps each key to ``inner`` plus its text and ``": "``; ``last`` maps a
-    dict key to the last value under it and that item's text; ``pairs`` maps
+    maps each key to ``inner`` plus its text and ``": "``; ``pairs`` maps
     the id of a pair of ints to its text as an item, and ``held`` keeps that
     pair, so no other object takes its id while the writer lives."""
 
-    __slots__ = ("inner", "sep", "close", "pair", "last", "pairs", "held")
+    __slots__ = ("inner", "sep", "close", "pair", "pairs", "held")
 
     def __init__(self, depth: int):
         self.inner = inner = "\n" + "  " * (depth + 1)
         self.sep = sep = "," + inner
         self.close = close = "\n" + "  " * depth
         self.pair = f"[{inner}%d{sep}%d{close}]"
-        self.last: dict = {}
         self.pairs: dict = {}
         self.held: list = []
 
@@ -96,22 +92,17 @@ class _Writer:
         items = []
         append = items.append
         if kind is dict:
-            last = level.last  # the memo holds v, so no other object takes its id
             for k, v in o.items():
-                seen, item = last.get(k, _UNSEEN)
-                if seen is not v:
-                    scalar = scalars.get(type(v))
-                    if scalar is not None:
-                        item = level[k] + scalar(v)
-                    elif type(v) is tuple and len(v) == 2 and type(v[0]) is type(v[1]) is int:
-                        item = level[k] + self.levels[depth + 1].pair % v
-                    else:
-                        item = level[k] + self.text(v, depth + 1)
-                    last[k] = v, item
-                append(item)
+                scalar = scalars.get(type(v))
+                if scalar is not None:
+                    append(level[k] + scalar(v))
+                elif type(v) is tuple and len(v) == 2 and type(v[0]) is type(v[1]) is int:
+                    append(level[k] + self.levels[depth + 1].pair % v)
+                else:
+                    append(level[k] + self.text(v, depth + 1))
             return "{" + ",".join(items) + level.close + "}"
         pairs = level.pairs
-        if len(o) > _JOIN_ABOVE:  # an itinerary of known pairs, or a gluings row
+        if len(o) > _JOIN_ABOVE:  # an itinerary of known pairs, or a list of scalars
             kind = type(o[0])
             if kind is tuple:
                 try:
@@ -156,8 +147,8 @@ class _Writer:
             write(level.close + "}")
             return
         sep = "[" + level.inner
-        # an item that is the object before it, such as the census's shared
-        # zero rows, has that item's text: a text depends on object and depth
+        # an item that is the object before it has that item's text: a text
+        # depends on object and depth
         prev = text = _NOTHING
         for v in o:
             if v is not prev:

@@ -21,6 +21,15 @@ from .scene import Scene
 ENDPOINTS = ("first", "second")
 # a sweep around a slit endpoint crosses two full sheets
 CONE_ANGLE = 4.0 * math.pi
+# write_census writes a list in pieces of at most this many items (~140 KB)
+CHUNK_ROWS = 1024
+# the census rows as json.dumps(..., indent=2) writes them at depth 2
+_SHEET = '\n    {\n      "s": %d,\n      "c_num": %d,\n      "c_den": %d\n    }'
+_CYCLE = '\n    {\n      "slit": %d,\n      "endpoint": "%s",\n      "sheets": [\n        '
+_CYCLE_END = '\n      ],\n      "length": 2,\n      "cone_angle": %r\n    }'
+_ZERO = '\n    {\n      "slit": %d,\n      "endpoint": "%s",\n      "order": 1\n    }'
+_POLE = '\n    {\n      "sheet_index": %s,\n      "order": 2,\n      "residue": 0\n    }'
+_GLUED = "\n      "  # one sheet index of a gluings row
 
 
 class UnfoldedSurface(NamedTuple):
@@ -40,6 +49,11 @@ class UnfoldedSurface(NamedTuple):
     @property
     def slit_count(self) -> int:
         return len(self.gluings)
+
+    @property
+    def genus(self) -> int:
+        """1 + N(n - 2), for n slits and 2N sheets."""
+        return 1 + self.sheet_count // 2 * (self.slit_count - 2)
 
 
 def build_surface(scene: Scene, group_cap: int = DEFAULT_GROUP_CAP) -> UnfoldedSurface:
@@ -117,3 +131,47 @@ def census_report(s: UnfoldedSurface, cycles: list[dict]) -> dict:
         "genus": genus,
         "euler_characteristic": 2 - 2 * genus,
     }
+
+
+
+def write_census(s: UnfoldedSurface, write) -> None:
+    """Pass ``write`` the text of ``json.dumps(census_report(s, cone_cycles(s)),
+    indent=2) + "\\n"`` with no row dict: rows are filled into templates, and
+    no write holds more than CHUNK_ROWS items of a list."""
+    m, n = s.sheet_count, s.sheet_count // 2
+    ints = [str(i) for i in range(m)]
+    block = range(0, n, CHUNK_ROWS)  # the pieces of one (slit, endpoint) block
+    end = _CYCLE_END % CONE_ANGLE
+
+    def gluings():
+        for perm in s.gluings:
+            for lo in range(0, m, CHUNK_ROWS):
+                text = _GLUED + ("," + _GLUED).join(map(ints.__getitem__, perm[lo:lo + CHUNK_ROWS]))
+                yield ("" if lo else "\n    [") + text + ("\n    ]" if lo + CHUNK_ROWS >= m else "")
+
+    def cycles():
+        for k, perm in enumerate(s.gluings, start=1):
+            # cycle i is (i, perm[i]) at both endpoints of the slit
+            pairs = list(map(",\n        ".join, zip(ints, map(ints.__getitem__, perm[:n]))))
+            for head in [_CYCLE % (k, endpoint) for endpoint in ENDPOINTS]:
+                for lo in block:
+                    yield head + (end + "," + head).join(pairs[lo:lo + CHUNK_ROWS]) + end
+
+    write(f'{{\n  "sheet_count": {m},\n  "slit_count": {s.slit_count}')
+    for key, pieces in (
+        ("sheets", (",".join([_SHEET % (g.s, *g.c) for g in s.sheets[lo:lo + CHUNK_ROWS]])
+                    for lo in range(0, m, CHUNK_ROWS))),
+        ("gluings", gluings()),
+        ("cycles", cycles()),
+        ("zeros", (",".join([_ZERO % (k, endpoint)] * min(CHUNK_ROWS, n - lo))
+                   for k in range(1, s.slit_count + 1) for endpoint in ENDPOINTS for lo in block)),
+        ("poles", (",".join(map(_POLE.__mod__, ints[lo:lo + CHUNK_ROWS]))
+                   for lo in range(0, m, CHUNK_ROWS))),
+    ):
+        sep = f',\n  "{key}": ['
+        for piece in pieces:
+            write(sep + piece)
+            sep = ","
+        write("\n  ]" if sep == "," else f',\n  "{key}": []')
+    write(f',\n  "degree": {2 * s.genus - 2},\n  "genus": {s.genus},\n'
+          f'  "euler_characteristic": {2 - 2 * s.genus}\n}}\n')

@@ -54,6 +54,18 @@ def make_parallel_scene() -> Scene:
     )
 
 
+def make_dihedral_scene(n: int) -> Scene:
+    """Mirrors at angles 0 and pi/n, one above the other: a reflection group
+    of order 2n."""
+    return Scene(
+        mirrors=(
+            Mirror(anchor=(-1.0, 0.0), length=2.0, angle=make_rational_turn(0, 1)),
+            Mirror(anchor=(-1.0, 1.0), length=2.0, angle=make_rational_turn(1, n)),
+        ),
+        source=(0.0, 0.5),
+    )
+
+
 def make_box_scene(gap: float = 1e-3) -> Scene:
     """Four mirrors around the square [-1, 1]^2, their corners ``gap`` apart
     along each side, with the source inside."""

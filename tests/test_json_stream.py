@@ -13,12 +13,11 @@ from hypothesis import strategies as st
 
 import darksector.cli as cli
 import darksector.json_stream as json_stream
-from conftest import assert_same_text
+from conftest import assert_same_text, make_dihedral_scene
 from darksector.arcs import Arc
-from darksector.exact_angle import make_rational_turn
 from darksector.json_stream import write_json
-from darksector.scene import Mirror, Scene, save_scene
-from darksector.unfolding import CONE_ANGLE, build_surface, census_report, cone_cycles
+from darksector.scene import load_scene, save_scene
+from darksector.unfolding import build_surface, census_report, cone_cycles
 from test_golden import (
     COMMANDS,
     GOLDEN,
@@ -96,12 +95,12 @@ SHARED_LIST = [1, -0.0, "first"]
 SHARED_DICT = {"slit": SHARED_LIST, "sheets": 0.0}  # the list one level deeper
 POOL = [-0.0, 0.0, NAN, OTHER_NAN, math.inf, 1, 1.0, True, "second",
         SHARED_LIST, SHARED_DICT, [], {}]
-MEMO_KEYS = ["slit", "sheets", "cone_angle"]
+SHARED_KEYS = ["slit", "sheets", "cone_angle"]
 pooled = st.sampled_from(POOL)
 pooled_rows = st.recursive(
-    st.lists(st.dictionaries(st.sampled_from(MEMO_KEYS), pooled, max_size=3), max_size=6),
+    st.lists(st.dictionaries(st.sampled_from(SHARED_KEYS), pooled, max_size=3), max_size=6),
     lambda rows: st.lists(
-        st.dictionaries(st.sampled_from(MEMO_KEYS), st.one_of(pooled, rows), max_size=3),
+        st.dictionaries(st.sampled_from(SHARED_KEYS), st.one_of(pooled, rows), max_size=3),
         max_size=6,
     ),
     max_leaves=20,
@@ -109,7 +108,7 @@ pooled_rows = st.recursive(
 
 
 @settings(max_examples=200, deadline=None)
-@given(doc=st.one_of(pooled_rows, st.dictionaries(st.sampled_from(MEMO_KEYS), pooled_rows)))
+@given(doc=st.one_of(pooled_rows, st.dictionaries(st.sampled_from(SHARED_KEYS), pooled_rows)))
 def test_rows_of_shared_values(doc):
     assert streamed(doc) == oracle(doc)
 
@@ -140,20 +139,6 @@ def test_one_list_under_one_key_at_two_depths():
     for doc in ([{"k": shared}, {"j": {"k": shared}}, {"k": shared}],
                 [{"j": {"k": shared}}, {"k": shared}, {"j": {"k": shared}}]):
         assert streamed(doc) == oracle(doc)
-
-
-def test_census_formats_its_one_cone_angle_once(monkeypatch):
-    # every cycles row holds the one CONE_ANGLE float, written from the
-    # text of the row before it
-    calls = []
-    real = json_stream._SCALARS[float]
-    monkeypatch.setitem(json_stream._SCALARS, float, lambda x: calls.append(x) or real(x))
-    surface = build_surface(make_order_1680_scene())
-    doc = census_report(surface, cone_cycles(surface))
-    assert len(doc["cycles"]) == 2 * 2 * 840
-    text = streamed(doc)
-    assert calls == [CONE_ANGLE]
-    assert_same_text(text, oracle(doc))
 
 
 def test_repeated_items_are_written_like_distinct_ones():
@@ -248,7 +233,6 @@ def test_long_lists_of_scalars(items):
 def test_a_writer_holds_the_pairs_it_cached():
     # one writer, two documents: the pairs of the first are freed before the
     # second is built, so its new pairs may be allocated where they were.
-    # Each list is a top-level item, which no memo of the writer holds.
     chunks = []
     writer = json_stream._Writer(chunks.append)
     first = [[(k, 1) for k in range(2 * LONG)]]
@@ -391,18 +375,8 @@ def _golden_runs(tmp_path):
     # mirrors at angles 0 and pi/840: 1,680 sheets, row lists of thousands of
     # rows over many flushes
     large = tmp_path / "order1680.json"
-    large.write_bytes(save_scene(make_order_1680_scene()))
+    large.write_bytes(save_scene(make_dihedral_scene(840)))
     yield "unfold-order1680", ["unfold", "--scene", str(large)]
-
-
-def make_order_1680_scene() -> Scene:
-    return Scene(
-        mirrors=(
-            Mirror(anchor=(-1.0, 0.0), length=2.0, angle=make_rational_turn(0, 1)),
-            Mirror(anchor=(-1.0, 1.0), length=2.0, angle=make_rational_turn(1, 840)),
-        ),
-        source=(0.0, 0.5),
-    )
 
 
 PLAIN_TYPES = (str, int, float, bool, type(None))
@@ -421,13 +395,24 @@ def plain_value_types(o) -> set[type]:
 
 
 def test_every_golden_report_matches_the_oracle(tmp_path, recorded_docs):
-    names = []
+    names, unfolds = [], 0
     for name, argv in _golden_runs(tmp_path):
         out = tmp_path / f"{name}.json"
+        handed = len(recorded_docs)
         cli.main([*argv, "--out", str(out)])
-        assert_same_text(out.read_text(encoding="ascii"), oracle(recorded_docs[-1]), name)
-        # the CLI hands the writer plain values only
-        assert plain_value_types(recorded_docs[-1]) == set(), name
+        if argv[0] == "unfold":
+            # the CLI streams the census from the surface, past write_json
+            assert len(recorded_docs) == handed, name
+            with open(argv[argv.index("--scene") + 1], "rb") as f:
+                surface = build_surface(load_scene(f.read()))
+            doc = census_report(surface, cone_cycles(surface))
+            unfolds += 1
+        else:
+            doc = recorded_docs[-1]
+            # the CLI hands the writer plain values only
+            assert plain_value_types(doc) == set(), name
+        assert_same_text(out.read_text(encoding="ascii"), oracle(doc), name)
         names.append(name)
     assert len(names) == len(GOLDEN) + len(MIXED) + len(TRAPPED) + 2
-    assert len(recorded_docs) == len(names)
+    assert unfolds == 5
+    assert len(recorded_docs) == len(names) - unfolds

@@ -1,20 +1,36 @@
+import json
 import math
 import random
+import re
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import darksector.unfolding as unfolding
 from conftest import (
+    assert_same_text,
     cell_count_euler,
     compose,
+    make_dihedral_scene,
     make_parallel_scene,
     make_single_mirror_scene,
     make_toy_scene,
     walk_cone_cycles,
 )
-from darksector.exact_angle import GroupElement, make_rational_turn
+from darksector.exact_angle import GroupElement, GroupOrderError, make_rational_turn
 from darksector.scene import Mirror, Scene
 from darksector.scenegen import random_scene
-from darksector.unfolding import build_surface, census_report, cone_cycles, total_dark_angle
+from darksector.unfolding import (
+    CHUNK_ROWS,
+    CONE_ANGLE,
+    build_surface,
+    census_report,
+    cone_cycles,
+    total_dark_angle,
+    write_census,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -205,7 +221,7 @@ class TestCensus:
                 {"sheet_index": i, "order": 2, "residue": 0} for i in range(s.sheet_count)
             ]
             assert doc["euler_characteristic"] == cell_count_euler(s, walk)
-            assert doc["genus"] == 1 + s.sheet_count // 2 * (s.slit_count - 2)
+            assert doc["genus"] == s.genus == 1 + s.sheet_count // 2 * (s.slit_count - 2)
             assert len(doc["zeros"]) == s.slit_count * s.sheet_count
 
     def test_report_shape(self):
@@ -216,6 +232,88 @@ class TestCensus:
         assert rep["euler_characteristic"] == 0
         assert len(rep["cycles"]) == 8
         assert len(rep["gluings"]) == 2
+
+
+def census_text(s) -> str:
+    """The oracle of write_census: the census document as json.dumps writes it."""
+    return json.dumps(census_report(s, cone_cycles(s)), indent=2) + "\n"
+
+
+def written(s) -> "list[str]":
+    pieces = []
+    write_census(s, pieces.append)
+    return pieces
+
+
+def rows_in(piece: str) -> int:
+    """The list items a piece holds: census rows, or sheet indices of a gluing."""
+    return piece.count("\n    {") + len(re.findall(r"\n      \d", piece))
+
+
+def scene_of(turns) -> Scene:
+    mirrors = tuple(Mirror((-1.0, float(i)), 2.0, turn) for i, turn in enumerate(turns))
+    return Scene(mirrors=mirrors, source=(0.0, -0.5))
+
+
+def turn_lists(denominators):
+    turns = st.builds(make_rational_turn, st.integers(-2000, 2000), st.sampled_from(denominators))
+    return st.one_of(
+        st.lists(turns, min_size=1, max_size=6),
+        # all mirrors parallel: one rotation, N = 1
+        st.builds(lambda turn, count: [turn] * count, turns, st.integers(1, 6)),
+    )
+
+
+DIVISORS_OF_840 = [d for d in range(1, 841) if 840 % d == 0]
+
+
+def surface_of(turns):
+    try:
+        return build_surface(scene_of(turns))
+    except GroupOrderError:
+        assume(False)
+
+
+class TestWriteCensus:
+    @settings(max_examples=100, deadline=None)
+    @given(turns=turn_lists(DIVISORS_OF_840 + [11, 13, 17]))
+    def test_matches_the_report_oracle(self, turns):
+        s = surface_of(turns)
+        assert_same_text("".join(written(s)), census_text(s))
+
+    @settings(max_examples=100, deadline=None)
+    @given(turns=turn_lists([1, 2, 3, 4, 5, 6, 8, 12]), bound=st.integers(1, 5))
+    def test_pieces_split_at_any_row_bound(self, turns, bound):
+        s = surface_of(turns)
+        with mock.patch.object(unfolding, "CHUNK_ROWS", bound):
+            pieces = written(s)
+        assert_same_text("".join(pieces), census_text(s))
+        assert max(map(rows_in, pieces)) <= bound
+
+    def test_order_1680_scene(self):
+        s = build_surface(make_dihedral_scene(840))
+        assert s.sheet_count == 1680
+        assert_same_text("".join(written(s)), census_text(s))
+
+    def test_no_write_holds_more_than_the_row_bound(self):
+        s = build_surface(make_dihedral_scene(2520))
+        assert s.sheet_count // 2 > CHUNK_ROWS
+        pieces = written(s)
+        assert max(map(rows_in, pieces)) == CHUNK_ROWS
+        assert_same_text("".join(pieces), census_text(s))
+
+    def test_census_formats_its_one_cone_angle_once(self, monkeypatch):
+        calls = []
+
+        class Counted(float):
+            def __repr__(self):
+                calls.append(self)
+                return float.__repr__(self)
+
+        monkeypatch.setattr(unfolding, "CONE_ANGLE", Counted(CONE_ANGLE))
+        text = "".join(written(build_surface(make_dihedral_scene(840))))
+        assert text.count(f'"cone_angle": {CONE_ANGLE!r}\n') == 2 * 2 * 840
+        assert len(calls) == 1
 
 
 class TestTotalDarkAngle:
