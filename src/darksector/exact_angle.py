@@ -10,6 +10,7 @@ generate a finite dihedral group of such integer pairs (s, k).
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from math import gcd
 from typing import Iterable, NamedTuple
 
@@ -152,6 +153,7 @@ def reflection_group(
         )
     step = 2 * unit // n
     c0 = p[0] % step
-    return tuple(GroupElement(1, j * step, unit) for j in range(n)) + tuple(
-        GroupElement(-1, c0 + j * step, unit) for j in range(n)
-    )
+    # tuple.__new__, as the tracer's _new, builds each element with no Python step
+    new, kind = tuple.__new__, repeat(GroupElement)
+    return (*map(new, kind, zip(repeat(1), range(0, 2 * unit, step), repeat(unit))),
+            *map(new, kind, zip(repeat(-1), range(c0, c0 + 2 * unit, step), repeat(unit))))

@@ -10,11 +10,10 @@ one generator step per value.  This writer formats with the same primitives
 (``encode_basestring_ascii``, ``float.__repr__``, ``int.__repr__``) but builds
 each list item, such as one map component, in one call: dicts key by key, a
 long list of known pairs or of one scalar type in one join, a tuple of two
-ints from its depth's ``%d`` template.  Besides reusing an item's text while
-the same object repeats, it keeps two caches per depth: key texts, and the
-text of each pair of ints met as a list item, keyed by ``id`` (the tracer
-shares each mirror's two ``lips``).  Every reuse tests identity: -0.0 ==
-0.0, (1, 1) == (True, 1), NaN != NaN.
+ints from its depth's ``%d`` template.  It keeps two caches per depth: key
+texts, and the text of each pair of ints met as a list item, keyed by ``id``
+(the tracer shares each mirror's two ``lips``).  Every reuse tests identity:
+-0.0 == 0.0, (1, 1) == (True, 1), NaN != NaN.
 ``json.dumps`` stays the oracle that tests/test_json_stream.py compares with.
 """
 
@@ -22,8 +21,6 @@ from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii
 
-# no list item is this object
-_NOTHING = object()
 _JOIN_ABOVE = 8  # a list longer than this is first tried as one join
 
 
@@ -147,13 +144,8 @@ class _Writer:
             write(level.close + "}")
             return
         sep = "[" + level.inner
-        # an item that is the object before it has that item's text: a text
-        # depends on object and depth
-        prev = text = _NOTHING
         for v in o:
-            if v is not prev:
-                prev, text = v, self.text(v, depth + 1)
-            write(sep + text)
+            write(sep + self.text(v, depth + 1))
             sep = level.sep
         write(level.close + "]")
 

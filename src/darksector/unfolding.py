@@ -7,12 +7,16 @@ census counts the cone points (zeros), the planar infinities (double poles,
 one per sheet) and the genus, all in closed form: every gluing is a
 fixed-point-free involution, so each slit endpoint is surrounded by cycles
 of two sheets, each a zero of order 1.  With n slits and 2N sheets the
-degree is 2Nn - 4N and the genus 1 + N(n - 2).
+degree is 2Nn - 4N and the genus 1 + N(n - 2).  The sheets and each gluing
+(four descending runs of sheet indices) are built from ranges, and each
+sheet row of the report from its offset in closed form.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from math import gcd
 from typing import NamedTuple
 
 from .exact_angle import DEFAULT_GROUP_CAP, GroupElement, reflection_group
@@ -24,11 +28,12 @@ CONE_ANGLE = 4.0 * math.pi
 # write_census writes a list in pieces of at most this many items (~140 KB)
 CHUNK_ROWS = 1024
 # the census rows as json.dumps(..., indent=2) writes them at depth 2
-_SHEET = '\n    {\n      "s": %d,\n      "c_num": %d,\n      "c_den": %d\n    }'
+_SHEET = '\n    {\n      "s": %d,\n      "c_num": '  # then c_num, c_den and the end
 _CYCLE = '\n    {\n      "slit": %d,\n      "endpoint": "%s",\n      "sheets": [\n        '
 _CYCLE_END = '\n      ],\n      "length": 2,\n      "cone_angle": %r\n    }'
 _ZERO = '\n    {\n      "slit": %d,\n      "endpoint": "%s",\n      "order": 1\n    }'
-_POLE = '\n    {\n      "sheet_index": %s,\n      "order": 2,\n      "residue": 0\n    }'
+_POLE = '\n    {\n      "sheet_index": '
+_POLE_END = ',\n      "order": 2,\n      "residue": 0\n    }'
 _GLUED = "\n      "  # one sheet index of a gluings row
 
 
@@ -64,7 +69,8 @@ def build_surface(scene: Scene, group_cap: int = DEFAULT_GROUP_CAP) -> UnfoldedS
     rotation (1, i*step) and sheet N + j the reflection (-1, c0 + j*step).
     Mirror k's reflection is (-1, p_k), p_k its doubled angle in units of
     pi/L, so it glues sheet i to N + (m_k - i) mod N and sheet N + j to
-    (m_k - j) mod N, where m_k = ((p_k - c0) mod 2L) / step.
+    (m_k - j) mod N, where m_k = ((p_k - c0) mod 2L) / step: the four
+    descending runs N+m_k..N, 2N-1..N+m_k+1, m_k..0 and N-1..m_k+1.
     """
     if not scene.mirrors:
         raise ValueError("unfolding requires at least one mirror")
@@ -75,10 +81,9 @@ def build_surface(scene: Scene, group_cap: int = DEFAULT_GROUP_CAP) -> UnfoldedS
     c0 = sheets[n].k
     gluings = []
     for row in scene.geometry:
-        m_k = (row.two_angle_k - c0) % two_l // step
-        gluings.append(
-            tuple(n + (m_k - i) % n for i in range(n)) + tuple((m_k - j) % n for j in range(n))
-        )
+        m = (row.two_angle_k - c0) % two_l // step
+        gluings.append((*range(n + m, n - 1, -1), *range(2 * n - 1, n + m, -1),
+                        *range(m, -1, -1), *range(n - 1, m, -1)))
     return UnfoldedSurface(sheets=sheets, gluings=tuple(gluings))
 
 
@@ -137,7 +142,9 @@ def census_report(s: UnfoldedSurface, cycles: list[dict]) -> dict:
 def write_census(s: UnfoldedSurface, write) -> None:
     """Pass ``write`` the text of ``json.dumps(census_report(s, cone_cycles(s)),
     indent=2) + "\\n"`` with no row dict: rows are filled into templates, and
-    no write holds more than CHUNK_ROWS items of a list."""
+    no write holds more than CHUNK_ROWS items of a list.  A sheet row is
+    (s, k // g, L // g), g = gcd(k, L), for k over the two offset ranges of
+    ``reflection_group``: only L and c0 are read from the sheets."""
     m, n = s.sheet_count, s.sheet_count // 2
     ints = [str(i) for i in range(m)]
     block = range(0, n, CHUNK_ROWS)  # the pieces of one (slit, endpoint) block
@@ -149,6 +156,16 @@ def write_census(s: UnfoldedSurface, write) -> None:
                 text = _GLUED + ("," + _GLUED).join(map(ints.__getitem__, perm[lo:lo + CHUNK_ROWS]))
                 yield ("" if lo else "\n    [") + text + ("\n    ]" if lo + CHUNK_ROWS >= m else "")
 
+    def sheets():
+        unit, c0 = s.sheets[0].unit, s.sheets[n].k
+        for sign, first in ((1, 0), (-1, c0)):
+            ks, head = range(first, first + 2 * unit, 2 * unit // n), _SHEET % sign
+            for lo in block:
+                piece = ks[lo:lo + CHUNK_ROWS]
+                yield head + ("," + head).join([
+                    f'{k // g},\n      "c_den": {unit // g}\n    }}'
+                    for k, g in zip(piece, map(gcd, piece, repeat(unit)))])
+
     def cycles():
         for k, perm in enumerate(s.gluings, start=1):
             # cycle i is (i, perm[i]) at both endpoints of the slit
@@ -159,13 +176,12 @@ def write_census(s: UnfoldedSurface, write) -> None:
 
     write(f'{{\n  "sheet_count": {m},\n  "slit_count": {s.slit_count}')
     for key, pieces in (
-        ("sheets", (",".join([_SHEET % (g.s, *g.c) for g in s.sheets[lo:lo + CHUNK_ROWS]])
-                    for lo in range(0, m, CHUNK_ROWS))),
+        ("sheets", sheets()),
         ("gluings", gluings()),
         ("cycles", cycles()),
         ("zeros", (",".join([_ZERO % (k, endpoint)] * min(CHUNK_ROWS, n - lo))
                    for k in range(1, s.slit_count + 1) for endpoint in ENDPOINTS for lo in block)),
-        ("poles", (",".join(map(_POLE.__mod__, ints[lo:lo + CHUNK_ROWS]))
+        ("poles", (_POLE + (_POLE_END + "," + _POLE).join(ints[lo:lo + CHUNK_ROWS]) + _POLE_END
                    for lo in range(0, m, CHUNK_ROWS))),
     ):
         sep = f',\n  "{key}": ['

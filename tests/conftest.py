@@ -169,6 +169,8 @@ def walk_cone_cycles(surface) -> list[tuple[int, str, tuple[int, ...]]]:
                 cycle = [start]
                 j = perm[start]
                 while j != start:
+                    # a gluing that is no permutation would walk forever
+                    assert len(cycle) < len(perm), f"slit {k} never leads back to sheet {start}"
                     cycle.append(j)
                     j = perm[j]
                 seen.update(cycle)

@@ -185,6 +185,21 @@ class TestGenerateGroup:
             GroupElement(-1, 2, 2),
         )
 
+    def test_elements_are_exactly_group_elements(self):
+        # a plain tuple equals a GroupElement of the same fields, so equality
+        # alone cannot tell what reflection_group built
+        group = reflection_group({turn(1, 4), turn(3, 4)})  # c0 = 2, step 4
+        assert [type(g) for g in group] == [GroupElement] * 4
+        assert [(g.s, g.k, g.unit) for g in group] == [(1, 0, 4), (1, 4, 4), (-1, 2, 4), (-1, 6, 4)]
+        assert repr(group[2]) == "GroupElement(s=-1, k=2, unit=4)"
+        rng = random.Random(7)
+        for _ in range(20):
+            angles = {make_rational_turn(rng.randrange(48), rng.randint(1, 24)) for _ in range(3)}
+            group = reflection_group(angles, cap=100000)
+            assert {type(g) for g in group} == {GroupElement}
+            assert [repr(g) for g in group] == [
+                f"GroupElement(s={g.s}, k={g.k}, unit={g.unit})" for g in group]
+
     def test_single_mirror_order_two(self):
         assert len(reflection_group({turn(0, 1)})) == 2
 

@@ -142,7 +142,7 @@ def test_one_list_under_one_key_at_two_depths():
 
 
 def test_repeated_items_are_written_like_distinct_ones():
-    # the writer reuses an item's text while the same object repeats
+    # repeated objects, equal but distinct ones and repeated scalars
     row = {"slit": 1, "endpoint": "first", "order": 1}
     pair = [3, 4]
     docs = [

@@ -14,6 +14,7 @@ pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(pairs)
 
 METRICS = ("setup_s", "wall_s", "job_p50_ms", "peak_rss_mb")
+VERDICTS = ("gain", "worse", "unresolved", "within bound")
 
 
 @pytest.fixture
@@ -40,9 +41,12 @@ def test_copies_of_one_tree_run_one_pair(trees, capsys):
         assert line.endswith("  passes 1  correct true, failed 0")
         assert [word for word in line.split() if word in METRICS] == list(METRICS)
     assert lines[2] == "pairs: unfold_census seed 1, 1 pair(s) of 0 s runs, tiny: a against b"
-    assert [line.split()[0] for line in lines[3:]] == list(METRICS)
-    assert all(" b wins " in line and " against a IQR 0.0000" in line for line in lines[3:])
-    assert lines[-1].endswith("  passes a 1  b 1")
+    table, verdicts = lines[3:7], lines[7:]
+    assert [line.split()[0] for line in table] == list(METRICS)
+    assert all(" b wins " in line and " against a IQR 0.0000" in line for line in table)
+    assert table[-1].endswith("  passes a 1  b 1")
+    assert [line.split()[:2] for line in verdicts] == [["verdict", m] for m in METRICS]
+    assert all(line.split(maxsplit=2)[2] in VERDICTS for line in verdicts)
     assert not stale.exists()
 
 
@@ -72,8 +76,47 @@ def test_sides_alternate_and_the_summary_counts_wins(trees, monkeypatch, capsys)
     # inclusive quartiles; b won three of the four pairs
     assert wall == ("wall_s       a 0.7350 [0.7150, 0.7625]  b 0.5900 [0.5775, 0.6300] s  "
                     "b wins 3/4, median -0.1450 against a IQR 0.0475")
-    assert lines[-1].endswith("b wins 0/4, median +0.0000 against a IQR 0.0000  "
+    assert lines[-5].endswith("b wins 0/4, median +0.0000 against a IQR 0.0000  "
                               "passes a 11 14 15 18  b 12 13 16 17")
+    # 3/4 wins is no gain, and a 20% lower median is not worse
+    assert lines[-4:] == [f"verdict {m:<12} within bound" for m in METRICS]
+
+
+def test_each_metric_gets_a_verdict_by_its_bound(trees, monkeypatch, capsys):
+    # ten pairs; per metric (better lower, bounds 0.25 and 0.1 for peak_rss_mb)
+    # the ref's and the change's runs
+    ref = {"setup_s": [1.0] * 10, "wall_s": [1.0, 1.02] * 5,
+           "job_p50_ms": [0.5, 1.5] * 5, "peak_rss_mb": [30.0] * 10}
+    new = {"setup_s": [1.3] * 10,  # 30% worse than a 0.25 bound
+           "wall_s": [0.8] * 9 + [1.1],  # 9/10 wins, 0.21 beyond an IQR of 0.02
+           "job_p50_ms": [0.4, 1.6] * 5,  # an IQR twice the median
+           "peak_rss_mb": [32.9] * 10}  # 9.7% worse, inside the 0.1 bound
+    runs = iter(metrics for i in range(10)
+                for metrics in ([ref, new] if i % 2 == 0 else [new, ref]))
+
+    def fake_run(*args):
+        values = next(runs)
+        result = _result(0.0)
+        for name in METRICS:
+            result["metrics"][name]["value"] = values[name].pop(0)
+        return result
+
+    monkeypatch.setattr(pairs, "run_once", fake_run)
+    assert pairs.compare(*trees, "unfold_census", pairs=10, names=("a", "b")) == 0
+    assert capsys.readouterr().out.splitlines()[-4:] == [
+        "verdict setup_s      worse", "verdict wall_s       gain",
+        "verdict job_p50_ms   unresolved", "verdict peak_rss_mb  within bound"]
+
+
+@pytest.mark.parametrize("ref, new, better, expected", [
+    ([1.0, 2.0] * 5, [0.9] * 10, "lower", "within bound"),  # wide, but every run better
+    ([1.0, 2.0] * 5, [0.9] * 9 + [2.5], "lower", "unresolved"),
+    ([10.0] * 10, [12.0] * 10, "higher", "gain"),
+    ([10.0] * 10, [7.4] * 10, "higher", "worse"),
+    ([10.0] * 10, [10.0] * 10, "lower", "within bound"),  # ties win nothing
+], ids=["every-run-better", "one-run-not-better", "higher-gain", "higher-worse", "ties"])
+def test_verdict(ref, new, better, expected):
+    assert pairs.verdict(ref, new, better, 0.25) == expected
 
 
 @pytest.mark.parametrize("bad", [dict(correct=False, failed=1), dict(failed=2)],

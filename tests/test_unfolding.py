@@ -123,14 +123,22 @@ class TestBuildSurface:
         # the closed-form gluings against composing each sheet with sigma_k,
         # the reflection theta -> 2*a_k*pi - theta in mirror k's line
         rng = random.Random(20111)
-        scenes = [make_toy_scene()] + [random_scene(rng, max_den=30) for _ in range(250)]
+        # the gluing's first run is all of its rotation half when m_k = N - 1
+        # and one sheet when m_k = 0; N = 1 (all mirrors parallel); order 1680
+        edges = [scene_of([make_rational_turn(0, 1), make_rational_turn(4, 5),
+                           make_rational_turn(9, 5)]),
+                 make_single_mirror_scene(), three_parallel_scene(), make_dihedral_scene(840)]
+        scenes = [make_toy_scene(), *edges] + [random_scene(rng, max_den=30) for _ in range(250)]
+        seen = set()  # (m_k, N)
         for scene in scenes:
             s = build_surface(scene)
-            unit = scene.angle_unit
+            unit, n = scene.angle_unit, s.sheet_count // 2
             for k, m in enumerate(scene.mirrors):
+                seen.add((s.gluings[k][0] - n, n))
                 sigma = GroupElement(-1, int(2 * m.angle.fraction * unit) % (2 * unit), unit)
                 for i, g in enumerate(s.sheets):
                     assert s.sheets[s.gluings[k][i]] == compose(sigma, g)
+        assert {(0, 5), (4, 5), (0, 1), (0, 840), (1, 840)} <= seen
 
     def test_requires_mirrors(self):
         with pytest.raises(ValueError):

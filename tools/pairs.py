@@ -16,9 +16,9 @@ It prints each run's end-to-end metrics as it finishes, then, per end-to-end
 metric of BENCHMARK.json, each side's median and quartiles, the pairs the
 change won and the change of the median beside REF's interquartile range,
 and each side's pass counts (``# untraced_passes``) beside ``peak_rss_mb``,
-which grows with the passes a run fits.  It exits 1 if any
-run is not ``correct: true`` with 0 failed, else 0.  The worktree is removed
-afterwards.
+which grows with the passes a run fits.  After the table it prints one
+verdict per metric (see ``verdict``).  It exits 1 if any run is not
+``correct: true`` with 0 failed, else 0.  The worktree is removed afterwards.
 """
 
 from __future__ import annotations
@@ -72,6 +72,32 @@ def _spread(values: list[float]) -> tuple[float, float, float]:
     return median, q1, q3
 
 
+def verdict(ref: list[float], new: list[float], better: str, bound: float) -> str:
+    """How the change's runs ``new`` compare with REF's runs ``ref``, pair by
+    pair, for a metric whose ``better`` side is "lower" or "higher" and whose
+    BENCHMARK.json ``bound`` is a fraction of REF's median:
+
+    - "gain" when the change wins at least 9/10 of the pairs and its median
+      is better by more than REF's interquartile range;
+    - "worse" when its median is worse than REF's by more than the bound;
+    - "unresolved" when either side's interquartile range is wider than the
+      bound, unless every run of the change is better than every run of REF;
+    - "within bound" otherwise.
+    """
+    sign = 1 if better == "lower" else -1
+    (ref_median, q1, q3), (new_median, nq1, nq3) = _spread(ref), _spread(new)
+    wins = sum(sign * (b - a) < 0 for a, b in zip(ref, new))
+    worse_by, allowed = sign * (new_median - ref_median), bound * abs(ref_median)
+    if 10 * wins >= 9 * len(ref) and -worse_by > q3 - q1:
+        return "gain"
+    if worse_by > allowed:
+        return "worse"
+    every_run_better = max(sign * v for v in new) < min(sign * v for v in ref)
+    if max(q3 - q1, nq3 - nq1) > allowed and not every_run_better:
+        return "unresolved"
+    return "within bound"
+
+
 def compare(tree_ref: Path, tree_new: Path, workload: str, pairs: int = 10,
             seconds: float = 30.0, seed: int = 1, tiny: bool = False,
             names: tuple[str, str] = ("ref", "change")) -> int:
@@ -100,6 +126,7 @@ def compare(tree_ref: Path, tree_new: Path, workload: str, pairs: int = 10,
               f"{result['info'].get('problem', 'no problem printed')}")
     if bad:
         return 1
+    verdicts = []
     for m in spec:
         metric, sign = m["name"], 1 if m["better"] == "lower" else -1
         values = {name: [r["metrics"][metric]["value"] for r in runs[name]] for name in names}
@@ -114,6 +141,9 @@ def compare(tree_ref: Path, tree_new: Path, workload: str, pairs: int = 10,
                 f"{name} {' '.join(r['info']['untraced_passes'] for r in runs[name])}"
                 for name in names)
         print(line)
+        verdicts.append(f"verdict {metric:<12} "
+                        + verdict(*values.values(), m["better"], m["bound"]))
+    print("\n".join(verdicts))
     return 0
 
 
