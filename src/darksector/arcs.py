@@ -55,6 +55,9 @@ def angle_distance(a: float, b: float) -> float:
 # A set of arcs is handled as sorted disjoint linear pieces (lo, hi) with
 # 0 <= lo < hi <= 2*pi; wrapping arcs split at 0.  Touching pieces merge, so
 # these operations work with closures; single points carry no measure here.
+# arc_difference emits its pieces in this form with no two touching: each
+# lies in one piece of A's union, and two in one such piece are parted by a
+# piece of B's.  _to_arcs trusts this and only rejoins a wrap.
 
 
 def _pieces(arc: Arc) -> list[tuple[float, float]]:
@@ -88,12 +91,7 @@ def _union_pieces(arcs) -> list[tuple[float, float]]:
 
 
 def _to_arcs(pieces: list[tuple[float, float]]) -> list[Arc]:
-    pieces = _normalize(pieces)
-    if not pieces:
-        return []
-    if len(pieces) == 1 and pieces[0] == (0.0, TWO_PI):
-        return [Arc(0.0, 0.0)]
-    # rejoin a wrap split at 0
+    # (0, 2*pi) alone is Arc(0.0, 0.0), the full circle; rejoin a wrap split at 0
     if len(pieces) >= 2 and pieces[0][0] == 0.0 and pieces[-1][1] == TWO_PI:
         first, last = pieces[0], pieces[-1]
         pieces = pieces[1:-1]

@@ -70,11 +70,10 @@ def _sample(scene: Scene, theta: float, cap: int) -> tuple:
 
 
 def _image_of(arc: Arc, g: GroupElement) -> Arc:
-    """Endpoint-wise image; orientation reverses when the isometry does."""
+    """Endpoint-wise image; orientation reverses when the isometry does.  A
+    full circle, with equal ends, maps onto the full circle."""
     fa = apply(g, arc.start)
     fb = apply(g, arc.end)
-    if arc.start == arc.end:  # full circle maps onto the full circle
-        return Arc(fa, fa)
     return Arc(fa, fb) if g.s == 1 else Arc(fb, fa)
 
 

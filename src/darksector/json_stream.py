@@ -8,12 +8,11 @@ or a closing bracket; batching the pieces is left to the file object behind
 ``write``.  With an indent, CPython's ``json`` runs its pure-Python encoder,
 one generator step per value.  This writer formats with the same primitives
 (``encode_basestring_ascii``, ``float.__repr__``, ``int.__repr__``) but builds
-each list item, such as one map component, in one call: dicts key by key, a
-long list of known pairs or of one scalar type in one join, a tuple of two
-ints from its depth's ``%d`` template.  It keeps two caches per depth: key
-texts, and the text of each pair of ints met as a list item, keyed by ``id``
-(the tracer shares each mirror's two ``lips``).  Every reuse tests identity:
--0.0 == 0.0, (1, 1) == (True, 1), NaN != NaN.
+each list item, such as one map component, in one call, dicts key by key.
+It keeps two caches per depth: key texts, and the text of each pair of ints
+met as a list item, keyed by ``id`` (the tracer shares each mirror's two
+``lips``), so a long itinerary whose pairs are all known is one join.  Every
+reuse tests identity: -0.0 == 0.0, (1, 1) == (True, 1), NaN != NaN.
 ``json.dumps`` stays the oracle that tests/test_json_stream.py compares with.
 """
 
@@ -41,19 +40,17 @@ _SCALARS = {
 
 class _Level(dict):
     """The strings of a container at one depth: ``inner`` opens an item,
-    ``sep`` separates two, ``close`` precedes the closing bracket and
-    ``pair % (i, j)`` writes the tuple (i, j) of two ints here.  The dict
-    maps each key to ``inner`` plus its text and ``": "``; ``pairs`` maps
-    the id of a pair of ints to its text as an item, and ``held`` keeps that
-    pair, so no other object takes its id while the writer lives."""
+    ``sep`` separates two and ``close`` precedes the closing bracket.  The
+    dict maps each key to ``inner`` plus its text and ``": "``; ``pairs``
+    maps the id of a pair of ints to its text as an item, and ``held`` keeps
+    that pair, so no other object takes its id while the writer lives."""
 
-    __slots__ = ("inner", "sep", "close", "pair", "pairs", "held")
+    __slots__ = ("inner", "sep", "close", "pairs", "held")
 
     def __init__(self, depth: int):
         self.inner = inner = "\n" + "  " * (depth + 1)
-        self.sep = sep = "," + inner
-        self.close = close = "\n" + "  " * depth
-        self.pair = f"[{inner}%d{sep}%d{close}]"
+        self.sep = "," + inner
+        self.close = "\n" + "  " * depth
         self.pairs: dict = {}
         self.held: list = []
 
@@ -93,23 +90,16 @@ class _Writer:
                 scalar = scalars.get(type(v))
                 if scalar is not None:
                     append(level[k] + scalar(v))
-                elif type(v) is tuple and len(v) == 2 and type(v[0]) is type(v[1]) is int:
-                    append(level[k] + self.levels[depth + 1].pair % v)
                 else:
                     append(level[k] + self.text(v, depth + 1))
             return "{" + ",".join(items) + level.close + "}"
         pairs = level.pairs
-        if len(o) > _JOIN_ABOVE:  # an itinerary of known pairs, or a list of scalars
-            kind = type(o[0])
-            if kind is tuple:
-                try:
-                    body = level.sep.join(map(pairs.__getitem__, map(id, o)))
-                    return "[" + level.inner + body + level.close + "]"
-                except KeyError:
-                    pass
-            elif kind in scalars and len(set(map(type, o))) == 1:
-                body = level.sep.join(map(scalars[kind], o))
+        if len(o) > _JOIN_ABOVE and type(o[0]) is tuple:  # an itinerary of known pairs
+            try:
+                body = level.sep.join(map(pairs.__getitem__, map(id, o)))
                 return "[" + level.inner + body + level.close + "]"
+            except KeyError:
+                pass
         for v in o:
             scalar = scalars.get(type(v))
             if scalar is not None:
@@ -119,7 +109,7 @@ class _Writer:
             elif type(v) is tuple and len(v) == 2 and type(v[0]) is type(v[1]) is int:
                 text = pairs.get(id(v))
                 if text is None:
-                    text = pairs[id(v)] = self.levels[depth + 1].pair % v
+                    text = pairs[id(v)] = self.text(v, depth + 1)
                     level.held.append(v)
                 append(text)
             else:

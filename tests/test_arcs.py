@@ -1,11 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import arc_contains_arc, arcs_total_measure, in_arc
-from darksector.arcs import Arc, angle_distance, arc_difference, arc_intersection_measure
+from darksector.arcs import Arc, _pieces, angle_distance, arc_difference, arc_intersection_measure
 
 TWO_PI = 2.0 * math.pi
 angles = st.floats(0.0, TWO_PI, exclude_max=True, allow_nan=False)
@@ -14,6 +14,16 @@ angles = st.floats(0.0, TWO_PI, exclude_max=True, allow_nan=False)
 def arc_union(arcs):
     """The maximal arcs of the union: the union minus nothing."""
     return arc_difference(arcs, [])
+
+
+def assert_apart(arcs):
+    """The arcs are in order of start and, split at 0 into pieces, no two of
+    them overlap or touch, except the two halves of an arc through 0."""
+    assert all(a.start < b.start for a, b in zip(arcs, arcs[1:]))
+    pieces = sorted(p for a in arcs for p in _pieces(a))
+    assert all(hi < lo for (_, hi), (lo, _) in zip(pieces, pieces[1:]))
+    if len(pieces) > 1 and pieces[0][0] == 0.0 and pieces[-1][1] == TWO_PI:
+        assert len(pieces) == len(arcs) + 1  # one arc holds both
 
 
 class TestArcBasics:
@@ -97,8 +107,13 @@ class TestArcAlgebra:
         assert arc_contains_arc(Arc(0.0, 3.0), Arc(2.5, 3.0 + 1e-13), tol=1e-12)
 
     @given(st.lists(st.tuples(angles, st.floats(0.01, 3.0)), min_size=1, max_size=5))
+    # touching arcs, and arcs through 0 and from and to it
+    @example([(1.0, 1.0), (2.0, 0.5), (0.25, 0.75)])
+    @example([(6.0, 1.0), (0.0, 0.5), (5.0, 1.0)])
+    @example([(TWO_PI - 1.0, 1.0), (2.0, 1.0), (4.0, 0.5)])
     def test_union_measure_bounds(self, spans):
         arcs = [Arc(s, s + w) for s, w in spans]
+        assert_apart(arc_union(arcs))
         total = arcs_total_measure(arcs)
         assert total <= TWO_PI + 1e-9
         assert total <= sum(a.measure for a in arcs) + 1e-9
@@ -111,7 +126,9 @@ class TestArcAlgebra:
     def test_difference_complements_intersection(self, sa, sb):
         a = Arc(sa[0], sa[0] + sa[1])
         b = Arc(sb[0], sb[0] + sb[1])
-        left = arcs_total_measure(arc_difference([a], [b]))
+        diff = arc_difference([a], [b])
+        assert_apart(diff)
+        left = arcs_total_measure(diff)
         inter = arc_intersection_measure(a, b)
         assert left + inter == pytest.approx(a.measure, abs=1e-9)
 

@@ -142,12 +142,17 @@ class TestImageArcs:
         shift = 2 * math.pi / 3
         assert angles_close(img.start, 1.0 + shift, 1e-12)
         assert angles_close(img.end, 2.0 + shift, 1e-12)
+        # the full circle, with equal ends, maps onto the full circle
+        full = _image_of(Arc(1.0, 1.0), g)
+        assert full.start == full.end and angles_close(full.start, 1.0 + shift, 1e-12)
 
     def test_reflection_reverses_orientation(self):
         g = GroupElement(-1, 0, 1)
         img = _image_of(Arc(5 * math.pi / 4, 7 * math.pi / 4), g)
         assert angles_close(img.start, math.pi / 4, 1e-12)
         assert angles_close(img.end, 3 * math.pi / 4, 1e-12)
+        full = _image_of(Arc(5 * math.pi / 4, 5 * math.pi / 4), g)
+        assert full.start == full.end and angles_close(full.start, 3 * math.pi / 4, 1e-12)
 
     def test_measure_preserved(self, single_mirror_scene, single_mirror_circle):
         d = single_mirror_decomposition(single_mirror_scene, single_mirror_circle)

@@ -213,7 +213,7 @@ def test_int_pairs_as_dict_values_at_three_depths():
         [True, False] * LONG,
         [None] * LONG,
         ["", "a", "\u00e9", "\u2603", "\U0001f600", "\x00", '"', "\\", "\n"] * 2,
-        # one type, then another: joined with no one formatter
+        # one type, then another
         [1] * LONG + [True],
         [True] + [1] * LONG,
         [1] * LONG + [1.0],

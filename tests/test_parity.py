@@ -28,9 +28,10 @@ def test_copies_of_one_tree_are_identical(trees, capsys):
     # trapped: 2 jobs, random_sectors: 5, unfold_census: 10, at 2 seeds; then
     # the command group: 12 per scene on 6 scenes, plus a capped trace on the
     # 4 scenes with a direction of 2 or more bounces, plus sectors on the far
-    # single_mirror, whose check (i) samples; then map, unfold and render to
-    # stdout on the 6 scenes, and --help of the 6 commands
-    assert capsys.readouterr().out == ("parity: 135 jobs identical (trapped, random_sectors, "
+    # single_mirror, whose check (i) samples, and validate on a scene whose
+    # two mirrors cross; then map, unfold and render to stdout on the 6
+    # scenes, and --help of the 6 commands
+    assert capsys.readouterr().out == ("parity: 136 jobs identical (trapped, random_sectors, "
                                        "unfold_census at seed(s) 1, 5, tiny; commands): "
                                        "a and b\n")
     # the runs compile no bytecode into either tree

@@ -13,9 +13,11 @@ After the workload jobs comes one group that does not depend on the seed:
 the commands no workload runs (``validate``, ``trace``, ``map`` and
 ``render`` of a scene and of its trace, map and validate reports) on
 ``scenes/*.json``, ``tests/scenes/*.json`` and the two ``trapped`` scenes,
-and one ``sectors`` job on ``scenes/single_mirror.json`` moved 10**6 along
-x, the one job whose sector misses darkness check (i)'s tangent lemma and
-so samples.
+one ``sectors`` job on ``scenes/single_mirror.json`` moved 10**6 along x,
+the one job whose sector misses darkness check (i)'s tangent lemma and so
+samples, and one ``validate`` job on ``scenes/two_perpendicular.json`` with
+its second mirror moved across the first, the one invalid scene, whose
+``mirrors-intersect`` violation names its two mirrors as a pair.
 ``trace`` runs at the escaping direction with the most bounces, at that
 direction plus 2*pi, plus 2*pi*10**6 and minus 6*pi, at -0.0, at the
 direction with the most bounces stopped by its ``--cap``, and at the first
@@ -105,7 +107,8 @@ def _jobs(seeds, tiny: bool, scene_dir: Path) -> list[tuple[str, list[str], list
 def _command_jobs(scene_dir: Path) -> list[tuple[str, list[str], list[str]]]:
     """The seed-independent group: every command but ``sectors`` and
     ``unfold`` on each scene file of the repo and each ``trapped`` scene,
-    then ``sectors`` on a far copy of ``single_mirror``, then the jobs that
+    then ``sectors`` on a far copy of ``single_mirror`` and ``validate`` on
+    a copy of ``two_perpendicular`` whose mirrors cross, then the jobs that
     write to stdout."""
     from bench_scenes import setup
     from darksector.scene import load_scene
@@ -166,6 +169,13 @@ def _command_jobs(scene_dir: Path) -> list[tuple[str, list[str], list[str]]]:
     argv = ["sectors", "--scene", str(scene_dir / "single_mirror_far.json"), *COMMAND_MAP_ARGS,
             "--darkness-samples", "200", "--out", "commands/single_mirror_far.sectors.json"]
     jobs.append(("commands single_mirror_far.sectors.json", argv, _outputs(argv)))
+    # the second mirror upright through (0, 0), on the first
+    crossing = json.loads((ROOT / "scenes" / "two_perpendicular.json").read_text())
+    crossing["mirrors"][1]["anchor"] = [0.0, -0.5]
+    (scene_dir / "crossing_mirrors.json").write_text(json.dumps(crossing))
+    argv = ["validate", "--scene", str(scene_dir / "crossing_mirrors.json"),
+            "--out", "commands/crossing_mirrors.validate.json"]
+    jobs.append(("commands crossing_mirrors.validate.json", argv, _outputs(argv)))
     stdout_jobs += [(f"commands {command} --help", [command, "--help"], [])
                     for command in ("validate", "trace", "map", "sectors", "unfold", "render")]
     return jobs + stdout_jobs
