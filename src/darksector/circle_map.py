@@ -7,9 +7,10 @@ itinerary boundaries by bisection, and derives the per-arc isometries, their
 image arcs, an injectivity test, and the unlit arcs (escape directions that
 no exit ray attains).
 
-A sample costs its trace and little else, under the tracer's hot-path rule:
-a plain tuple ``(theta, key, isometry)``, no NamedTuple constructor frame,
-and statuses tested against the tracer's module constants, not the Enum.
+A sample costs its trace and little else, under the tracer's hot-path rule
+(no Python frame per bounce; one per leg table in a long trace): a plain
+tuple ``(theta, key, isometry)``, no NamedTuple constructor frame, and
+statuses tested against the tracer's module constants, not the Enum.
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ exactly, as the integer offset k of the isometry theta -> s*theta + k*pi/L
 2aL - k and flips s), so the exit direction of an escaped ray can be
 cross-checked against the exact group action on the launch direction.
 
-:func:`trace` is one loop that calls no Python function per leg.  A leg
-scans the rows of :attr:`Scene.scan_rows` for the mirror it leaves, each
+:func:`trace` calls no Python function per leg.  A leg scans the rows of
+:attr:`Scene.scan_rows` for the mirror it leaves, each
 ``(ax, ay, ex, ey, -slack, 1.0 + slack, geometry)``: every other mirror in
 scene order, the bounds of the segment parameter u that count as a hit,
 and the mirror's ``MirrorGeometry``, unpacked only for the nearest hit.
@@ -16,7 +16,13 @@ must match: the loop's float expressions are its own, operand for operand,
 and none may be rewritten into an algebraically equal form (multiplied
 through, or reflecting (dx, dy) in place of cos/sin of the wrapped angle):
 the circle map bisects on itinerary keys, so one rounding flipped near a
-boundary moves its arcs and the report bytes.
+boundary moves its arcs and the report bytes.  A value that depends only
+on a leg's mirror and direction may be computed once per trace and pair, by
+the same expression: after :data:`WARM` reflections :func:`trace` goes on
+from a dict of its own of :func:`_leg_table`s, keyed by the mirror left and
+the wrapped direction (never -0.0), whose rows keep the step of their first
+hit on the leg: grazing verdict, lip, two_angle_k, length and next table.
+Rational angles allow few such legs; shorter traces stay in the plain loop.
 
 :func:`trace` tests the launch first.  A first leg launched in one turn,
 theta0 in [0, TWO_PI) as every caller in the package launches, with a cap of
@@ -28,13 +34,13 @@ Every other call checks the cap, then that theta0 is finite, raising
 ValueError, and scans every mirror.
 
 The hot-path rule: the circle map traces hundreds of thousands of samples a
-run, so no Python frame but trace's own runs per trace.  Its results are
-built with ``_new``, ``tuple.__new__`` read once, as namedtuple's ``_make``
-does, since each NamedTuple constructor is one Python call, and statuses are
-read from module constants: an Enum member read off its class costs ~130 ns
-on CPython 3.11, a local ~9 ns.  Per-scene constants are read, not built:
-an empty cell's escape takes its one-point path and identity isometry from
-:attr:`Scene.source_escape`.
+run, so no frame but trace's own and _leg_table's runs per trace.  Its
+results are built with ``_new``, ``tuple.__new__`` read once, as namedtuple's
+``_make`` does, since each NamedTuple constructor is one Python call, and
+statuses are read from module constants: an Enum member read off its class
+costs ~130 ns on CPython 3.11, a local ~9 ns.  Per-scene constants are read,
+not built: an empty cell's escape takes its one-point path and identity
+isometry from :attr:`Scene.source_escape`.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from .exact_angle import TWO_PI, GroupElement
-from .scene import EPS_SINGULAR, EnclosingCircle, Point, Scene
+from .scene import EPS_SINGULAR, EnclosingCircle, Point, ScanRow, Scene
 
 # Minimum advance along the ray before a hit counts; scene.MIN_SEPARATION,
 # the clearance validation demands, stays above it.  EPS_SINGULAR, the
@@ -54,6 +60,8 @@ from .scene import EPS_SINGULAR, EnclosingCircle, Point, Scene
 EPS_ADVANCE = 1e-9
 
 DEFAULT_BOUNCE_CAP = 10_000
+
+WARM = 4  # reflections trace makes in its plain loop before its leg tables
 
 _new = tuple.__new__
 
@@ -142,6 +150,18 @@ class TraceResult(NamedTuple):
     stop_point: Point | None = None  # where a singular ray terminated
 
 
+def _leg_table(rows: tuple[ScanRow, ...], theta: float) -> tuple:
+    """``(theta, cos, sin, legs)`` of a leg scanning ``rows``: per row whose
+    ``denom`` is nonzero, ``(ax, ay, ex, ey, lo, hi, denom, memo)``, memo
+    ``[None, denom, geometry]`` until the row's first hit sets its step."""
+    dx, dy = math.cos(theta), math.sin(theta)
+    return theta, dx, dy, [
+        (ax, ay, ex, ey, lo, hi, denom, [None, denom, row])
+        for ax, ay, ex, ey, lo, hi, row in rows
+        if (denom := dx * ey - dy * ex) != 0.0
+    ]
+
+
 def trace(scene: Scene, theta0: float, cap: int = DEFAULT_BOUNCE_CAP) -> TraceResult:
     """Follow a ray from the source, reflecting until it escapes, turns
     singular, or would exceed ``cap`` reflections.  Each leg is the scan of
@@ -167,7 +187,7 @@ def trace(scene: Scene, theta0: float, cap: int = DEFAULT_BOUNCE_CAP) -> TraceRe
     path = [pos]
     itinerary: list[tuple[int, int]] = []
     stop_point = None
-    for n in range(cap + 1):  # n reflections so far; every pass ends or reflects
+    for n in range(cap + 1 if cap <= WARM else WARM):  # n reflections so far
         dx, dy = cos(theta), sin(theta)
         # the nearest hit, as in first_hit
         best_t = inf
@@ -208,6 +228,45 @@ def trace(scene: Scene, theta0: float, cap: int = DEFAULT_BOUNCE_CAP) -> TraceRe
         k = two_angle_k - k
         ox, oy = pos = point
         rows = scan_rows[index]
+    else:  # WARM reflections and cap > WARM: go on from this trace's leg tables
+        tables = {}
+        theta, dx, dy, rows = tables[index, theta] = _leg_table(rows, theta)
+        for n in range(WARM, cap + 1):
+            best_t, hit = inf, None
+            for ax, ay, ex, ey, lo, hi, denom, memo in rows:
+                wx, wy = ax - ox, ay - oy
+                t = (wx * ey - wy * ex) / denom
+                if t <= eps_advance or t >= best_t:
+                    continue
+                u = (wx * dy - wy * dx) / denom
+                if u < lo or u > hi:
+                    continue
+                best_t, best_u, hit = t, u, memo
+            if hit is None:
+                status = ESCAPED
+                break
+            step = hit[0]
+            if step is None:  # the row's first hit on this leg, by the plain loop's expressions
+                _, denom, (index, length, nx, ny, two_angle, two_angle_k, lips) = hit
+                r = (two_angle - theta) % two_pi
+                key = index, r if r < two_pi else 0.0
+                tables[key] = after = tables.get(key) or _leg_table(scan_rows[index], key[1])
+                lip = lips[0] if (dx * nx + dy * ny) < 0.0 else lips[1]
+                step = hit[0] = (abs(denom) / length < eps_singular, lip, two_angle_k, length,
+                                 after)
+            grazing, lip, two_angle_k, length, after = step
+            point = (ox + best_t * dx, oy + best_t * dy)
+            if grazing or best_u * length < eps_singular or (1.0 - best_u) * length < eps_singular:
+                status, stop_point = SINGULAR, point
+                break
+            if n == cap:
+                status = BOUNCE_CAP_EXCEEDED
+                break
+            itinerary.append(lip)
+            path.append(point)
+            k = two_angle_k - k
+            ox, oy = pos = point
+            theta, dx, dy, rows = after
     unit = scene.angle_unit
     r = theta % two_pi  # wrap_angle, inlined
     return _new(TraceResult, (

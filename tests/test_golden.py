@@ -240,3 +240,54 @@ def test_render_report_redraws_the_svg(scene, args, code, tmp_path):
     assert main([*args, "--scene", str(scene_path), "--out", str(out), "--svg", str(svg)]) == code
     assert main(["render", "--report", str(out), "--svg", str(redrawn)]) == 0
     assert redrawn.read_bytes() == svg.read_bytes()
+
+
+# Long traces on the trapped scenes, at the caps of the benchmark's trapped
+# jobs: per scene, a long escape, a stop at the cap and a singular stop far
+# past the first few reflections.  At a cap of 100 no trap ray can escape
+# after more than 100 reflections; its pinned escape is one at exactly 100.
+# (scene, theta, cap) -> (stderr, sha256 of --out, sha256 of --svg)
+LONG_TRACES = {
+    ("channel", "1.563484", 400): (
+        "trace: escaped, 137 bounce(s), exit direction 4.7197013071795864 rad (exact -θ)\n",
+        "5a1a4c7096e0e62350194501d1d2f936c59ecbb65c96ac7ad73699fde962612d",
+        "6dd48bf954c4c768fd0324a93f6041cf2b28a13a01fe7ef2194bb7196b43ac08",
+    ),
+    ("channel", "1.570705", 400): (
+        "trace: bounce_cap_exceeded, 400 bounce(s), exit direction 1.5707050000000002 rad "
+        "(exact θ)\n",
+        "e005fcea735b4661917ca1d33ae1dd0c08f8187b7dbf14d0f95c6ab5e3dedbe8",
+        "db81373d2b097221082e74512fd9f5679ced4180214829f46f1687c6754a70ad",
+    ),
+    ("channel", "1.5610405387547355", 400): (
+        "trace: singular, 102 bounce(s), exit direction 1.5610405387547353 rad (exact θ)\n",
+        "573ab613ba41d76da47199d8eafa1f50531e61169d3a1427877b516304c7a539",
+        "823137a26210572dd6fae5a2a2ec9b77d0c3a0de2ebeb456e5890c385c9da4a8",
+    ),
+    ("six_mirror_trap", "2.6173311", 100): (
+        "trace: escaped, 100 bounce(s), exit direction 2.6173310999999995 rad (exact θ)\n",
+        "dae756569945c49c1664b058335ec7dcf85fa5f497910fde4bb2b17cff50c6b4",
+        "4cc63625ea0c084e77b8f577947224653d24b60e3dcc2cb46c24e75a881be148",
+    ),
+    ("six_mirror_trap", "2.618473", 100): (
+        "trace: bounce_cap_exceeded, 100 bounce(s), exit direction 2.6184729999999998 rad "
+        "(exact θ)\n",
+        "c6cfc8fbced38bd3095a23b2dca4107f4cbfbc6f0dec0b663f8634c1419d7095",
+        "d1b4ca27acc30c1e36139177203f2406c2f3b2617b75ea17b686dfbcd26ed155",
+    ),
+    ("six_mirror_trap", "2.6158582310008995", 100): (
+        "trace: singular, 30 bounce(s), exit direction 2.6158582310008995 rad (exact θ)\n",
+        "5e276530a308dbf76be24afd48af4ae0002bcfc8afe8b1641a6cd36650154bec",
+        "346736a5d7918d59d8e8b41c1577a0c3531f02b9be7386df11bb4a26512aaea2",
+    ),
+}
+
+LONG_TRACE_SCENES = {"channel": make_parallel_scene, "six_mirror_trap": make_six_mirror_trap_scene}
+
+
+@pytest.mark.parametrize("name,theta,cap", sorted(LONG_TRACES))
+def test_long_trace_bytes_are_pinned(name, theta, cap, tmp_path, capsys):
+    scene_path = tmp_path / "scene.json"
+    scene_path.write_bytes(save_scene(LONG_TRACE_SCENES[name]()))
+    _assert_pinned(["trace", "--theta", theta, "--cap", str(cap)], True, scene_path,
+                   LONG_TRACES[(name, theta, cap)], tmp_path, capsys)

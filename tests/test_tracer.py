@@ -35,7 +35,8 @@ from darksector.scene import (
     validate_scene,
 )
 from darksector.scenegen import random_scene
-from darksector.tracer import Hit, SingularStop, TraceStatus, exit_ray, first_hit, trace
+from darksector import tracer
+from darksector.tracer import WARM, Hit, SingularStop, TraceStatus, exit_ray, first_hit, trace
 
 TWO_PI = 2.0 * math.pi
 
@@ -213,6 +214,47 @@ def launch_directions(scene, rng, n, band):
     return out
 
 
+SWITCH_COUNTS = (WARM - 1, WARM, WARM + 1, 2 * WARM)
+
+
+def nth_random_scene(seed, n):
+    """The nth draw of ``random_scene(Random(seed), n_mirrors=6)``."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        scene = random_scene(rng, n_mirrors=6)
+    return scene
+
+
+def ending_launches(scene, thetas):
+    """``(status, m) -> (theta0, cap)`` for each m of SWITCH_COUNTS: a launch
+    among ``thetas`` that escapes after m reflections, one stopped by a cap
+    of m, and one found by bisecting between neighbours whose (m + 1)th hit
+    differs that stops singular after m reflections."""
+    found = {}
+    traces = [trace(scene, theta0, 100) for theta0 in thetas]
+    for theta0, tr in zip(thetas, traces):
+        for m in SWITCH_COUNTS:
+            if tr.status is TraceStatus.ESCAPED and tr.bounce_count == m:
+                found.setdefault((TraceStatus.ESCAPED, m), (theta0, 100))
+            if tr.bounce_count > m:
+                found.setdefault((TraceStatus.BOUNCE_CAP_EXCEEDED, m), (theta0, m))
+    for (a, ta), (b, tb) in zip(zip(thetas, traces), zip(thetas[1:], traces[1:])):
+        for m in SWITCH_COUNTS:
+            key = ta.itinerary[: m + 1]
+            if ((TraceStatus.SINGULAR, m) in found or ta.itinerary[:m] != tb.itinerary[:m]
+                    or key == tb.itinerary[: m + 1]):
+                continue
+            lo, hi = a, b
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                tr = trace(scene, mid, 100)
+                if tr.status is TraceStatus.SINGULAR and tr.bounce_count == m:
+                    found[TraceStatus.SINGULAR, m] = (mid, 100)
+                    break
+                lo, hi = (mid, hi) if tr.itinerary[: m + 1] == key else (lo, mid)
+    return found
+
+
 class TestTraceMatchesFirstHit:
     def test_random_scenes(self):
         rng = random.Random(8128)
@@ -280,6 +322,52 @@ class TestTraceMatchesFirstHit:
             assert outcome(tr) == trace_by_first_hit(scene, theta0, cap)
             statuses.add(tr.status)
         assert statuses == set(TraceStatus)
+
+    @pytest.mark.parametrize(
+        "scene, thetas",
+        [
+            (make_parallel_scene(), [math.pi / 2 - 0.3 + 0.6 * i / 2000 for i in range(2001)]),
+            (make_six_mirror_trap_scene(), [TWO_PI * i / 20000 for i in range(20000)]),
+            (nth_random_scene(5, 2), [TWO_PI * i / 4000 for i in range(4000)]),
+            (nth_random_scene(7, 2), [TWO_PI * i / 4000 for i in range(4000)]),
+        ],
+        ids=["channel", "six_mirror_trap", "random_5", "random_7"],
+    )
+    def test_every_end_at_the_switch(self, scene, thetas):
+        # trace goes on from leg tables after WARM reflections; each status
+        # at WARM - 1, WARM, WARM + 1 and 2 * WARM reflections, each launch
+        # also under the caps around the switch
+        launches = ending_launches(scene, thetas)
+        assert set(launches) == {(s, m) for s in TraceStatus for m in SWITCH_COUNTS}
+        for (status, m), (theta0, cap) in launches.items():
+            tr = trace(scene, theta0, cap)
+            assert (tr.status, tr.bounce_count) == (status, m)
+            for c in (cap, WARM - 1, WARM, WARM + 1):
+                assert outcome(trace(scene, theta0, c)) == trace_by_first_hit(scene, theta0, c)
+
+    def test_grazing_stop_past_the_switch(self):
+        # a ray just below the horizontal bounces between two upright mirrors
+        # 2000 apart and sinks 2000 * s a pass, so it meets the flat mirror in
+        # the middle after 2 * WARM reflections at an incidence of s, on both
+        # sides of the grazing threshold EPS_SINGULAR = 1e-9
+        mirrors = (
+            Mirror((-1.0, 0.0), 2.0, make_rational_turn(0, 1)),
+            Mirror((-1000.0, -1.0), 2.0, make_rational_turn(1, 2)),
+            Mirror((1000.0, -1.0), 2.0, make_rational_turn(1, 2)),
+        )
+        statuses = set()
+        for i in range(41):
+            s = 0.5e-9 + 1.5e-9 * i / 40
+            scene = Scene(mirrors=mirrors, source=(0.0, 2 * WARM * 2000.0 * s))
+            theta0 = TWO_PI - math.atan(s)
+            tr = trace(scene, theta0, 5 * WARM)
+            assert outcome(tr) == trace_by_first_hit(scene, theta0, 5 * WARM)
+            if tr.status is TraceStatus.SINGULAR:
+                assert tr.bounce_count == 2 * WARM
+                stop = first_hit(tr.exit_point, tr.exit_dir_numeric, scene, tr.itinerary[-1][0])
+                assert (stop.mirror_index, stop.reason) == (1, "grazing")
+            statuses.add(tr.status)
+        assert statuses == {TraceStatus.SINGULAR, TraceStatus.BOUNCE_CAP_EXCEEDED}
 
 
 class TestScanRows:
@@ -493,6 +581,60 @@ class TestNoCallPerBounce:
             return events.count("call")
 
         assert calls(10) == calls(200)
+
+    def test_python_calls_do_not_grow_with_the_bounces_in_the_trap(self):
+        # a launch trapped between the six-mirror trap's parallel pairs
+        scene = make_six_mirror_trap_scene()
+        theta0 = 2.618
+        trace(scene, theta0, 1)
+
+        def calls(cap):
+            events = []
+            sys.setprofile(lambda frame, event, arg: events.append(event))
+            try:
+                tr = trace(scene, theta0, cap)
+            finally:
+                sys.setprofile(None)
+            assert tr.status is TraceStatus.BOUNCE_CAP_EXCEEDED and tr.bounce_count == cap
+            return events.count("call")
+
+        assert calls(10) == calls(200)
+
+
+TRAPPED_LAUNCHES = [(make_parallel_scene, math.pi / 2 + 1e-6), (make_six_mirror_trap_scene, 2.618)]
+
+
+class TestLegTables:
+    @pytest.mark.parametrize("make_scene, theta0", TRAPPED_LAUNCHES,
+                             ids=["channel", "six_mirror_trap"])
+    def test_tables_built_do_not_grow_with_the_cap(self, make_scene, theta0, monkeypatch):
+        scene = make_scene()
+        built = []
+        leg_table = tracer._leg_table
+
+        def counting(rows, theta):
+            built.append(theta)
+            return leg_table(rows, theta)
+
+        monkeypatch.setattr(tracer, "_leg_table", counting)
+
+        def tables(cap):
+            built.clear()
+            tr = trace(scene, theta0, cap)
+            assert tr.status is TraceStatus.BOUNCE_CAP_EXCEEDED and tr.bounce_count == cap
+            return len(built)
+
+        assert 0 < tables(100) == tables(400) == tables(2000)
+
+    def test_tables_belong_to_one_trace(self):
+        names = set(vars(tracer))
+        for make_scene, theta0 in TRAPPED_LAUNCHES:
+            scene = make_scene()
+            for cap in (100, 2000):
+                trace(scene, theta0, cap)
+            assert set(scene.__dict__) <= {
+                "angle_unit", "source_escape", "geometry", "scan_rows", "source_cells"}
+        assert set(vars(tracer)) == names
 
 
 class TestSharedItineraryEntries:
