@@ -37,7 +37,7 @@ from .scene import (
     save_scene,
     validate_scene,
 )
-from .tracer import TraceResult, TraceStatus, exit_ray, trace
+from .tracer import TraceResult, TraceStatus, exit_ray, reflection_points, trace
 from .unfolding import build_surface, census_report, cone_cycles, total_dark_angle, write_census
 
 __version__ = "0.1.0"
@@ -71,6 +71,7 @@ __all__ = [
     "load_scene",
     "make_rational_turn",
     "reflection_group",
+    "reflection_points",
     "save_scene",
     "shrink_below_pi",
     "total_dark_angle",

@@ -8,9 +8,10 @@ image arcs, an injectivity test, and the unlit arcs (escape directions that
 no exit ray attains).
 
 A sample costs its trace and little else, under the tracer's hot-path rule
-(no Python frame per bounce; one per leg table in a long trace): a plain
-tuple ``(theta, key, isometry)``, no NamedTuple constructor frame, and
-statuses tested against the tracer's module constants, not the Enum.
+(no Python frame per bounce, one per leg table in a long trace, and no
+path built): a plain tuple ``(theta, key, isometry)``, no NamedTuple
+constructor frame, and statuses tested against the tracer's module
+constants, not the Enum.
 """
 
 from __future__ import annotations

@@ -54,7 +54,7 @@ from .scene import (
 )
 from .json_stream import write_json
 from .svg_render import VIEWPORT_RADII, render_svg
-from .tracer import DEFAULT_BOUNCE_CAP, TraceStatus, exit_ray, trace
+from .tracer import DEFAULT_BOUNCE_CAP, TraceStatus, exit_ray, reflection_points, trace
 from .unfolding import build_surface, write_census
 
 EXIT_OK = 0
@@ -98,6 +98,7 @@ def _emit(out, path: str | None) -> None:
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
+        tmp = None  # moved into place: nothing is left to remove
     except OSError as e:
         raise _Exit(EXIT_INTERNAL, f"error: cannot write {path}: {e.strerror or e}") from None
     finally:
@@ -191,7 +192,7 @@ def _cmd_trace(args: argparse.Namespace) -> tuple[int, str | None]:
         "theta0": args.theta,
         "status": tr.status.value,
         "itinerary": tr.itinerary,
-        "path": tr.path,
+        "path": reflection_points(scene, args.theta, tr),
         "exit_point": tr.exit_point,
         "exit_dir": tr.exit_dir_numeric,
         "exit_dir_exact": tr.exit_dir_exact.to_dict(),

@@ -68,6 +68,34 @@ class MirrorGeometry(NamedTuple):
     # the itinerary entries (index, side) of a hit from the left-normal side
     # and from the other, shared by every trace
     lips: tuple[tuple[int, int], tuple[int, int]]
+    # the endpoint test in exact thresholds: for every float u,
+    # ``u * length < EPS_SINGULAR or (1.0 - u) * length < EPS_SINGULAR``
+    # is ``u < u_lo or u > u_hi``; see endpoint_thresholds
+    u_lo: float
+    u_hi: float
+
+
+def endpoint_thresholds(length: float) -> tuple[float, float]:
+    """``(u_lo, u_hi)``: the least float u with ``u * length >= EPS_SINGULAR``
+    and the greatest with ``(1.0 - u) * length >= EPS_SINGULAR``, stepped to
+    by ``math.nextafter`` from the quotients they round near.  IEEE products
+    and differences round monotonically, so for length > 0 ``fl(u * length)``
+    never falls as u grows and ``fl(fl(1.0 - u) * length)`` never rises: the
+    endpoint test is exactly ``u < u_lo or u > u_hi``.  A length that is not
+    positive makes every finite u endpoint-singular, and so does u_lo = inf."""
+    if not length > 0:
+        return math.inf, -math.inf
+    lo = EPS_SINGULAR / length
+    while lo * length >= EPS_SINGULAR:
+        lo = math.nextafter(lo, -math.inf)
+    while lo * length < EPS_SINGULAR:
+        lo = math.nextafter(lo, math.inf)
+    hi = 1.0 - EPS_SINGULAR / length
+    while (1.0 - hi) * length >= EPS_SINGULAR:
+        hi = math.nextafter(hi, math.inf)
+    while (1.0 - hi) * length < EPS_SINGULAR:
+        hi = math.nextafter(hi, -math.inf)
+    return lo, hi
 
 
 # A mirror as the tracer's scan tests it; see Scene.scan_rows.
@@ -90,11 +118,11 @@ class Scene(_Scene):
         return math.lcm(*(m.angle.den for m in self.mirrors))
 
     @cached_property
-    def source_escape(self) -> tuple[tuple[Point], GroupElement]:
-        """``(path, identity)`` of a ray that escapes before its first
-        bounce: the one-point path ``(source,)`` and the identity isometry
-        in this scene's angle unit, shared by every such trace."""
-        return (self.source,), GroupElement(1, 0, self.angle_unit)
+    def source_escape(self) -> tuple[Point, GroupElement]:
+        """``(exit point, identity)`` of a ray that escapes before its first
+        bounce: the source and the identity isometry in this scene's angle
+        unit, shared by every such trace."""
+        return self.source, GroupElement(1, 0, self.angle_unit)
 
     @cached_property
     def geometry(self) -> tuple[MirrorGeometry, ...]:
@@ -102,6 +130,7 @@ class Scene(_Scene):
         geos = []
         for i, m in enumerate(self.mirrors, start=1):
             t = m.angle.radians()
+            u_lo, u_hi = endpoint_thresholds(m.length)
             geos.append(
                 MirrorGeometry(
                     index=i,
@@ -111,6 +140,8 @@ class Scene(_Scene):
                     two_angle=math.pi * (2 * m.angle.num) / m.angle.den,
                     two_angle_k=2 * m.angle.num * (self.angle_unit // m.angle.den),
                     lips=((i, 1), (i, -1)),
+                    u_lo=u_lo,
+                    u_hi=u_hi,
                 )
             )
         return tuple(geos)

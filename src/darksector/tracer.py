@@ -6,7 +6,9 @@ exactly, as the integer offset k of the isometry theta -> s*theta + k*pi/L
 2aL - k and flips s), so the exit direction of an escaped ray can be
 cross-checked against the exact group action on the launch direction.
 
-:func:`trace` calls no Python function per leg.  A leg scans the rows of
+:func:`trace` calls no Python function per leg and builds no path: it keeps
+only the current position, and :func:`reflection_points` rebuilds the
+points of one trace from its itinerary.  A leg scans the rows of
 :attr:`Scene.scan_rows` for the mirror it leaves, each
 ``(ax, ay, ex, ey, -slack, 1.0 + slack, geometry)``: every other mirror in
 scene order, the bounds of the segment parameter u that count as a hit,
@@ -16,13 +18,19 @@ must match: the loop's float expressions are its own, operand for operand,
 and none may be rewritten into an algebraically equal form (multiplied
 through, or reflecting (dx, dy) in place of cos/sin of the wrapped angle):
 the circle map bisects on itinerary keys, so one rounding flipped near a
-boundary moves its arcs and the report bytes.  A value that depends only
-on a leg's mirror and direction may be computed once per trace and pair, by
-the same expression: after :data:`WARM` reflections :func:`trace` goes on
-from a dict of its own of :func:`_leg_table`s, keyed by the mirror left and
-the wrapped direction (never -0.0), whose rows keep the step of their first
-hit on the leg: grazing verdict, lip, two_angle_k, length and next table.
-Rational angles allow few such legs; shorter traces stay in the plain loop.
+boundary moves its arcs and the report bytes.  The one exception is a
+verdict read from a precomputed exact threshold: the endpoint test
+``u * length < EPS_SINGULAR or (1.0 - u) * length < EPS_SINGULAR`` is
+``u < u_lo or u > u_hi`` for every float u, with the geometry's
+thresholds (see :func:`darksector.scene.endpoint_thresholds`).  A value
+that depends only on a leg's mirror and direction may be computed once per
+trace and pair, by the same expression: after :data:`WARM` reflections
+:func:`trace` goes on from a dict of its own of :func:`_leg_table`s, keyed
+by the mirror left and the wrapped direction (never -0.0), whose rows keep
+the step of their first hit on the leg: the thresholds (u_lo = inf where
+the hit grazes, so one test gives both verdicts), lip, two_angle_k and next
+table.  Rational angles allow few such legs; shorter traces stay in the
+plain loop.
 
 :func:`trace` tests the launch first.  A first leg launched in one turn,
 theta0 in [0, TWO_PI) as every caller in the package launches, with a cap of
@@ -39,7 +47,7 @@ results are built with ``_new``, ``tuple.__new__`` read once, as namedtuple's
 ``_make`` does, since each NamedTuple constructor is one Python call, and
 statuses are read from module constants: an Enum member read off its class
 costs ~130 ns on CPython 3.11, a local ~9 ns.  Per-scene constants are read,
-not built: an empty cell's escape takes its one-point path and identity
+not built: an empty cell's escape takes its exit point and identity
 isometry from :attr:`Scene.source_escape`.
 """
 
@@ -50,7 +58,7 @@ from bisect import bisect_right
 from enum import Enum
 from typing import NamedTuple
 
-from .exact_angle import TWO_PI, GroupElement
+from .exact_angle import TWO_PI, GroupElement, wrap_angle
 from .scene import EPS_SINGULAR, EnclosingCircle, Point, ScanRow, Scene
 
 # Minimum advance along the ray before a hit counts; scene.MIN_SEPARATION,
@@ -142,8 +150,7 @@ def first_hit(
 class TraceResult(NamedTuple):
     status: TraceStatus
     itinerary: tuple[tuple[int, int], ...]  # (mirror_index, side) per bounce
-    path: tuple[Point, ...]  # source followed by each reflection point
-    exit_point: Point  # last reflection point, or the source
+    exit_point: Point  # last reflection point, or the source; see reflection_points
     exit_dir_numeric: float
     exit_dir_exact: GroupElement
     bounce_count: int
@@ -170,21 +177,20 @@ def trace(scene: Scene, theta0: float, cap: int = DEFAULT_BOUNCE_CAP) -> TraceRe
         bounds, cells = scene.source_cells
         rows = cells[bisect_right(bounds, theta0)]
         if not rows:  # the loop's escape at n = 0; + 0.0 makes -0.0 0.0, as its % does
-            path, g = scene.source_escape
-            return _new(TraceResult, (ESCAPED, (), path, path[0], theta0 + 0.0, g, 0, None))
+            source, g = scene.source_escape
+            return _new(TraceResult, (ESCAPED, (), source, theta0 + 0.0, g, 0, None))
     else:
         if cap < 1:
             raise ValueError("bounce cap must be >= 1")
         if not math.isfinite(theta0):
             raise ValueError(f"launch direction must be finite, got {theta0}")
         rows = scene.scan_rows[0]
-    ox, oy = pos = scene.source
+    ox, oy = scene.source
     scan_rows = scene.scan_rows
     cos, sin, inf = math.cos, math.sin, math.inf
     eps_advance, eps_singular, two_pi = EPS_ADVANCE, EPS_SINGULAR, TWO_PI
     theta = theta0  # wrapped on reflection; the first leg leaves along theta0 as given
     k = 0  # exact exit direction offset, in units of pi / scene.angle_unit
-    path = [pos]
     itinerary: list[tuple[int, int]] = []
     stop_point = None
     for n in range(cap + 1 if cap <= WARM else WARM):  # n reflections so far
@@ -208,25 +214,19 @@ def trace(scene: Scene, theta0: float, cap: int = DEFAULT_BOUNCE_CAP) -> TraceRe
         if hit is None:
             status = ESCAPED
             break
-        index, length, nx, ny, two_angle, two_angle_k, lips = hit
-        point = (ox + best_t * dx, oy + best_t * dy)
-        # the singular test, as in first_hit
-        if (
-            abs(best_denom) / length < eps_singular
-            or best_u * length < eps_singular
-            or (1.0 - best_u) * length < eps_singular
-        ):
-            status, stop_point = SINGULAR, point
+        index, length, nx, ny, two_angle, two_angle_k, lips, u_lo, u_hi = hit
+        # the singular test, as in first_hit, its endpoint margins by threshold
+        if abs(best_denom) / length < eps_singular or best_u < u_lo or best_u > u_hi:
+            status, stop_point = SINGULAR, (ox + best_t * dx, oy + best_t * dy)
             break
         if n == cap:
             status = BOUNCE_CAP_EXCEEDED
             break
         itinerary.append(lips[0] if (dx * nx + dy * ny) < 0.0 else lips[1])
-        path.append(point)
         r = (two_angle - theta) % two_pi  # wrap_angle, inlined
         theta = r if r < two_pi else 0.0
         k = two_angle_k - k
-        ox, oy = pos = point
+        ox, oy = ox + best_t * dx, oy + best_t * dy
         rows = scan_rows[index]
     else:  # WARM reflections and cap > WARM: go on from this trace's leg tables
         tables = {}
@@ -247,38 +247,50 @@ def trace(scene: Scene, theta0: float, cap: int = DEFAULT_BOUNCE_CAP) -> TraceRe
                 break
             step = hit[0]
             if step is None:  # the row's first hit on this leg, by the plain loop's expressions
-                _, denom, (index, length, nx, ny, two_angle, two_angle_k, lips) = hit
+                _, denom, (index, length, nx, ny, two_angle, two_angle_k, lips, u_lo, u_hi) = hit
                 r = (two_angle - theta) % two_pi
                 key = index, r if r < two_pi else 0.0
                 tables[key] = after = tables.get(key) or _leg_table(scan_rows[index], key[1])
                 lip = lips[0] if (dx * nx + dy * ny) < 0.0 else lips[1]
-                step = hit[0] = (abs(denom) / length < eps_singular, lip, two_angle_k, length,
-                                 after)
-            grazing, lip, two_angle_k, length, after = step
-            point = (ox + best_t * dx, oy + best_t * dy)
-            if grazing or best_u * length < eps_singular or (1.0 - best_u) * length < eps_singular:
-                status, stop_point = SINGULAR, point
+                if abs(denom) / length < eps_singular:  # grazing: every u is singular
+                    u_lo = inf
+                step = hit[0] = (u_lo, u_hi, lip, two_angle_k, after)
+            u_lo, u_hi, lip, two_angle_k, after = step
+            if best_u < u_lo or best_u > u_hi:
+                status, stop_point = SINGULAR, (ox + best_t * dx, oy + best_t * dy)
                 break
             if n == cap:
                 status = BOUNCE_CAP_EXCEEDED
                 break
             itinerary.append(lip)
-            path.append(point)
             k = two_angle_k - k
-            ox, oy = pos = point
+            ox, oy = ox + best_t * dx, oy + best_t * dy
             theta, dx, dy, rows = after
     unit = scene.angle_unit
     r = theta % two_pi  # wrap_angle, inlined
     return _new(TraceResult, (
         status,
         tuple(itinerary),
-        tuple(path),
-        pos,
+        (ox, oy),
         r if r < two_pi else 0.0,
         _new(GroupElement, (-1 if n % 2 else 1, k % (2 * unit), unit)),
         n,
         stop_point,
     ))
+
+
+def reflection_points(scene: Scene, theta0: float, tr: TraceResult) -> tuple[Point, ...]:
+    """The source followed by each reflection point of ``tr``, the trace of
+    ``theta0`` in ``scene``, which :func:`trace` does not keep: :func:`first_hit`
+    stepped along its itinerary, the direction wrapped as trace wraps it.
+    The loop matches first_hit float for float, so the points are its own."""
+    pos, theta, last = scene.source, theta0, None
+    points = [pos]
+    for index, _ in tr.itinerary:
+        pos = first_hit(pos, theta, scene, last).point
+        points.append(pos)
+        theta, last = wrap_angle(scene.geometry[index - 1].two_angle - theta), index
+    return tuple(points)
 
 
 def exit_ray(point: Point, direction: float, circle: EnclosingCircle) -> Point:

@@ -744,6 +744,16 @@ class TestWrittenFiles:
             os.umask(previous)
         assert stat.S_IMODE(out.stat().st_mode) == mode
 
+    def test_a_written_file_is_not_looked_for_again(self, toy_path, tmp_path, monkeypatch):
+        # once the temporary file is moved into place there is nothing to
+        # clean up, so no stat of its old name
+        real_exists, looked = os.path.exists, []
+        monkeypatch.setattr(os.path, "exists", lambda p: looked.append(p) or real_exists(p))
+        out = tmp_path / "report.json"
+        assert main(["validate", "--scene", toy_path, "--out", str(out)]) == 0
+        assert out.exists()
+        assert not [p for p in looked if ".darksector-" in os.fspath(p)]
+
     def test_failing_stream_leaves_the_target_unchanged(self, tmp_path, monkeypatch, capsys):
         path = write_scene(tmp_path, make_parallel_scene())
         out = tmp_path / "map.json"

@@ -27,7 +27,7 @@ from darksector.circle_map import decompose, unlit_arcs
 from darksector.exact_angle import make_rational_turn
 from darksector.scene import Mirror, Scene, enclosing_circle, load_scene
 from darksector.scenegen import random_scene
-from darksector.tracer import trace
+from darksector.tracer import reflection_points, trace
 
 ROOT = Path(__file__).resolve().parent.parent
 # seeds, eps_b and bounce cap of the random_sectors workload's decompositions
@@ -132,7 +132,9 @@ def test_scaled_scene_traces_scale_exactly(name, k):
         tr, tr_scaled = trace(scene, theta, cap), trace(big, theta, cap)
         where = f"{name} at theta {theta!r}"
         assert (tr_scaled.status, tr_scaled.itinerary) == (tr.status, tr.itinerary), where
-        assert tr_scaled.path == tuple((x * f, y * f) for x, y in tr.path), where
+        assert reflection_points(big, theta, tr_scaled) == tuple(
+            (x * f, y * f) for x, y in reflection_points(scene, theta, tr)), where
+        assert tr_scaled.exit_point == (tr.exit_point[0] * f, tr.exit_point[1] * f), where
         assert (tr_scaled.exit_dir_numeric, tr_scaled.exit_dir_exact) == (
             tr.exit_dir_numeric, tr.exit_dir_exact), where
 

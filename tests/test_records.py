@@ -86,7 +86,7 @@ def test_scene_replace_builds_its_own_tables():
     moved = scene._replace(source=(0.3, -0.7))
     assert moved.source_cells == make_toy_scene(source=(0.3, -0.7)).source_cells
     assert moved.source_cells != cells
-    assert moved.source_escape[0] == ((0.3, -0.7),)
+    assert moved.source_escape[0] == (0.3, -0.7)
     assert scene.source_cells is cells
 
 

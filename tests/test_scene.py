@@ -7,15 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_toy_scene
+from conftest import make_parallel_scene, make_six_mirror_trap_scene, make_toy_scene
 from darksector.circle_map import decompose
 from darksector.exact_angle import make_rational_turn
 from darksector.scene import (
+    EPS_SINGULAR,
     MIN_SEPARATION,
     Mirror,
     Scene,
     SceneFormatError,
     enclosing_circle,
+    endpoint_thresholds,
     endpoints,
     load_scene,
     point_segment_distance,
@@ -26,6 +28,73 @@ from darksector.scene import (
 )
 from darksector.scenegen import random_scene
 from darksector.tracer import EPS_ADVANCE, TraceStatus, trace
+
+
+def endpoint_singular(u: float, length: float) -> bool:
+    """The endpoint test of first_hit, in its product form."""
+    return u * length < EPS_SINGULAR or (1.0 - u) * length < EPS_SINGULAR
+
+
+def assert_thresholds_decide(length: float, us=()) -> tuple[float, float]:
+    """The product form and the thresholds agree at both thresholds, at each
+    of their float neighbours and at every u of ``us``."""
+    u_lo, u_hi = endpoint_thresholds(length)
+    probes = [u for x in (u_lo, u_hi) for u in (math.nextafter(x, -math.inf), x,
+                                                math.nextafter(x, math.inf))]
+    for u in [*probes, *us]:
+        assert endpoint_singular(u, length) == (u < u_lo or u > u_hi), (length, u)
+    return u_lo, u_hi
+
+
+def _file_mirror_lengths() -> list[float]:
+    tests = Path(__file__).resolve().parent
+    files = [*sorted((tests.parent / "scenes").glob("*.json")),
+             *sorted((tests / "scenes").glob("*.json"))]
+    scenes = [*(load_scene(f.read_bytes()) for f in files), make_parallel_scene(),
+              make_six_mirror_trap_scene()]
+    return [m.length for s in scenes for m in s.mirrors]
+
+
+THRESHOLD_LENGTHS = sorted({*_file_mirror_lengths(), *(math.ldexp(1.0, e) for e in range(-26, 61))})
+
+
+class TestEndpointThresholds:
+    """``u < u_lo or u > u_hi`` is first_hit's product-form endpoint test
+    for every float u, so the tracer may test the thresholds instead."""
+
+    @pytest.mark.parametrize("length", THRESHOLD_LENGTHS)
+    def test_scene_mirrors_and_powers_of_two(self, length):
+        u_lo, u_hi = assert_thresholds_decide(length)
+        # each is the least (greatest) float on its side of the margin
+        assert u_lo * length >= EPS_SINGULAR > math.nextafter(u_lo, -math.inf) * length
+        assert (1.0 - u_hi) * length >= EPS_SINGULAR > (
+            1.0 - math.nextafter(u_hi, math.inf)) * length
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.floats(1e-8, 1e6), st.integers(-26, 60).map(lambda e: math.ldexp(1.0, e))),
+        st.data(),
+    )
+    def test_random_lengths(self, length, data):
+        # the u a scan row accepts, [-slack, 1 + slack]
+        slack = EPS_SINGULAR / length
+        us = data.draw(st.lists(st.floats(-slack, 1.0 + slack), max_size=20))
+        assert_thresholds_decide(length, us)
+
+    @pytest.mark.parametrize("length", [0.1, 1.0, 3.7, 0.0])
+    def test_geometry_carries_the_thresholds(self, length):
+        scene = Scene(mirrors=(Mirror((0.0, -2.0), length, make_rational_turn(1, 3)),),
+                      source=(0.0, 0.0))
+        g = scene.geometry[0]
+        assert (g.u_lo, g.u_hi) == endpoint_thresholds(length)
+
+    def test_zero_length_mirror_is_singular_everywhere(self):
+        # a zero-length mirror is never hit (its e is (0, 0)); were it hit,
+        # every u would be an endpoint, and u_lo = inf says so
+        u_lo, u_hi = endpoint_thresholds(0.0)
+        assert (u_lo, u_hi) == (math.inf, -math.inf)
+        for u in (-1.0, -1e-300, -0.0, 0.0, 1e-300, 0.5, 1.0, 2.0):
+            assert endpoint_singular(u, 0.0) and (u < u_lo or u > u_hi), u
 
 
 class TestEndpoints:

@@ -36,7 +36,16 @@ from darksector.scene import (
 )
 from darksector.scenegen import random_scene
 from darksector import tracer
-from darksector.tracer import WARM, Hit, SingularStop, TraceStatus, exit_ray, first_hit, trace
+from darksector.tracer import (
+    WARM,
+    Hit,
+    SingularStop,
+    TraceStatus,
+    exit_ray,
+    first_hit,
+    reflection_points,
+    trace,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -112,7 +121,7 @@ class TestTrace:
         assert tr.exit_dir_numeric == pytest.approx(math.pi / 2)
         assert tr.exit_dir_exact == GroupElement(-1, 0, 1)
         assert apply(tr.exit_dir_exact, 3 * math.pi / 2) == pytest.approx(math.pi / 2)
-        assert tr.path[0] == (0.0, 1.0)
+        assert reflection_points(single_mirror_scene, 3 * math.pi / 2, tr)[0] == (0.0, 1.0)
         assert tr.exit_point[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_direct_escape(self, single_mirror_scene):
@@ -164,13 +173,15 @@ class TestTrace:
         assert a == b
 
 
-def outcome(tr):
-    return (tr.status, tr.itinerary, tr.path, tr.exit_point, tr.exit_dir_numeric,
-            tr.exit_dir_exact, tr.bounce_count, tr.stop_point)
+def outcome(scene, theta0, tr):
+    """The fields of ``tr``, the trace of ``theta0`` in ``scene``, with the
+    source and reflection points that reflection_points rebuilds."""
+    return (tr.status, tr.itinerary, reflection_points(scene, theta0, tr), tr.exit_point,
+            tr.exit_dir_numeric, tr.exit_dir_exact, tr.bounce_count, tr.stop_point)
 
 
 def trace_by_first_hit(scene, theta0, cap):
-    """``outcome(trace(scene, theta0, cap))``, stepped by hand from the
+    """``outcome(scene, theta0, trace(scene, theta0, cap))``, stepped by hand from the
     source with ``first_hit``, which takes theta0 as given."""
     theta = theta0
     pos = scene.source
@@ -267,7 +278,7 @@ class TestTraceMatchesFirstHit:
                 theta0 = math.atan2(tip[1] - scene.source[1], tip[0] - scene.source[0])
             cap = rng.choice([1, 2, 5, 200])
             tr = trace(scene, theta0, cap)
-            assert outcome(tr) == trace_by_first_hit(scene, theta0, cap)
+            assert outcome(scene, theta0, tr) == trace_by_first_hit(scene, theta0, cap)
             statuses.add(tr.status)
         assert statuses == set(TraceStatus)
 
@@ -277,14 +288,15 @@ class TestTraceMatchesFirstHit:
         theta0 = math.atan2(-1.5, 1.0)
         tr = trace(parallel_scene, theta0, 1)
         assert tr.status is TraceStatus.SINGULAR and tr.bounce_count == 1
-        assert outcome(tr) == trace_by_first_hit(parallel_scene, theta0, 1)
+        assert outcome(parallel_scene, theta0, tr) == trace_by_first_hit(parallel_scene, theta0, 1)
 
     def test_channel_to_the_cap(self, parallel_scene):
         rng = random.Random(9)
         for _ in range(40):
             theta0 = math.pi / 2 + rng.uniform(-0.2, 0.2)
             tr = trace(parallel_scene, theta0, 150)
-            assert outcome(tr) == trace_by_first_hit(parallel_scene, theta0, 150)
+            assert outcome(parallel_scene, theta0, tr) == trace_by_first_hit(
+                parallel_scene, theta0, 150)
 
     def test_grazing_threshold(self, single_mirror_scene):
         # rays from far off to the left aimed at the mirror's middle meet it
@@ -298,7 +310,7 @@ class TestTraceMatchesFirstHit:
             scene = Scene(mirrors=single_mirror_scene.mirrors, source=(-1000.0, h))
             theta0 = math.atan2(-h, 1000.0)
             tr = trace(scene, theta0, 5)
-            assert outcome(tr) == trace_by_first_hit(scene, theta0, 5)
+            assert outcome(scene, theta0, tr) == trace_by_first_hit(scene, theta0, 5)
             if tr.status is TraceStatus.SINGULAR:
                 assert first_hit(scene.source, theta0, scene).reason == "grazing"
             statuses.add(tr.status)
@@ -319,7 +331,7 @@ class TestTraceMatchesFirstHit:
         statuses = set()
         for theta0 in launch_directions(scene, random.Random(cap), 200, band):
             tr = trace(scene, theta0, cap)
-            assert outcome(tr) == trace_by_first_hit(scene, theta0, cap)
+            assert outcome(scene, theta0, tr) == trace_by_first_hit(scene, theta0, cap)
             statuses.add(tr.status)
         assert statuses == set(TraceStatus)
 
@@ -343,7 +355,8 @@ class TestTraceMatchesFirstHit:
             tr = trace(scene, theta0, cap)
             assert (tr.status, tr.bounce_count) == (status, m)
             for c in (cap, WARM - 1, WARM, WARM + 1):
-                assert outcome(trace(scene, theta0, c)) == trace_by_first_hit(scene, theta0, c)
+                assert outcome(scene, theta0, trace(scene, theta0, c)) == trace_by_first_hit(
+                    scene, theta0, c)
 
     def test_grazing_stop_past_the_switch(self):
         # a ray just below the horizontal bounces between two upright mirrors
@@ -361,13 +374,80 @@ class TestTraceMatchesFirstHit:
             scene = Scene(mirrors=mirrors, source=(0.0, 2 * WARM * 2000.0 * s))
             theta0 = TWO_PI - math.atan(s)
             tr = trace(scene, theta0, 5 * WARM)
-            assert outcome(tr) == trace_by_first_hit(scene, theta0, 5 * WARM)
+            assert outcome(scene, theta0, tr) == trace_by_first_hit(scene, theta0, 5 * WARM)
             if tr.status is TraceStatus.SINGULAR:
                 assert tr.bounce_count == 2 * WARM
                 stop = first_hit(tr.exit_point, tr.exit_dir_numeric, scene, tr.itinerary[-1][0])
                 assert (stop.mirror_index, stop.reason) == (1, "grazing")
             statuses.add(tr.status)
         assert statuses == {TraceStatus.SINGULAR, TraceStatus.BOUNCE_CAP_EXCEEDED}
+
+
+def wall_scene(num, anchor_y):
+    """A long upright mirror at x = -1 and, at x = 1, a unit mirror at angle
+    num/2 * pi anchored at (1, anchor_y), the source at the origin.  The
+    launch at 0.0 runs along the x axis to the unit mirror and back, and
+    each return leg (cos pi = -1, sin pi > 0) lifts it by about 2.4e-16, so
+    each hit on the unit mirror sits a little higher than the one before."""
+    upright = make_rational_turn(1, 2)
+    return Scene(mirrors=(Mirror((-1.0, -5.0), 10.0, upright),
+                          Mirror((1.0, anchor_y), 1.0, make_rational_turn(num, 2))),
+                 source=(0.0, 0.0))
+
+
+def wall_hit_u(scene, n):
+    """u of the launch's nth hit (n even, on the unit mirror), by trace's
+    own expressions for a leg along 0.0."""
+    tr = trace(scene, 0.0, 2 * WARM)
+    ox, oy = reflection_points(scene, 0.0, tr)[n]
+    ax, ay, ex, ey, *_ = scene.scan_rows[0][1]
+    dx, dy = math.cos(0.0), math.sin(0.0)
+    wx, wy = ax - ox, ay - oy
+    return (wx * dy - wy * dx) / (dx * ey - dy * ex)
+
+
+def wall_scene_hit_at(num, n, u, anchor_y):
+    """The wall_scene whose launch meets its unit mirror at exactly u on
+    its nth reflection: the anchor moved from anchor_y by the miss in u
+    (the downward mirror's u grows with its anchor, the upward one's falls),
+    then an ulp at a time."""
+    sign = 1.0 if num == 3 else -1.0
+    for _ in range(100):
+        scene = wall_scene(num, anchor_y)
+        got = wall_hit_u(scene, n)
+        if got == u:
+            return scene
+        moved = anchor_y + sign * (u - got)
+        if moved == anchor_y:
+            moved = math.nextafter(anchor_y, sign * (u - got) * math.inf)
+        anchor_y = moved
+    raise AssertionError(f"no anchor puts hit {n} at u = {u!r}")
+
+
+class TestEndpointThresholdsInTheLoop:
+    """A hit at exactly u_lo or u_hi reflects and one a float beyond it
+    stops, in the plain loop (hits 0 and 2) and in the tabled loop (hit
+    WARM sets its row's step and hit WARM + 2 reads it)."""
+
+    @pytest.mark.parametrize("n", [0, 2, WARM, WARM + 2])
+    @pytest.mark.parametrize("side", ["u_lo", "u_hi"])
+    def test_a_hit_on_the_threshold_and_beyond(self, side, n):
+        # u_hi on the upward mirror, whose u rises hit by hit, so the hits
+        # before the nth are clear of both ends; u_lo on the downward one
+        num, anchor_y = (1, -1.0 + 2e-9) if side == "u_hi" else (3, 2e-9)
+        geometry = wall_scene(num, anchor_y).geometry[1]
+        u_lo, u_hi = geometry.u_lo, geometry.u_hi
+        at, beyond = ((u_hi, math.nextafter(u_hi, math.inf)) if side == "u_hi"
+                      else (u_lo, math.nextafter(u_lo, -math.inf)))
+        for u, status, bounces in ((at, None, None), (beyond, TraceStatus.SINGULAR, n)):
+            scene = wall_scene_hit_at(num, n, u, anchor_y)
+            assert (scene.geometry[1].u_lo, scene.geometry[1].u_hi) == (u_lo, u_hi)
+            tr = trace(scene, 0.0, 2 * WARM)
+            assert outcome(scene, 0.0, tr) == trace_by_first_hit(scene, 0.0, 2 * WARM)
+            if status is None:
+                assert tr.bounce_count > n
+            else:
+                assert (tr.status, tr.bounce_count) == (status, bounces)
 
 
 class TestScanRows:
@@ -425,8 +505,8 @@ def assert_matches_the_full_scan(scene, cap=3):
     for theta in edge_launches(scene):
         for k in TURNS:
             theta0 = theta + k * TWO_PI
-            assert outcome(trace(scene, theta0, cap)) == trace_by_first_hit(scene, theta0, cap), (
-                theta, k)
+            tr = trace(scene, theta0, cap)
+            assert outcome(scene, theta0, tr) == trace_by_first_hit(scene, theta0, cap), (theta, k)
 
 
 def assert_cells_list_the_rows_their_arcs_meet(scene):
@@ -503,10 +583,11 @@ class TestSourceCells:
         assert [len(cell) for cell in cells] == [0, 1, 0]
         for theta0 in (0.0, 1.0, bounds[0] - 1e-3, bounds[1] + 1e-3, TWO_PI - 1e-12):
             for k in (0, 1, 3):
-                tr = trace(single_mirror_scene, theta0 + k * TWO_PI, 5)
+                theta = theta0 + k * TWO_PI
+                tr = trace(single_mirror_scene, theta, 5)
                 assert tr.status is TraceStatus.ESCAPED and tr.bounce_count == 0
-                assert outcome(tr) == trace_by_first_hit(
-                    single_mirror_scene, theta0 + k * TWO_PI, 5)
+                assert outcome(single_mirror_scene, theta, tr) == trace_by_first_hit(
+                    single_mirror_scene, theta, 5)
 
     def test_an_empty_cell_escape_is_in_its_own_scenes_unit(self):
         # one mirror at a third or at a quarter turn, far below the source:
@@ -519,9 +600,9 @@ class TestSourceCells:
             identity = GroupElement(1, 0, scene.angle_unit)
             bounds, cells = scene.source_cells
             assert not cells[bisect_right(bounds, math.pi / 2)]
-            assert scene.source_escape == ((scene.source,), identity)
+            assert scene.source_escape == (scene.source, identity)
             tr = trace(scene, math.pi / 2, 5)
-            assert outcome(tr) == trace_by_first_hit(scene, math.pi / 2, 5)
+            assert outcome(scene, math.pi / 2, tr) == trace_by_first_hit(scene, math.pi / 2, 5)
             assert tr.exit_dir_exact == identity
             d = decompose(scene, enclosing_circle(scene), seeds=64)
             direct = [i for i, c in enumerate(d.components) if c.itinerary == ()]
@@ -565,9 +646,10 @@ class TestSourceCells:
 
 class TestNoCallPerBounce:
     def test_python_calls_do_not_grow_with_the_bounces(self, parallel_scene):
-        # a ray straight up the channel is trapped at any cap; a Python-level
+        # a ray 1e-6 off straight up the channel stays trapped to cap 2,000
+        # (at 1e-3 off it escapes after 1,000 reflections); a Python-level
         # helper called per leg would add its calls once per bounce
-        theta0 = math.pi / 2 + 1e-3
+        theta0 = math.pi / 2 + 1e-6
         trace(parallel_scene, theta0, 1)  # fill the scene's cached geometry
 
         def calls(cap):
@@ -580,7 +662,7 @@ class TestNoCallPerBounce:
             assert tr.status is TraceStatus.BOUNCE_CAP_EXCEEDED and tr.bounce_count == cap
             return events.count("call")
 
-        assert calls(10) == calls(200)
+        assert calls(10) == calls(200) == calls(2000)
 
     def test_python_calls_do_not_grow_with_the_bounces_in_the_trap(self):
         # a launch trapped between the six-mirror trap's parallel pairs
@@ -715,8 +797,9 @@ class TestTraceProperties:
         for _ in range(100):
             scene = random_scene(rng)
             circle = enclosing_circle(scene)
-            tr = trace(scene, rng.uniform(0.0, TWO_PI), cap=200)
-            for p in tr.path:
+            theta0 = rng.uniform(0.0, TWO_PI)
+            tr = trace(scene, theta0, cap=200)
+            for p in reflection_points(scene, theta0, tr):
                 d = math.hypot(p[0] - circle.center[0], p[1] - circle.center[1])
                 assert d < circle.radius
             if tr.status is TraceStatus.ESCAPED:

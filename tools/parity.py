@@ -21,7 +21,9 @@ its second mirror moved across the first, the one invalid scene, whose
 ``trace`` runs at the escaping direction with the most bounces, at that
 direction plus 2*pi, plus 2*pi*10**6 and minus 6*pi, at -0.0, at the
 direction with the most bounces stopped by its ``--cap``, and at the first
-mirror's anchor.  Last come the jobs that write to stdout: ``map``,
+mirror's anchor; on each ``trapped`` scene, also at the escaping direction
+with the most bounces under that workload's cap (400 on the channel, 100 on
+the trap), at that cap.  Last come the jobs that write to stdout: ``map``,
 ``unfold`` and ``render --scene`` of each of those scenes with no ``--out``
 or ``--svg``, then ``--help`` of each command.
 
@@ -114,9 +116,12 @@ def _command_jobs(scene_dir: Path) -> list[tuple[str, list[str], list[str]]]:
     from darksector.scene import load_scene
     from darksector.tracer import ESCAPED, trace
 
+    # the trapped workload's bounce cap of each of its scenes
+    trapped_caps = {job.scene_path: int(job.args[job.args.index("--cap") + 1])
+                    for job in setup("trapped", 0, scene_dir)}
     paths = [*sorted((ROOT / "scenes").glob("*.json")),
              *sorted((ROOT / "tests" / "scenes").glob("*.json")),
-             *(job.scene_path for job in setup("trapped", 0, scene_dir))]
+             *trapped_caps]
     thetas = [2 * math.pi * i / COMMAND_DIRECTIONS for i in range(COMMAND_DIRECTIONS)]
     jobs, stdout_jobs = [], []
     for path in paths:
@@ -139,6 +144,11 @@ def _command_jobs(scene_dir: Path) -> list[tuple[str, list[str], list[str]]]:
                   ("tip", math.atan2(ay - sy, ax - sx), COMMAND_CAP)]
         if longest[0].bounce_count > 1:  # one bounce fewer stops it at the cap
             traces.append(("capped", longest[1], longest[0].bounce_count - 1))
+        if path in trapped_caps:  # a long ray, at the workload's cap
+            cap = trapped_caps[path]
+            long = max((t for t in ((trace(scene, theta, cap), theta) for theta in thetas)
+                        if t[0].status is ESCAPED), key=lambda t: t[0].bounce_count)
+            traces.append(("long", long[1], cap))
         out = f"commands/{name}"
         argvs = [["validate", "--scene", str(path), "--out", f"{out}.validate.json"]]
         argvs += [["trace", "--scene", str(path), "--theta", repr(theta), "--cap", str(cap),
