@@ -38,7 +38,7 @@ from .scene import (
     validate_scene,
 )
 from .tracer import TraceResult, TraceStatus, exit_ray, reflection_points, trace
-from .unfolding import build_surface, census_report, cone_cycles, total_dark_angle, write_census
+from .unfolding import build_surface, total_dark_angle, write_census
 
 __version__ = "0.1.0"
 
@@ -58,8 +58,6 @@ __all__ = [
     "apply",
     "build_sector",
     "build_surface",
-    "census_report",
-    "cone_cycles",
     "decompose",
     "decomposition_report",
     "enclosing_circle",

@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -473,6 +474,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, handler, help_text, options in _COMMANDS:
         specs = _RENDER_OPTIONS if name == "render" else _OPTIONS
         p = sub.add_parser(name, help=help_text)
+        # any float text is a value: argparse's own pattern takes -1e-05 for an option
+        p._negative_number_matcher = re.compile(r"-\.?\d|-(inf|infinity|nan)$", re.I)
         p.set_defaults(handler=handler)
         for option in options:
             if isinstance(option, tuple):

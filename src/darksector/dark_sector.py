@@ -175,7 +175,7 @@ def verify_darkness(
     A sector that misses it falls back to n points drawn from
     ``random.Random(seed)`` (log-uniform radii over [1, 10**SAMPLE_DECADES]*R
     from the apex), each bad when ``arc_difference`` leaves more than 1e-12
-    of its direction span outside the dark arc.  ``sample_count`` is n.
+    of its direction span outside the dark arc.  ``sample_count`` is n >= 0.
 
     Check (iii) reads ``probes``, the ``exit_probes(d)`` traced once per
     decomposition and shared by every sector verified against it.  With
@@ -186,6 +186,8 @@ def verify_darkness(
     closed arc (check (i)'s lemma), and a ray from inside the disk with a
     direction strictly inside the arc ends up inside the cone.
     """
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"sample count must be a non-negative integer, got {n!r}")
     dark = Arc(s.dir_lo, s.dir_hi)
     measure = dark.measure
     bad_points: list[Point] = []

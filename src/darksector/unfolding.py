@@ -4,12 +4,12 @@ Reflections are replaced by transitions between sheets indexed by the
 reflection group: one slitted plane per group element, glued pairwise along
 each mirror slit by left-multiplication with that mirror's reflection.  The
 census counts the cone points (zeros), the planar infinities (double poles,
-one per sheet) and the genus, all in closed form: every gluing is a
-fixed-point-free involution, so each slit endpoint is surrounded by cycles
-of two sheets, each a zero of order 1.  With n slits and 2N sheets the
-degree is 2Nn - 4N and the genus 1 + N(n - 2).  The sheets and each gluing
-(four descending runs of sheet indices) are built from ranges, and each
-sheet row of the report from its offset in closed form.
+one per sheet) and the genus, all in closed form.  A slit's gluing perm is
+a fixed-point-free involution that pairs each rotation i < N with a
+reflection, so a turn around either slit endpoint crosses from sheet i into
+perm[i] and back: perm[:N] gives the endpoint's N cycles (i, perm[i]), each
+a zero of order 1.  With n slits and 2N sheets the degree is 2Nn - 4N and
+the genus 1 + N(n - 2).
 """
 
 from __future__ import annotations
@@ -87,24 +87,6 @@ def build_surface(scene: Scene, group_cap: int = DEFAULT_GROUP_CAP) -> UnfoldedS
     return UnfoldedSurface(sheets=sheets, gluings=tuple(gluings))
 
 
-def cone_cycles(s: UnfoldedSurface) -> list[dict]:
-    """The census rows of all cone points: for each slit endpoint, one cycle
-    (i, perm[i]) with i < perm[i] per pair of sheets the slit glues.
-
-    A full turn around a slit tip inside one sheet crosses from the plus lip
-    to the minus lip, the gluing carries it to the partner sheet, and the
-    involution closes it there.  A gluing pairs each rotation i < N with a
-    reflection, so i < perm[i] exactly for i < N."""
-    n = s.sheet_count // 2
-    rows: list[dict] = []
-    for k, perm in enumerate(s.gluings, start=1):
-        pairs = list(zip(range(n), perm))
-        for endpoint in ENDPOINTS:
-            rows += [{"slit": k, "endpoint": endpoint, "sheets": p, "length": 2,
-                      "cone_angle": CONE_ANGLE} for p in pairs]
-    return rows
-
-
 def total_dark_angle(sheet_count: int, escape_measure: float) -> float:
     """Aggregate opening angle of the directions at all sheets' planar
     infinities that no ray from the source reaches.  In sheet g's chart an
@@ -114,37 +96,17 @@ def total_dark_angle(sheet_count: int, escape_measure: float) -> float:
     return 2.0 * math.pi * sheet_count - escape_measure
 
 
-def census_report(s: UnfoldedSurface, cycles: list[dict]) -> dict:
-    """JSON-ready census document.  Every cone cycle has two sheets, so the
-    N zero rows of one slit endpoint are one shared dict of order 1."""
-    m = s.sheet_count
-    zeros: list[dict] = []
-    for k in range(1, s.slit_count + 1):
-        for endpoint in ENDPOINTS:
-            zeros += [{"slit": k, "endpoint": endpoint, "order": 1}] * (m // 2)
-    degree = len(zeros) - 2 * m
-    genus = (degree + 2) // 2
-    return {
-        "sheet_count": m,
-        "slit_count": s.slit_count,
-        "sheets": [g.to_dict() for g in s.sheets],
-        "gluings": s.gluings,
-        "cycles": cycles,
-        "zeros": zeros,
-        "poles": [{"sheet_index": i, "order": 2, "residue": 0} for i in range(m)],
-        "degree": degree,
-        "genus": genus,
-        "euler_characteristic": 2 - 2 * genus,
-    }
-
-
-
 def write_census(s: UnfoldedSurface, write) -> None:
-    """Pass ``write`` the text of ``json.dumps(census_report(s, cone_cycles(s)),
-    indent=2) + "\\n"`` with no row dict: rows are filled into templates, and
-    no write holds more than CHUNK_ROWS items of a list.  A sheet row is
-    (s, k // g, L // g), g = gcd(k, L), for k over the two offset ranges of
-    ``reflection_group``: only L and c0 are read from the sheets."""
+    """Pass ``write`` the census document as ``json.dumps(doc, indent=2) +
+    "\\n"`` writes it, from templates, at most CHUNK_ROWS list items a write:
+    ``sheet_count`` 2N; ``slit_count`` n; ``sheets``, each element's
+    ``to_dict``; ``gluings``, each perm; ``cycles``, per slit k, endpoint e
+    and i < N, ``{"slit": k, "endpoint": e, "sheets": [i, perm[i]], "length":
+    2, "cone_angle": CONE_ANGLE}``; ``zeros``, N rows ``{"slit": k, "endpoint":
+    e, "order": 1}`` per (k, e); ``poles``, ``{"sheet_index": i, "order": 2,
+    "residue": 0}`` per sheet; ``degree`` 2g - 2, ``genus`` g and
+    ``euler_characteristic`` 2 - 2g.  Sheet row k is (s, k // d, L // d), d =
+    gcd(k, L), for k over the offset ranges of ``reflection_group``."""
     m, n = s.sheet_count, s.sheet_count // 2
     ints = [str(i) for i in range(m)]
     block = range(0, n, CHUNK_ROWS)  # the pieces of one (slit, endpoint) block

@@ -1,7 +1,9 @@
 import hashlib
+import json
 import math
 import random
 from bisect import bisect_left
+from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
@@ -15,9 +17,10 @@ from darksector.circle_map import (
 )
 from darksector.dark_sector import DarkSector
 from darksector.exact_angle import TWO_PI, GroupElement, make_rational_turn, wrap_angle
-from darksector.scene import EnclosingCircle, Mirror, Point, Scene, endpoints
+from darksector.scene import EPS_SINGULAR, EnclosingCircle, Mirror, Point, Scene, endpoints
 from darksector.scenegen import random_scene
-from darksector.tracer import TraceStatus, trace
+from darksector.tracer import EPS_ADVANCE, TraceStatus, trace
+from darksector.unfolding import write_census
 
 
 # A ray meets a sector only along a stretch of its parameter longer than this.
@@ -189,6 +192,77 @@ def cell_count_euler(surface, cycles) -> int:
     lip_pairs = sum(len(perm) for perm in surface.gluings)  # 2*n*m lips / 2
     spine_edges = surface.slit_count * m
     return vertices - (lip_pairs + spine_edges) + m
+
+
+def expected_census(surface) -> dict:
+    """Oracle for the census document of ``write_census``, from sources
+    independent of it: the walked cone cycles, each a zero of order one less
+    than its length; the cell-count Euler characteristic chi, with degree
+    -chi and genus (2 - chi) / 2; the gluings; each sheet's ``to_dict``; and
+    one double pole of residue 0 per sheet."""
+    m, cycles = surface.sheet_count, walk_cone_cycles(surface)
+    chi = cell_count_euler(surface, cycles)
+    return {
+        "sheet_count": m,
+        "slit_count": surface.slit_count,
+        "sheets": [g.to_dict() for g in surface.sheets],
+        "gluings": surface.gluings,
+        "cycles": [{"slit": k, "endpoint": e, "sheets": c, "length": len(c),
+                    "cone_angle": TWO_PI * len(c)} for k, e, c in cycles],
+        "zeros": [{"slit": k, "endpoint": e, "order": len(c) - 1} for k, e, c in cycles],
+        "poles": [{"sheet_index": i, "order": 2, "residue": 0} for i in range(m)],
+        "degree": -chi,
+        "genus": (2 - chi) // 2,
+        "euler_characteristic": chi,
+    }
+
+
+def census_doc(surface) -> dict:
+    """The census document ``write_census`` writes, parsed by ``json.loads``."""
+    pieces: list[str] = []
+    write_census(surface, pieces.append)
+    return json.loads("".join(pieces))
+
+
+def exact_leg(origin: Point, theta: float, scene: Scene, exclude_index=None):
+    """Oracle for the decisions of ``first_hit(origin, theta, scene,
+    exclude_index)``, made exactly with ``Fraction`` on the same float
+    inputs: the origin, cos and sin of theta, and each mirror's endpoints
+    and length.  The nearest mirror with t > EPS_ADVANCE and u in [-s, 1 + s],
+    s = EPS_SINGULAR / length, ties to the first in scene order; None when
+    there is none.  Otherwise (mirror index, verdict): "grazing" when
+    |sin| of the angle between ray and mirror is below EPS_SINGULAR, else
+    "endpoint" when the hit lies within EPS_SINGULAR of an end, else the
+    side, +1 for a ray arriving from the mirror's left normal."""
+    ox, oy = map(Fraction, origin)
+    dx, dy = Fraction(math.cos(theta)), Fraction(math.sin(theta))
+    advance, singular = Fraction(EPS_ADVANCE), Fraction(EPS_SINGULAR)
+    best = None
+    for i, m in enumerate(scene.mirrors, start=1):
+        if i == exclude_index:
+            continue
+        (ax, ay), (bx, by) = ((Fraction(x), Fraction(y)) for x, y in endpoints(m))
+        ex, ey = bx - ax, by - ay
+        denom = dx * ey - dy * ex  # length * sin of the angle from ray to mirror
+        if denom == 0:
+            continue
+        wx, wy = ax - ox, ay - oy
+        t = (wx * ey - wy * ex) / denom
+        if t <= advance or (best is not None and t >= best[0]):
+            continue
+        u = (wx * dy - wy * dx) / denom
+        length = Fraction(m.length)
+        if -singular / length <= u <= 1 + singular / length:
+            best = t, u, denom, length, i
+    if best is None:
+        return None
+    _, u, denom, length, i = best
+    if abs(denom) < singular * length:
+        return i, "grazing"
+    if u * length < singular or (1 - u) * length < singular:
+        return i, "endpoint"
+    # the left normal (-ey, ex) meets the ray head-on when denom > 0
+    return i, 1 if denom > 0 else -1
 
 
 def arcs_total_measure(arcs) -> float:

@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     angles_close,
     cell_count_euler,
+    census_doc,
     make_single_mirror_scene,
     make_toy_scene,
     walk_cone_cycles,
@@ -29,7 +30,7 @@ from darksector.exact_angle import apply, make_rational_turn, reflection_group
 from darksector.scene import EnclosingCircle, Mirror, Scene, enclosing_circle, save_scene
 from darksector.scenegen import random_scene
 from darksector.tracer import TraceStatus, trace
-from darksector.unfolding import build_surface, census_report, cone_cycles, total_dark_angle
+from darksector.unfolding import build_surface, total_dark_angle
 
 TWO_PI = 2.0 * math.pi
 
@@ -66,7 +67,7 @@ def toy_measure_runs():
 def test_criterion_1_toy_unfolding_census():
     with criterion(1, "toy perpendicular-mirror census is a torus", 1.0):
         surface = build_surface(make_toy_scene())
-        doc = census_report(surface, cone_cycles(surface))
+        doc = census_doc(surface)
         assert doc["sheet_count"] == 4
         assert len(doc["zeros"]) == 8
         assert all(z["order"] == 1 for z in doc["zeros"])
@@ -85,7 +86,7 @@ def test_criterion_2_degree_formula_on_random_scenes():
         for _ in range(100):
             scene = random_scene(rng, max_den=12)
             surface = build_surface(scene, group_cap=250_000)
-            doc = census_report(surface, cone_cycles(surface))
+            doc = census_doc(surface)
             genus = doc["genus"]
             assert isinstance(genus, int) and genus >= 0
             assert sum(z["order"] for z in doc["zeros"]) - 2 * doc["sheet_count"] == 2 * genus - 2
@@ -201,7 +202,7 @@ def test_criterion_7_total_dark_angle_accounting():
     with criterion(7, "aggregate dark angle approaches three full turns", 60.0):
         scene, base, _ = toy_measure_runs()
         surface = build_surface(scene)
-        doc = census_report(surface, cone_cycles(surface))
+        doc = census_doc(surface)
         assert doc["sheet_count"] == 4
         total = total_dark_angle(doc["sheet_count"], base.escape_measure)
         assert total >= 6 * math.pi - 1e-2

@@ -634,6 +634,29 @@ class TestParamBounds:
             main([*argv, "--scene", toy_path])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("theta", ["-1e-05", "-2.5E+1", "-1E3", "-0.5", "-3"])
+    def test_negative_theta_in_any_float_form(self, toy_path, tmp_path, theta):
+        # argparse's own pattern reads only -3 and -0.5 here as values
+        spaced, joined = tmp_path / "spaced.json", tmp_path / "joined.json"
+        assert main(["trace", "--scene", toy_path, "--theta", theta, "--out", str(spaced)]) == 0
+        assert main(["trace", "--scene", toy_path, f"--theta={theta}", "--out", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+        assert json.loads(spaced.read_text())["theta0"] == float(theta)
+
+    @pytest.mark.parametrize("theta", ["-inf", "-nan", "-Infinity"])
+    def test_negative_non_finite_theta_exits_two(self, toy_path, theta, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--scene", toy_path, "--theta", theta])
+        assert exc.value.code == 2
+        assert "argument --theta: must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("after", [[], ["--cap", "3"], ["-x"]], ids=["end", "option", "dash"])
+    def test_theta_without_a_value_exits_two(self, toy_path, after, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--scene", toy_path, "--theta", *after])
+        assert exc.value.code == 2
+        assert "argument --theta: expected one argument" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [

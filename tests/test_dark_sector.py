@@ -412,6 +412,16 @@ class TestVerifyDarkness:
         assert report.direction_inclusion_ok
         assert report.image_disjoint_ok and report.exit_rays_ok
 
+    @pytest.mark.parametrize("n", [-5, -1, 2.5, 3.0, "10", None])
+    def test_sample_count_must_be_a_non_negative_int(
+        self, single_mirror_pipeline, single_mirror_circle, n
+    ):
+        # raised even for a sector the tangent lemma certifies, which draws no sample
+        d, unlit = single_mirror_pipeline
+        s = build_sector(shrink_below_pi(unlit[0]), single_mirror_circle)
+        with pytest.raises(ValueError, match="sample count must be a non-negative integer"):
+            verify_darkness(s, d, n, exit_probes(d), seed=5)
+
     def test_deterministic_given_seed(self, single_mirror_pipeline, single_mirror_circle):
         d, unlit = single_mirror_pipeline
         s = build_sector(shrink_below_pi(unlit[0]), single_mirror_circle)

@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 import darksector.cli as cli
 import darksector.json_stream as json_stream
-from conftest import assert_same_text, make_dihedral_scene
+from conftest import assert_same_text, expected_census, make_dihedral_scene
 from darksector.arcs import Arc
 from darksector.json_stream import write_json
 from darksector.scene import load_scene, save_scene
-from darksector.unfolding import build_surface, census_report, cone_cycles
+from darksector.unfolding import build_surface
 from test_golden import (
     COMMANDS,
     GOLDEN,
@@ -405,7 +405,7 @@ def test_every_golden_report_matches_the_oracle(tmp_path, recorded_docs):
             assert len(recorded_docs) == handed, name
             with open(argv[argv.index("--scene") + 1], "rb") as f:
                 surface = build_surface(load_scene(f.read()))
-            doc = census_report(surface, cone_cycles(surface))
+            doc = expected_census(surface)
             unfolds += 1
         else:
             doc = recorded_docs[-1]

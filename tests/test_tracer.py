@@ -2,6 +2,7 @@ import math
 import random
 import sys
 from bisect import bisect_right
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     angles_close,
     compose,
+    exact_leg,
     make_parallel_scene,
     make_single_mirror_scene,
     make_six_mirror_trap_scene,
@@ -32,6 +34,7 @@ from darksector.scene import (
     _source_arc,
     enclosing_circle,
     endpoints,
+    load_scene,
     validate_scene,
 )
 from darksector.scenegen import random_scene
@@ -46,8 +49,10 @@ from darksector.tracer import (
     reflection_points,
     trace,
 )
+from test_golden import LONG_TRACE_SCENES, LONG_TRACES, SCENES
 
 TWO_PI = 2.0 * math.pi
+TEST_SCENES = Path(__file__).resolve().parent / "scenes"
 
 
 class TestFirstHit:
@@ -422,6 +427,69 @@ def wall_scene_hit_at(num, n, u, anchor_y):
             moved = math.nextafter(anchor_y, sign * (u - got) * math.inf)
         anchor_y = moved
     raise AssertionError(f"no anchor puts hit {n} at u = {u!r}")
+
+
+def leg_verdict(hit):
+    """first_hit's answer in exact_leg's form."""
+    if hit is None:
+        return None
+    return hit.mirror_index, hit.reason if isinstance(hit, SingularStop) else hit.side
+
+
+def exact_checked_scenes():
+    """(scene, cap, launches) of the traces whose legs TestExactPredicates
+    checks: the golden long traces, 32 launches on each bundled scene, the
+    channel and the trap, and 32 at cap 12 on 30 seed-1 random scenes."""
+    for name, theta, cap in sorted(LONG_TRACES):
+        yield LONG_TRACE_SCENES[name](), cap, [float(theta)]
+    spread = [(i + 0.5) * TWO_PI / 32 for i in range(32)]
+    for path in sorted([*SCENES.glob("*.json"), *TEST_SCENES.glob("*.json")]):
+        yield load_scene(path.read_bytes()), 100, spread
+    yield make_parallel_scene(), 400, spread
+    yield make_six_mirror_trap_scene(), 100, spread
+    rng = random.Random(1)
+    for _ in range(30):
+        scene = random_scene(rng)
+        yield scene, 12, [rng.uniform(0.0, TWO_PI) for _ in range(32)]
+
+
+def aimed_launches(scene):
+    """For each mirror, the launches from the source at u = -s/2, s/2,
+    1 - s/2 and 1 + s/2, s = EPS_SINGULAR / length: endpoint-singular hits,
+    two of them beyond the segment but within its u slack."""
+    sx, sy = scene.source
+    for m in scene.mirrors:
+        s = EPS_SINGULAR / m.length
+        (ax, ay), (bx, by) = endpoints(m)
+        for u in (-s / 2, s / 2, 1 - s / 2, 1 + s / 2):
+            yield wrap_angle(math.atan2(ay + u * (by - ay) - sy, ax + u * (bx - ax) - sx))
+
+
+class TestExactPredicates:
+    def test_first_hit_decides_every_leg_as_exact_arithmetic_does(self):
+        # each leg of each trace, from the tracer's own reflection points; a
+        # leg that leaves a mirror is asked once more with no mirror
+        # excluded, where the mirror it leaves lies at t ~ 0 <= EPS_ADVANCE
+        legs, verdicts, disagreements = 0, set(), []
+        for scene, cap, launches in exact_checked_scenes():
+            for theta0 in [*launches, *aimed_launches(scene)]:
+                tr = trace(scene, theta0, cap)
+                theta, last = theta0, None
+                for point, (index, _) in zip(reflection_points(scene, theta0, tr),
+                                             [*tr.itinerary, (None, None)]):
+                    for exclude in {last, None}:
+                        want = exact_leg(point, theta, scene, exclude)
+                        got = leg_verdict(first_hit(point, theta, scene, exclude))
+                        if got != want:
+                            disagreements.append((scene, theta0, point, theta, exclude, got, want))
+                        verdicts.add(None if want is None else want[1])
+                    legs += 1
+                    if index is not None:
+                        theta = wrap_angle(scene.geometry[index - 1].two_angle - theta)
+                        last = index
+        assert disagreements == []
+        assert verdicts == {None, "endpoint", 1, -1}
+        assert legs > 2500
 
 
 class TestEndpointThresholdsInTheLoop:
